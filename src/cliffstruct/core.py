@@ -357,6 +357,8 @@ def parse_multivector(sig: Signature, text: str) -> Multivector:
     rational for the scalar blade.  Round-trips exactly with the formatter.
     """
     stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty multivector text")
     if stripped == "0":
         return Multivector(sig, ())
     terms: list[tuple[int, Fraction]] = []
@@ -369,7 +371,10 @@ def parse_multivector(sig: Signature, text: str) -> Multivector:
         if not first and m.group("sign") is None:
             raise ValueError(f"missing sign between terms at: {stripped[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator at: {stripped[pos:]!r}") from None
         idx = m.group("idx1") or m.group("idx2")
         mask = _mask_from_indices(idx) if idx is not None else 0
         if mask >= sig.dim:
@@ -397,8 +402,10 @@ def multivector_to_json_dict(u: Multivector) -> dict:
 
 def multivector_from_json_dict(data: Mapping) -> Multivector:
     sig = Signature(int(data["p"]), int(data["q"]))
-    terms = [
-        (int(t["mask"]), Fraction(int(t["num"]), int(t["den"])))
-        for t in data["terms"]
-    ]
+    terms = []
+    for idx, t in enumerate(data["terms"]):
+        den = int(t["den"])
+        if not den:
+            raise ValueError(f"terms[{idx}].den is zero")
+        terms.append((int(t["mask"]), Fraction(int(t["num"]), den)))
     return Multivector.from_terms(sig, terms)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Multivector, blade_square_sign, blades_commute
-from .linalg import ExactSpan
+from .linalg import ExactSpan, gf2_insert
 
 KTYPE_BY_DIM = {1: "R", 2: "C", 4: "H"}
 
@@ -127,18 +127,8 @@ def _half_product_form(f: Multivector):
         for y in masks:
             if x ^ y not in mask_set:
                 return None
-    basis: list[int] = []
     echelon: dict[int, int] = {}
-    for m in masks:
-        r = m
-        while r:
-            top = r.bit_length() - 1
-            if top not in echelon:
-                break
-            r ^= echelon[top]
-        if r:
-            echelon[r.bit_length() - 1] = r
-            basis.append(m)
+    basis = [m for m in masks if gf2_insert(m, echelon)]
     if len(basis) != j:
         return None
     sig = f.signature

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .classify import classify
 from .core import Multivector, Signature, blade_square_sign, blades_commute
 from .division import NotPrimitiveError, division_ring_basis
+from .linalg import gf2_insert
 
 _HALF = Fraction(1, 2)
 
@@ -69,15 +70,6 @@ def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
     return _expand_product(frame.signature, frame.monomials, signs)
 
 
-def _xor_reduce(mask: int, echelon: dict[int, int]) -> int:
-    while mask:
-        top = mask.bit_length() - 1
-        if top not in echelon:
-            return mask
-        mask ^= echelon[top]
-    return 0
-
-
 def find_frame(sig: Signature) -> MonomialFrame:
     """Deterministic search for the lexicographically smallest valid frame.
 
@@ -105,11 +97,9 @@ def find_frame(sig: Signature) -> MonomialFrame:
             mask = candidates[idx]
             if any(not blades_commute(mask, c) for c in chosen):
                 continue
-            reduced = _xor_reduce(mask, echelon)
-            if reduced == 0:
-                continue
             extended = dict(echelon)
-            extended[reduced.bit_length() - 1] = reduced
+            if not gf2_insert(mask, extended):
+                continue
             found = search(idx + 1, chosen + [mask], extended)
             if found is not None:
                 return found

@@ -1,8 +1,12 @@
-"""Incremental exact Gaussian elimination over sparse rational vectors.
+"""Incremental exact Gaussian elimination over sparse rational vectors,
+and its GF(2) counterpart over blade bitmasks.
 
 Vectors are dicts mapping totally ordered hashable keys to nonzero Fractions.
 The pivot of a vector is its smallest key, which makes every reduction
 deterministic and keeps sparse inputs sparse.
+
+A GF(2) echelon is a dict from pivot bit to row mask, where each row's top
+bit is its pivot and no other row has that bit set (fully reduced).
 """
 
 from __future__ import annotations
@@ -83,3 +87,28 @@ def rank_of(vectors: Iterable[Mapping]) -> int:
     for idx, vec in enumerate(vectors):
         span.add(vec, idx)
     return span.rank
+
+
+def gf2_reduce(mask: int, echelon: Mapping[int, int]) -> int:
+    """mask with every pivot bit cleared: the minimum of its coset.
+
+    Because the echelon is fully reduced, clearing one pivot bit never sets
+    another, so the rows can be applied in any order.
+    """
+    for bit, row in echelon.items():
+        if mask >> bit & 1:
+            mask ^= row
+    return mask
+
+
+def gf2_insert(mask: int, echelon: dict[int, int]) -> bool:
+    """Add mask to a fully reduced echelon in place; True when it is new."""
+    reduced = gf2_reduce(mask, echelon)
+    if not reduced:
+        return False
+    top = reduced.bit_length() - 1
+    for bit, row in echelon.items():
+        if row >> top & 1:
+            echelon[bit] = row ^ reduced
+    echelon[top] = reduced
+    return True

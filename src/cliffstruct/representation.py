@@ -6,6 +6,16 @@ matrix of u with entries lambda_it in K.  Keeping the K-scalars on the right
 of the basis spinors is what makes u -> gamma(u) a homomorphism when K is
 noncommutative.  Semisimple algebras get a pair of matrices, one for S and
 one for its grade-involution image.
+
+When f = prod (1 + s_i e_{g_i}) / 2 is a product over commuting square-one
+monomials, e_A f = +-e_{A xor w} f for every w in the GF(2) span W of the
+g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per coset
+of U = W + span{m_j}, and each column of a generator matrix has a single
+nonzero entry, a rational multiple of one unit.  Basis and matrices are
+then read off GF(2) coset tables, and each matrix column is confirmed by
+exact multivector equality.  Exact span solves remain for idempotents of
+any other form and for matrices of arbitrary elements (``represent``,
+``spinor_coordinates``).
 """
 
 from __future__ import annotations
@@ -20,13 +30,20 @@ from .core import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    blades_commute,
     grade,
     multivector_from_json_dict,
     multivector_to_json_dict,
 )
-from .division import KTYPE_BY_DIM, DivisionRingBasis, KElement, division_ring_basis
+from .division import (
+    KTYPE_BY_DIM,
+    DivisionRingBasis,
+    KElement,
+    _half_product_form,
+    division_ring_basis,
+)
 from .idempotents import MonomialFrame, find_frame, primitive_idempotent
-from .linalg import ExactSpan
+from .linalg import ExactSpan, gf2_insert, gf2_reduce
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -188,8 +205,59 @@ class Representation:
         return self.algebra_class.simple
 
 
-def spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
-    """Greedy blade scan for a right-K basis of the left ideal Cl(p,q) f.
+@dataclass(frozen=True)
+class _Cosets:
+    """GF(2) tables of a product-form f and its units u_j = c_j e_{m_j} f.
+
+    ``frame`` and ``ideal`` are fully reduced echelons of W = span{g_i} and
+    U = W + span{m_j}; ``unit_of`` maps the W-coset minimum of each m_j to j.
+    """
+
+    frame: dict[int, int]
+    ideal: dict[int, int]
+    unit_of: dict[int, int]
+
+
+def _cosets(f: Multivector, kb: DivisionRingBasis) -> _Cosets | None:
+    """Coset tables of f, or None when f is not in product form.
+
+    Raises RepresentationError when a unit is not c * e_m f for a blade e_m
+    commuting with the frame, or when S = Cl f is not a free right K-module,
+    i.e. the d unit masks do not fill U / W with rank(U) = k + log2(d).
+    """
+    form = _half_product_form(f)
+    if form is None:
+        return None
+    gens, _ = form
+    sig = f.signature
+    scale = f.terms[0][1]
+    frame: dict[int, int] = {}
+    for g in gens:
+        gf2_insert(g, frame)
+    ideal = dict(frame)
+    unit_of: dict[int, int] = {}
+    for j, u in enumerate(kb.units):
+        if u.is_zero():
+            raise RepresentationError(f"unit {j} is zero")
+        m, c = u.terms[0]
+        if any(not blades_commute(m, g) for g in gens) or u != sig.blade(
+            m, c / scale
+        ) * f:
+            raise RepresentationError(
+                f"unit {j} is not a multiple of e_A f for a blade commuting with f"
+            )
+        gf2_insert(m, ideal)
+        unit_of[gf2_reduce(m, frame)] = j
+    if len(unit_of) != kb.dim or len(ideal) != len(frame) + kb.dim.bit_length() - 1:
+        raise RepresentationError(
+            f"S = Cl f is not a free right K-module: unit masks span rank"
+            f" {len(ideal) - len(frame)} over the frame"
+        )
+    return _Cosets(frame, ideal, unit_of)
+
+
+def _greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
+    """Greedy blade scan for a right-K basis of Cl(p,q) f, for any f.
 
     e_A f is appended whenever it is R-independent of the right-K span of the
     elements already chosen; scanning every blade guarantees the final span
@@ -218,6 +286,73 @@ def spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
     return SpinorBasis(
         f, tuple(blades), (1,) * len(blades), tuple(elements)
     )
+
+
+def spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
+    """Right-K basis s_t = e_{A_t} f of the left ideal Cl(p,q) f.
+
+    For f in product form the right-K span of e_A f is spanned by the e_B f
+    with B in the coset A + U, so the basis blades are the coset minima:
+    the masks with no pivot bit of U's fully reduced echelon, in ascending
+    order.  These are exactly the blades the greedy scan would choose, which
+    still handles idempotents of any other form.
+    """
+    cosets = _cosets(f, kb)
+    if cosets is None:
+        return _greedy_spinor_basis(f, kb)
+    pivots = sum(1 << bit for bit in cosets.ideal)
+    blades = tuple(m for m in range(f.signature.dim) if not m & pivots)
+    elements = tuple(f.signature.blade(m) * f for m in blades)
+    return SpinorBasis(f, blades, (1,) * len(blades), elements)
+
+
+def _coset_gammas(
+    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis, cosets: _Cosets
+) -> tuple[KMatrix, ...]:
+    """Generator matrices as signed unit permutations of the spinor basis.
+
+    e_i s_t lies on the W-coset of X = e_i-mask xor A_t; its U-coset minimum
+    names the row s and its W-coset inside U names the unit j, so that
+    e_i s_t == (sign_s e_{A_s} u_j) * lambda for one rational lambda.  Each
+    column is confirmed by that exact equality.  With s_s == sign_s e_{A_s} f,
+    as ``spinor_basis`` and its involution image build it, and u_j == f u_j,
+    as ``_cosets`` confirms, sign_s e_{A_s} u_j is the real basis element
+    s_s u_j; each is built once and shared by the generators.
+    """
+    row_of = {mask: s for s, mask in enumerate(sb.blades)}
+    real_basis: dict[tuple[int, int], Multivector] = {}
+    zero = kb.kzero()
+    gammas = []
+    for i in range(sig.n):
+        gen = sig.blade(1 << i)
+        columns = []
+        for t, s_t in enumerate(sb.elements):
+            x = (1 << i) ^ sb.blades[t]
+            a = gf2_reduce(x, cosets.ideal)
+            s = row_of[a]
+            j = cosets.unit_of[gf2_reduce(x ^ a, cosets.frame)]
+            lhs = gen * s_t
+            rhs = real_basis.get((s, j))
+            if rhs is None:
+                rhs = sig.blade(a, sb.blade_signs[s]) * kb.units[j]
+                real_basis[s, j] = rhs
+            lam = lhs.terms[0][1] / rhs.terms[0][1]
+            if lhs != rhs * lam:
+                raise RepresentationError(
+                    f"e{i + 1} s_{t} is not a multiple of s_{s} u_{j}"
+                )
+            entry = tuple(lam if jj == j else _ZERO for jj in range(kb.dim))
+            columns.append((s, entry))
+        gammas.append(
+            KMatrix(
+                kb,
+                tuple(
+                    tuple(entry if s == row else zero for s, entry in columns)
+                    for row in range(sb.size)
+                ),
+            )
+        )
+    return tuple(gammas)
 
 
 @lru_cache(maxsize=128)
@@ -284,10 +419,10 @@ def represent_semisimple(
 
 
 def _component(sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis) -> Component:
-    gammas = tuple(
-        _matrix_of(sig.blade(1 << i), kb, sb) for i in range(sig.n)
-    )
-    return Component(kb, sb, gammas)
+    cosets = _cosets(kb.idempotent, kb)
+    if cosets is None:
+        raise RepresentationError("the idempotent is not in product form")
+    return Component(kb, sb, _coset_gammas(sig, kb, sb, cosets))
 
 
 def build_representation(sig: Signature) -> Representation:
@@ -330,12 +465,8 @@ def build_representation(sig: Signature) -> Representation:
 # JSON interchange
 
 
-def _fraction_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _kelement_json(x: KElement) -> list[str]:
-    return [_fraction_str(c) for c in x]
+    return [str(c) for c in x]
 
 
 def _kelement_from_json(data) -> KElement:
@@ -375,9 +506,13 @@ def representation_from_json_dict(data: Mapping) -> Representation:
     cls = classify(sig)
     frame = MonomialFrame(sig, tuple(int(m) for m in data["frame"]))
     components = []
-    for comp in data["components"]:
+    for ci, comp in enumerate(data["components"]):
         f = multivector_from_json_dict(comp["idempotent"])
         units = tuple(multivector_from_json_dict(u) for u in comp["units"])
+        if len(units) not in KTYPE_BY_DIM:
+            raise ValueError(
+                f"components[{ci}].units has {len(units)} entries, not 1, 2 or 4"
+            )
         table = tuple(
             tuple(_kelement_from_json(entry) for entry in row)
             for row in comp["unit_table"]

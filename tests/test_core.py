@@ -222,6 +222,18 @@ def test_parse_forms():
         parse_multivector(Signature(1, 0), "e12")
 
 
+@pytest.mark.parametrize("text", ["", "   ", "\t\n"])
+def test_parse_empty_text_is_an_error(text):
+    with pytest.raises(ValueError, match="empty"):
+        parse_multivector(Signature(2, 0), text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "e1 + 3/0*e2"])
+def test_parse_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_multivector(Signature(2, 0), text)
+
+
 def test_text_round_trip_randomized():
     rng = random.Random(303)
     for _ in range(120):
@@ -249,6 +261,13 @@ def test_json_round_trip():
         u = random_multivector(rng, sig, max_terms=6, span=9)
         blob = json.dumps(multivector_to_json_dict(u))
         assert multivector_from_json_dict(json.loads(blob)) == u
+
+
+def test_json_zero_denominator_names_the_field():
+    data = multivector_to_json_dict(Signature(2, 0).e(1) + Fraction(1, 3))
+    data["terms"][1]["den"] = "0"
+    with pytest.raises(ValueError, match=r"terms\[1\]\.den"):
+        multivector_from_json_dict(data)
 
 
 def test_json_masks_ascending():

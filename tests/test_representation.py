@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from cliffstruct import (
+    DivisionRingBasis,
     KMatrix,
+    RepresentationError,
     Signature,
     SignatureMismatchError,
     build_representation,
@@ -23,6 +25,8 @@ from cliffstruct import (
     spinor_basis,
     spinor_coordinates,
 )
+from cliffstruct.linalg import gf2_insert, gf2_reduce
+from cliffstruct.representation import _component, _greedy_spinor_basis, _matrix_of
 
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
@@ -228,3 +232,74 @@ def test_representation_dump_deterministic():
     a = representation_to_json_dict(build_representation(Signature(2, 2)))
     b = representation_to_json_dict(build_representation(Signature(2, 2)))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_representation_json_rejects_empty_units():
+    data = representation_to_json_dict(build_representation(Signature(3, 0)))
+    data["components"][0]["units"] = []
+    with pytest.raises(ValueError, match=r"components\[0\]\.units"):
+        representation_from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the coset kernel against the exact span solves it replaced
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        rep = build_representation(sig)
+        for comp in rep.components:
+            kb, sb = comp.kbasis, comp.basis
+            greedy = _greedy_spinor_basis(sb.idempotent, kb)
+            assert spinor_basis(sb.idempotent, kb) == greedy
+            assert sb.blades == greedy.blades
+            # the second semisimple component carries grade-involution signs
+            assert sb.elements == tuple(
+                e * s for e, s in zip(greedy.elements, sb.blade_signs)
+            )
+            for i, gamma in enumerate(comp.gammas):
+                assert gamma == _matrix_of(sig.blade(1 << i), kb, sb)
+
+
+def test_non_product_idempotent_uses_greedy_scan():
+    sig = Signature(2, 0)
+    f = (sig.scalar(1) + (sig.e(1) * 3 + sig.e(2) * 4) * Fraction(1, 5)) * HALF
+    assert f * f == f
+    kb = division_ring_basis(f)
+    sb = spinor_basis(f, kb)
+    assert sb == _greedy_spinor_basis(f, kb)
+    assert sb.blades == (0, 1)
+    assert sb.size * kb.dim == 2
+
+
+def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
+    sig = Signature(3, 0)
+    rep = build_representation(sig)
+    comp = rep.components[0]
+    kb, sb = comp.kbasis, comp.basis
+    f = kb.idempotent
+    i_unit = kb.units[1]
+    bad = DivisionRingBasis(
+        f, (f, i_unit + sig.e(2) * f), kb.ktype, kb.table
+    )
+    with pytest.raises(RepresentationError):
+        spinor_basis(f, bad)
+    with pytest.raises(RepresentationError):
+        _component(sig, bad, sb)
+
+
+def test_gf2_reduce_gives_the_coset_minimum():
+    rng = random.Random(707)
+    for _ in range(200):
+        masks = [rng.randrange(1, 64) for _ in range(rng.randint(0, 4))]
+        echelon = {}
+        span = {0}
+        for m in masks:
+            grew = gf2_insert(m, echelon)
+            assert grew == (m not in span)
+            span |= {w ^ m for w in span}
+        assert len(span) == 1 << len(echelon)
+        for x in range(64):
+            assert gf2_reduce(x, echelon) == min(x ^ w for w in span)
