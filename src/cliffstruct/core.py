@@ -11,14 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 MAX_DIMENSION = 12
-
-# Reorder-sign tables take 4^n entries, so they are only precomputed for
-# algebras up to this many generators; larger ones compute signs per pair.
-_TABLE_MAX_N = 9
 
 # Generator index i is printed as the single character _INDEX_CHARS[i - 1],
 # which keeps the text grammar unambiguous up to n = 12.
@@ -90,27 +86,25 @@ def grade(mask: int) -> int:
     return mask.bit_count()
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # Adjacent transpositions needed to merge the factor lists of a and b,
-    # counted through prefix popcounts.
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+def _sign_mask(b: int, negative: int) -> int:
+    """Mask q with e_a e_b = (-1)**popcount(a & q) e_{a ^ b} for every a.
+
+    Bit i of b's prefix parity is the parity of b's bits below i, that is of
+    the transpositions a factor e_i of a needs to pass b's lower factors; the
+    bits of ``negative`` (generators squaring to -1) add one metric sign per
+    repeated generator.  Five shifts cover 16 bits, beyond MAX_DIMENSION.
+    """
+    x = b << 1
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    return x ^ (b & negative)
 
 
-@lru_cache(maxsize=None)
-def _reorder_table(n: int) -> list[int]:
-    # Signature-independent: the metric contribution is applied per pair.
-    dim = 1 << n
-    table = [1] * (dim * dim)
-    for a in range(dim):
-        base = a << n
-        for b in range(dim):
-            table[base | b] = _reorder_sign(a, b)
-    return table
+def _negative_mask(sig: Signature) -> int:
+    """Bits of the generators that square to -1."""
+    return (1 << sig.n) - (1 << sig.p)
 
 
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -123,10 +117,9 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     dim = sig.dim
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError(f"blade mask out of range for {sig}")
-    sign = _reorder_sign(a, b)
-    if ((a & b) >> sig.p).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    if (a & _sign_mask(b, _negative_mask(sig))).bit_count() & 1:
+        return -1, a ^ b
+    return 1, a ^ b
 
 
 def blade_square_sign(mask: int, sig: Signature) -> int:
@@ -140,7 +133,8 @@ def blades_commute(a: int, b: int) -> bool:
     The answer does not depend on the metric: the repeated-generator signs are
     the same on both sides, so only the transposition counts matter.
     """
-    return _reorder_sign(a, b) == _reorder_sign(b, a)
+    swaps = (a & _sign_mask(b, 0)).bit_count() + (b & _sign_mask(a, 0)).bit_count()
+    return not swaps & 1
 
 
 @dataclass(frozen=True)
@@ -225,37 +219,45 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        sig = self.signature
-        n = sig.n
-        p = sig.p
-        acc: dict[int, Fraction] = {}
-        if n <= _TABLE_MAX_N:
-            table = _reorder_table(n)
-            for a, ca in self.terms:
-                base = a << n
-                for b, cb in other.terms:
-                    s = table[base | b]
-                    if ((a & b) >> p).bit_count() & 1:
-                        s = -s
-                    prod = ca * cb
-                    if s < 0:
-                        prod = -prod
-                    m = a ^ b
-                    cur = acc.get(m)
-                    acc[m] = prod if cur is None else cur + prod
-        else:
-            for a, ca in self.terms:
-                for b, cb in other.terms:
-                    s = _reorder_sign(a, b)
-                    if ((a & b) >> p).bit_count() & 1:
-                        s = -s
-                    prod = ca * cb
-                    if s < 0:
-                        prod = -prod
-                    m = a ^ b
-                    cur = acc.get(m)
-                    acc[m] = prod if cur is None else cur + prod
-        return Multivector(sig, tuple(sorted((m, c) for m, c in acc.items() if c)))
+        # Integer numerators over each operand's common denominator; one
+        # normalized Fraction per output term.
+        da, a_masks, a_nums = self._integer_terms()
+        db, b_masks, b_nums = other._integer_terms()
+        negative = _negative_mask(self.signature)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for b, cb in zip(b_masks, b_nums):
+            q = _sign_mask(b, negative)
+            for a, ca in zip(a_masks, a_nums):
+                m = a ^ b
+                if (a & q).bit_count() & 1:
+                    acc[m] = get(m, 0) - ca * cb
+                else:
+                    acc[m] = get(m, 0) + ca * cb
+        den = da * db
+        return Multivector(
+            self.signature,
+            tuple(sorted((m, Fraction(c, den)) for m, c in acc.items() if c)),
+        )
+
+    def _integer_terms(self) -> tuple[int, list[int], list[int]]:
+        """(d, masks, numerators) with each coefficient numerator / d and d
+        the common denominator; cached on the instance."""
+        cached = self.__dict__.get("_integer_cache")
+        if cached is None:
+            terms = self.terms
+            den = 1
+            for _, c in terms:
+                cd = c.denominator
+                if cd != 1 and den % cd:
+                    den = den * cd // gcd(den, cd)
+            cached = (
+                den,
+                [m for m, _ in terms],
+                [c.numerator * (den // c.denominator) for _, c in terms],
+            )
+            self.__dict__["_integer_cache"] = cached
+        return cached
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,9 +1,13 @@
 """Incremental exact Gaussian elimination over sparse rational vectors,
 and its GF(2) counterpart over blade bitmasks.
 
-Vectors are dicts mapping totally ordered hashable keys to nonzero Fractions.
-The pivot of a vector is its smallest key, which makes every reduction
-deterministic and keeps sparse inputs sparse.
+Vectors are mappings from totally ordered hashable keys to rationals (ints
+or Fractions; zero values are ignored).  The pivot of a vector is its
+smallest key, which makes every reduction deterministic and keeps sparse
+inputs sparse.  Elimination is fraction-free: each vector is scaled to
+integers over its common denominator and reduced with integer
+cross-multiplication (Bareiss-style, with common factors divided out), so
+only the returned coordinates are Fractions.
 
 A GF(2) echelon is a dict from pivot bit to row mask, where each row's top
 bit is its pivot and no other row has that bit set (fully reduced).
@@ -12,74 +16,107 @@ bit is its pivot and no other row has that bit set (fully reduced).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Hashable, Iterable, Mapping
 
-_ZERO = Fraction(0)
 
-
-def _as_dict(vec: Mapping) -> dict:
-    return {k: Fraction(v) for k, v in vec.items() if v}
+def _integer_vector(vec: Mapping) -> tuple[int, dict]:
+    """(d, d * vec) with d > 0 the common denominator of vec's values."""
+    den = 1
+    for v in vec.values():
+        d = v.denominator
+        if d != 1 and den % d:
+            den = den * d // gcd(den, d)
+    return den, {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
 
 
 class ExactSpan:
     """Row-reduced span that can express members over the inserted vectors."""
 
     def __init__(self) -> None:
-        # pivot key -> (reduced vector, expansion over inserted labels)
+        # pivot key -> (integer row P, integer expansion E over the inserted
+        # labels) with P = sum_l E[l] v_l.  P[pivot key] > 0, so a pivot
+        # entry of +-1 reduces without rescaling the vector.
         self._pivots: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _eliminate(self, vec: dict) -> tuple[dict, dict]:
+    def _eliminate(self, vec: Mapping) -> tuple[dict, dict, int]:
+        """(rest, combo, scale) with scale * vec - sum_l combo[l] v_l == rest,
+        scale > 0, and rest empty or its smallest key not a pivot."""
+        scale, rest = _integer_vector(vec)
         combo: dict = {}
-        while vec:
-            key = min(vec)
-            hit = self._pivots.get(key)
+        pivots = self._pivots
+        while rest:
+            key = min(rest)
+            hit = pivots.get(key)
             if hit is None:
                 break
-            pvec, pexp = hit
-            factor = vec[key] / pvec[key]
-            for k, v in pvec.items():
-                new = vec.get(k, _ZERO) - factor * v
+            prow, pexp = hit
+            # rest <- b * rest - a * P clears key; b > 0 keeps scale positive
+            a = rest[key]
+            b = prow[key]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                rest = {k: v * b for k, v in rest.items()}
+                combo = {lbl: c * b for lbl, c in combo.items()}
+                scale *= b
+            for k, v in prow.items():
+                new = rest.get(k, 0) - a * v
                 if new:
-                    vec[k] = new
+                    rest[k] = new
                 else:
-                    vec.pop(k, None)
-            for lbl, cf in pexp.items():
-                cur = combo.get(lbl, _ZERO) + factor * cf
+                    rest.pop(k, None)
+            for lbl, e in pexp.items():
+                cur = combo.get(lbl, 0) + a * e
                 if cur:
                     combo[lbl] = cur
                 else:
                     combo.pop(lbl, None)
-        return vec, combo
+            if b != 1:
+                g = gcd(scale, *rest.values(), *combo.values())
+                if g != 1:
+                    rest = {k: v // g for k, v in rest.items()}
+                    combo = {lbl: c // g for lbl, c in combo.items()}
+                    scale //= g
+        return rest, combo, scale
 
     def add(self, vec: Mapping, label: Hashable) -> bool:
         """Insert a labelled vector; True when it enlarges the span."""
-        residual, combo = self._eliminate(_as_dict(vec))
-        if not residual:
+        rest, combo, scale = self._eliminate(vec)
+        if not rest:
             return False
-        expansion = {label: Fraction(1)}
-        for lbl, cf in combo.items():
-            cur = expansion.get(lbl, _ZERO) - cf
+        expansion = {label: scale}
+        for lbl, c in combo.items():
+            cur = expansion.get(lbl, 0) - c
             if cur:
                 expansion[lbl] = cur
             else:
                 expansion.pop(lbl, None)
-        self._pivots[min(residual)] = (residual, expansion)
+        key = min(rest)
+        g = gcd(*rest.values(), *expansion.values())
+        if rest[key] < 0:
+            g = -g
+        if g != 1:
+            rest = {k: v // g for k, v in rest.items()}
+            expansion = {lbl: e // g for lbl, e in expansion.items()}
+        self._pivots[key] = (rest, expansion)
         return True
 
     def contains(self, vec: Mapping) -> bool:
-        residual, _ = self._eliminate(_as_dict(vec))
-        return not residual
+        return not self._eliminate(vec)[0]
 
     def coordinates(self, vec: Mapping) -> dict | None:
         """Coordinates of vec over the inserted labels, or None if outside."""
-        residual, combo = self._eliminate(_as_dict(vec))
-        if residual:
+        rest, combo, scale = self._eliminate(vec)
+        if rest:
             return None
-        return combo
+        return {lbl: Fraction(c, scale) for lbl, c in combo.items()}
 
 
 def rank_of(vectors: Iterable[Mapping]) -> int:

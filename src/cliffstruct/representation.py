@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .classify import AlgebraClass, classify
@@ -355,12 +354,17 @@ def _coset_gammas(
     return tuple(gammas)
 
 
-@lru_cache(maxsize=128)
 def _solver(kb: DivisionRingBasis, sb: SpinorBasis) -> ExactSpan:
+    # Kept on sb with the kb it was built for, matched by identity: hashing
+    # the frozen bases would rehash every Fraction they hold on each call.
+    cached = sb.__dict__.get("_solver")
+    if cached is not None and cached[0] is kb:
+        return cached[1]
     span = ExactSpan()
     for t, s in enumerate(sb.elements):
         for j, unit in enumerate(kb.units):
             span.add(dict((s * unit).terms), (t, j))
+    sb.__dict__["_solver"] = (kb, span)
     return span
 
 

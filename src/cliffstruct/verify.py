@@ -508,6 +508,8 @@ def verify_signature(
 
 def verify_range(max_n: int, seed: int = DEFAULT_SAMPLE_SEED) -> RangeSummary:
     """Verify every signature with p + q <= max_n, ordered by (n, p)."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     reports = []
     for n in range(max_n + 1):
         for p in range(n + 1):

@@ -147,6 +147,9 @@ def test_verify_usage_errors(capsys):
     assert main(["verify"]) == 2
     assert main(["verify", "1", "0", "--max-n", "2"]) == 2
     assert main(["verify", "--max-n", "13"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--max-n", "-1"]) == 2
+    assert "max_n must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from cliffstruct import (
     SignatureMismatchError,
     blade_mul,
     blade_square_sign,
+    blades_commute,
     format_multivector,
     grade,
     multivector_from_json_dict,
@@ -284,7 +285,7 @@ def test_grade():
 
 
 def test_products_beyond_sign_table_range():
-    # n = 10 takes the per-pair sign path instead of the precomputed table
+    # n = 10: the reorder sign must count transpositions past generator 9
     sig = Signature(5, 5)
     assert sig.e(1) * sig.e(1) == sig.scalar(1)
     assert sig.e(10) * sig.e(10) == sig.scalar(-1)
@@ -295,3 +296,61 @@ def test_products_beyond_sign_table_range():
         b = rng.randrange(sig.dim)
         assert blade_mul(a, b, sig) == oracle_blade_mul(a, b, sig.p)
         assert sig.blade(a) * sig.blade(b) == sig.blade(a ^ b, blade_mul(a, b, sig)[0])
+
+
+def _oracle_product(x, y):
+    """x * y term by term through the index-list oracle, in Fractions."""
+    acc = {}
+    for a, ca in x.terms:
+        for b, cb in y.terms:
+            sign, mask = oracle_blade_mul(a, b, x.signature.p)
+            acc[mask] = acc.get(mask, Fraction(0)) + sign * ca * cb
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
+
+
+def _non_dyadic_multivector(rng, sig, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        terms[rng.randrange(sig.dim)] = Fraction(
+            rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 3, 6, 7, 9, 12])
+        )
+    return Multivector.from_terms(sig, terms)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_product_matches_oracle_product(n):
+    rng = random.Random(4100 + n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        top = sig.dim - 1
+        operands = [
+            sig.scalar(0),
+            sig.scalar(1),
+            sig.scalar(-1),
+            sig.scalar(Fraction(-2, 7)),
+            sig.blade(top, Fraction(1, 3)),
+            # (1 + E)(1 - E) = 1 - E**2 cancels where E**2 = 1
+            sig.scalar(1) + sig.blade(top),
+            sig.scalar(1) - sig.blade(top),
+            *(_non_dyadic_multivector(rng, sig, 6) for _ in range(3)),
+        ]
+        for x in operands:
+            for y in operands:
+                prod = x * y
+                assert prod.terms == _oracle_product(x, y)
+                assert all(type(c) is Fraction for _, c in prod.terms)
+
+
+@pytest.mark.parametrize("n", (10, 11, 12))
+def test_blade_signs_match_oracle_beyond_n9(n):
+    rng = random.Random(900 + n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        top = sig.dim - 1
+        high = 1 << (n - 1)
+        pairs = [(top, top), (top, high), (high, top), (high, 1), (1, high)]
+        pairs += [(rng.randrange(sig.dim), rng.randrange(sig.dim)) for _ in range(40)]
+        for a, b in pairs:
+            ab = oracle_blade_mul(a, b, p)
+            assert blade_mul(a, b, sig) == ab
+            assert blades_commute(a, b) == (ab[0] == oracle_blade_mul(b, a, p)[0])

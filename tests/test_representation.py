@@ -26,7 +26,12 @@ from cliffstruct import (
     spinor_coordinates,
 )
 from cliffstruct.linalg import gf2_insert, gf2_reduce
-from cliffstruct.representation import _component, _greedy_spinor_basis, _matrix_of
+from cliffstruct.representation import (
+    _component,
+    _greedy_spinor_basis,
+    _matrix_of,
+    _solver,
+)
 
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
@@ -218,6 +223,25 @@ def test_spinor_coordinates_and_right_action():
         kb.kmul(x, (F0, F1)) for x in spinor_coordinates(kb, sb, psi)
     )
     assert coords_psi_i == expected
+
+
+def test_solver_is_built_once_per_basis_pair():
+    sig = Signature(1, 2)
+    comp = build_representation(sig).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    assert _solver(kb, sb) is _solver(kb, sb)
+    # equal but distinct bases, rebuilt from JSON, give the same answers
+    again = representation_from_json_dict(
+        representation_to_json_dict(build_representation(sig))
+    ).components[0]
+    assert (again.kbasis, again.basis) == (kb, sb)
+    for mask in range(sig.dim):
+        u = sig.blade(mask)
+        assert _matrix_of(u, again.kbasis, again.basis) == _matrix_of(u, kb, sb)
+        psi = u * sb.elements[-1]
+        assert spinor_coordinates(again.kbasis, again.basis, psi) == spinor_coordinates(
+            kb, sb, psi
+        )
 
 
 def test_representation_json_roundtrip():

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,18 @@ def test_reingested_dump_verifies_identically():
 def test_seed_changes_keep_passing():
     for seed in (0, 1, 99991):
         assert verify_signature(Signature(2, 1), seed=seed).passed
+
+
+@pytest.mark.skipif(
+    os.environ.get("CLIFFSTRUCT_SLOW") != "1",
+    reason="n <= 9 verify sweep: set CLIFFSTRUCT_SLOW=1",
+)
+def test_verify_sweep_through_n9():
+    summary = verify_range(9)
+    assert summary.signatures == 55
+    failures = {
+        str(r.signature): [c.check_id for c in r.failures()]
+        for r in summary.reports
+        if not r.passed
+    }
+    assert failures == {}
