@@ -31,6 +31,12 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _status_line(report) -> str:
+    passed = len(report.checks) - len(report.failures())
+    status = "pass" if report.passed else "FAIL"
+    return f"{report.signature}: {passed}/{len(report.checks)} checks {status}"
+
+
 def _signature(args) -> Signature:
     return Signature(args.p, args.q)
 
@@ -124,12 +130,7 @@ def _cmd_verify(args) -> int:
             _print_json(summary.to_json_dict())
         else:
             for report in summary.reports:
-                status = "pass" if report.passed else "FAIL"
-                print(
-                    f"{report.signature}: "
-                    f"{len(report.checks) - len(report.failures())}/{len(report.checks)}"
-                    f" checks {status}"
-                )
+                print(_status_line(report))
                 for c in report.failures():
                     print(f"  [FAIL] {c.check_id}: {json.dumps(c.witness, sort_keys=True)}")
             print(
@@ -149,12 +150,7 @@ def _cmd_verify(args) -> int:
             if not c.passed and c.witness is not None:
                 line += f": {json.dumps(c.witness, sort_keys=True)}"
             print(line)
-        status = "pass" if report.passed else "FAIL"
-        print(
-            f"{report.signature}: "
-            f"{len(report.checks) - len(report.failures())}/{len(report.checks)}"
-            f" checks {status}"
-        )
+        print(_status_line(report))
     return 0 if report.passed else 1
 
 

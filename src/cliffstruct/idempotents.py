@@ -111,45 +111,70 @@ def find_frame(sig: Signature) -> MonomialFrame:
     return MonomialFrame(sig, found)
 
 
-def _build_set(frame: MonomialFrame) -> IdempotentSet:
-    svs = sign_vectors(frame.k)
-    idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
-    return IdempotentSet(frame, svs, idems)
+def _idempotency_witness(signs, idempotents) -> dict | None:
+    for sv, f in zip(signs, idempotents):
+        if not is_idempotent(f):
+            return {"signs": list(sv)}
+    return None
+
+
+def _annihilation_witness(signs, idempotents) -> dict | None:
+    for a, b in itertools.combinations(range(len(idempotents)), 2):
+        if not (idempotents[a] * idempotents[b]).is_zero():
+            return {"i": list(signs[a]), "j": list(signs[b])}
+    return None
+
+
+def _unity_witness(signs, idempotents) -> dict | None:
+    total = sum(idempotents[1:], idempotents[0])
+    if total != total.signature.scalar(1):
+        return {"sum": str(total)}
+    return None
+
+
+def _primitivity_witness(signs, idempotents) -> dict | None:
+    for sv, f in zip(signs, idempotents):
+        # the witness names the sign vector also when the test itself fails
+        try:
+            primitive = is_primitive(f)
+        except Exception as exc:
+            return {"signs": list(sv), "error": f"{type(exc).__name__}: {exc}"}
+        if not primitive:
+            return {"signs": list(sv)}
+    return None
+
+
+# (check id, witness function) in the order verify reports them.  Each
+# function takes the sign vectors and their idempotents and returns a
+# JSON-serializable witness of the first violation, or None.
+IDEMPOTENT_INVARIANTS = (
+    ("idem.idempotent", _idempotency_witness),
+    ("idem.mutually_annihilating", _annihilation_witness),
+    ("idem.sum_to_unity", _unity_witness),
+    ("idem.primitive", _primitivity_witness),
+)
 
 
 def complete_set(frame: MonomialFrame) -> IdempotentSet:
     """All 2^k idempotents of the frame, with every invariant verified.
 
-    Checks exact idempotency, mutual annihilation, the decomposition of
-    unity, and primitivity of every member before returning.
+    Checks the expansion shape, then ``IDEMPOTENT_INVARIANTS`` (idempotency,
+    mutual annihilation, the decomposition of unity, primitivity); raises
+    :class:`IdempotentSetError` with the witness of the first violation.
     """
-    result = _build_set(frame)
     sig = frame.signature
+    svs = sign_vectors(frame.k)
+    idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
     expected_terms = 1 << frame.k
     coeff = Fraction(1, expected_terms)
-    for sv, f in zip(result.signs, result.idempotents):
-        if len(f.terms) != expected_terms or any(
-            c != coeff and c != -coeff for _, c in f.terms
-        ):
+    for sv, f in zip(svs, idems):
+        if len(f.terms) != expected_terms or any(abs(c) != coeff for _, c in f.terms):
             raise IdempotentSetError(f"{sig} {sv}: expansion shape is wrong")
-        if f * f != f:
-            raise IdempotentSetError(f"{sig} {sv}: not idempotent")
-    total = sig.scalar(0)
-    for f in result.idempotents:
-        total = total + f
-    if total != sig.scalar(1):
-        raise IdempotentSetError(f"{sig}: idempotents do not sum to 1")
-    for a in range(len(result.idempotents)):
-        for b in range(a + 1, len(result.idempotents)):
-            if not (result.idempotents[a] * result.idempotents[b]).is_zero():
-                raise IdempotentSetError(
-                    f"{sig}: idempotents {result.signs[a]} and {result.signs[b]}"
-                    " do not annihilate"
-                )
-    for sv, f in zip(result.signs, result.idempotents):
-        if not is_primitive(f):
-            raise IdempotentSetError(f"{sig} {sv}: idempotent is not primitive")
-    return result
+    for check_id, witness_of in IDEMPOTENT_INVARIANTS:
+        witness = witness_of(svs, idems)
+        if witness is not None:
+            raise IdempotentSetError(f"{sig}: {check_id} fails: {witness}")
+    return IdempotentSet(frame, svs, idems)
 
 
 def is_idempotent(u: Multivector) -> bool:

@@ -2,6 +2,11 @@
 
 Every check is exact; a failing check carries a JSON-serializable witness
 instead of raising, so a verification sweep always completes and reports.
+
+``CHECKS`` is the ordered table of ``(check_id, fn)``: each fn reads what
+the checks share from a lazily built per-signature context and returns a
+witness, or None on a pass.  An exception fails only the checks that meet
+it, each under its own id with an ``{"error": "Type: message"}`` witness.
 """
 
 from __future__ import annotations
@@ -9,14 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .classify import K_DIMENSION, classify
 from .core import Multivector, Signature, SignatureMismatchError
 from .idempotents import (
+    IDEMPOTENT_INVARIANTS,
+    IdempotentSet,
     center_basis,
     central_idempotents,
     find_frame,
-    is_primitive,
     primitive_idempotent,
     sign_vectors,
 )
@@ -32,24 +39,6 @@ from .representation import (
 
 DEFAULT_SAMPLE_SEED = 1729
 _RANDOM_PSI_COUNT = 10
-
-_REPR_CHECK_IDS = (
-    "class.representation_agrees",
-    "repr.generator_relations",
-    "repr.homomorphism",
-    "repr.faithful_rank",
-    "repr.irreducible",
-    "repr.right_module",
-)
-
-_IDEM_CHECK_IDS = (
-    "idem.count",
-    "idem.idempotent",
-    "idem.mutually_annihilating",
-    "idem.sum_to_unity",
-    "idem.primitive",
-    "ideal.dimension",
-)
 
 
 @dataclass
@@ -119,31 +108,84 @@ def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
     """R-dimension of Cl(p,q) f by row reduction over all blade left-multiples."""
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
+    return _span(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim)).rank
+
+
+def _span(vectors) -> ExactSpan:
     span = ExactSpan()
-    for mask in range(sig.dim):
-        span.add(dict((sig.blade(mask) * f).terms), mask)
-    return span.rank
+    for label, vec in enumerate(vectors):
+        span.add(vec, label)
+    return span
 
 
-def _error_witness(exc: Exception) -> dict:
-    return {"error": f"{type(exc).__name__}: {exc}"}
+@dataclass
+class _Context:
+    """What the checks of one signature share, each value built on first use.
+
+    A value whose construction raises is not cached, so every check that
+    needs it fails with the same error.
+    """
+
+    sig: Signature
+    seed: int
+
+    @cached_property
+    def cls(self):
+        return classify(self.sig)
+
+    @cached_property
+    def idems(self) -> IdempotentSet:
+        frame = find_frame(self.sig)
+        svs = sign_vectors(frame.k)
+        idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
+        return IdempotentSet(frame, svs, idems)
+
+    @cached_property
+    def rep(self) -> Representation:
+        return build_representation(self.sig)
+
+    @cached_property
+    def repr_witnesses(self) -> dict:
+        """REPR_CHECKS run once over this signature's representation."""
+        results = verify_representation(self.rep, seed=self.seed)
+        return {c.check_id: c.witness for c in results}
+
+    @cached_property
+    def solved(self) -> list[list[KMatrix]]:
+        """Per component, every blade's matrix solved in its spinor basis."""
+        blades = [self.sig.blade(mask) for mask in range(self.sig.dim)]
+        return [
+            [_matrix_of(u, comp.kbasis, comp.basis) for u in blades]
+            for comp in self.rep.components
+        ]
+
+    @cached_property
+    def rng(self) -> random.Random:
+        # drawn from by repr.irreducible and then repr.right_module
+        return random.Random(self.seed)
 
 
-def _flatten(mat: KMatrix, prefix=()) -> dict:
+def _run(checks, ctx: _Context) -> list[CheckResult]:
+    results = []
+    for check_id, check in checks:
+        try:
+            witness = check(ctx)
+        except Exception as exc:  # a defect during checking is itself a failure
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        results.append(CheckResult(check_id, witness is None, witness))
+    return results
+
+
+def _flatten(*mats: KMatrix) -> dict:
+    """The nonzero entries of the matrices, keyed by (matrix, row, col, unit)."""
     out = {}
-    for i, row in enumerate(mat.entries):
-        for t, entry in enumerate(row):
-            for j, c in enumerate(entry):
-                if c:
-                    out[prefix + (i, t, j)] = c
+    for m, mat in enumerate(mats):
+        for i, row in enumerate(mat.entries):
+            for t, entry in enumerate(row):
+                for j, c in enumerate(entry):
+                    if c:
+                        out[m, i, t, j] = c
     return out
-
-
-def _blade_matrices(comp: Component, sig: Signature) -> list[KMatrix]:
-    return [
-        _matrix_of(sig.blade(mask), comp.kbasis, comp.basis)
-        for mask in range(sig.dim)
-    ]
 
 
 def _ordered_products(comp: Component, sig: Signature) -> list[KMatrix]:
@@ -161,98 +203,91 @@ def _ordered_products(comp: Component, sig: Signature) -> list[KMatrix]:
     return out
 
 
-def _check_generator_relations(rep: Representation) -> CheckResult:
-    sig = rep.signature
-    for ci, comp in enumerate(rep.components):
-        size = comp.basis.size
-        kb = comp.kbasis
-        zero = KMatrix.scalar_matrix(kb, size, Fraction(0))
+def _dimension_identity(ctx: _Context) -> dict | None:
+    cls = ctx.cls
+    if ctx.sig.dim != cls.components * cls.matrix_size**2 * K_DIMENSION[cls.ktype]:
+        return {"class": cls.to_json_dict()}
+    return None
+
+
+def _simplicity_mod4(ctx: _Context) -> dict | None:
+    mod4 = (ctx.sig.p - ctx.sig.q) % 4
+    if ctx.cls.simple != (mod4 != 1):
+        return {"simple": ctx.cls.simple, "p_minus_q_mod4": mod4}
+    return None
+
+
+def _idem_count(ctx: _Context) -> dict | None:
+    count = len(ctx.idems.idempotents)
+    if count != 1 << ctx.cls.k:
+        return {"count": count, "k": ctx.cls.k}
+    return None
+
+
+def _over_idempotents(witness_of):
+    return lambda ctx: witness_of(ctx.idems.signs, ctx.idems.idempotents)
+
+
+def _ideal_dimension(ctx: _Context) -> dict | None:
+    expected = 1 << (ctx.sig.n - ctx.cls.k)
+    for sv, f in zip(ctx.idems.signs, ctx.idems.idempotents):
+        got = brute_force_minimal_ideal_dim(ctx.sig, f)
+        if got != expected:
+            return {"signs": list(sv), "dim": got, "expected": expected}
+    return None
+
+
+def _representation_agrees(ctx: _Context) -> dict | None:
+    rep = ctx.rep
+    cls = rep.algebra_class
+    if len(rep.components) == cls.components and all(
+        comp.kbasis.ktype == cls.ktype and comp.basis.size == cls.matrix_size
+        for comp in rep.components
+    ):
+        return None
+    return {"expected": cls.to_json_dict(), "components": len(rep.components)}
+
+
+def _generator_relations(ctx: _Context) -> dict | None:
+    sig = ctx.sig
+    for ci, comp in enumerate(ctx.rep.components):
+        g = comp.gammas
         for i in range(sig.n):
             for j in range(i, sig.n):
-                anti = (comp.gammas[i] @ comp.gammas[j]) + (
-                    comp.gammas[j] @ comp.gammas[i]
+                eta = sig.generator_square(i + 1) if i == j else 0
+                expected = KMatrix.scalar_matrix(
+                    comp.kbasis, comp.basis.size, Fraction(2 * eta)
                 )
-                if i == j:
-                    eta = sig.generator_square(i + 1)
-                    expected = KMatrix.scalar_matrix(kb, size, Fraction(2 * eta))
-                else:
-                    expected = zero
-                if anti != expected:
-                    return CheckResult(
-                        "repr.generator_relations",
-                        False,
-                        {"component": ci, "i": i + 1, "j": j + 1},
-                    )
-    return CheckResult("repr.generator_relations", True)
+                if g[i] @ g[j] + g[j] @ g[i] != expected:
+                    return {"component": ci, "i": i + 1, "j": j + 1}
+    return None
 
 
-def _verify_repr_checks(rep: Representation, seed: int) -> list[CheckResult]:
-    sig = rep.signature
-    checks: list[CheckResult] = []
-    cls = rep.algebra_class
+def _homomorphism(ctx: _Context) -> dict | None:
+    for ci, comp in enumerate(ctx.rep.components):
+        products = _ordered_products(comp, ctx.sig)
+        for mask, mat in enumerate(ctx.solved[ci]):
+            if mat != products[mask]:
+                return {"component": ci, "mask": mask}
+    return None
 
-    agrees = (
-        len(rep.components) == cls.components
-        and all(
-            comp.kbasis.ktype == cls.ktype and comp.basis.size == cls.matrix_size
-            for comp in rep.components
-        )
-    )
-    checks.append(
-        CheckResult(
-            "class.representation_agrees",
-            agrees,
-            None
-            if agrees
-            else {
-                "expected": cls.to_json_dict(),
-                "components": len(rep.components),
-            },
-        )
-    )
 
-    checks.append(_check_generator_relations(rep))
+def _faithful_rank(ctx: _Context) -> dict | None:
+    """Each component's blade matrices span half of Cl(p,q) (all of it when
+    simple), and each blade's matrices in all components together span all
+    of it."""
+    sig = ctx.sig
+    ranks = [_span(_flatten(mat) for mat in mats).rank for mats in ctx.solved]
+    joint = _span(_flatten(*mats) for mats in zip(*ctx.solved)).rank
+    expected = [sig.dim] if ctx.rep.simple else [sig.dim // 2] * 2
+    if ranks == expected and joint == sig.dim:
+        return None
+    return {"component_ranks": ranks, "joint_rank": joint, "dim": sig.dim}
 
-    solved = [_blade_matrices(comp, sig) for comp in rep.components]
 
-    homo_witness = None
-    for ci, comp in enumerate(rep.components):
-        products = _ordered_products(comp, sig)
-        for mask in range(sig.dim):
-            if solved[ci][mask] != products[mask]:
-                homo_witness = {"component": ci, "mask": mask}
-                break
-        if homo_witness:
-            break
-    checks.append(CheckResult("repr.homomorphism", homo_witness is None, homo_witness))
-
-    ranks = []
-    joint = ExactSpan()
-    for ci, mats in enumerate(solved):
-        span = ExactSpan()
-        for mask, mat in enumerate(mats):
-            vec = _flatten(mat)
-            span.add(vec, mask)
-            joint.add(_flatten(mat, prefix=(ci,)), (ci, mask))
-        ranks.append(span.rank)
-    if cls.simple:
-        rank_ok = ranks == [sig.dim]
-    else:
-        half = sig.dim // 2
-        rank_ok = ranks == [half, half] and joint.rank == sig.dim
-    checks.append(
-        CheckResult(
-            "repr.faithful_rank",
-            rank_ok,
-            None
-            if rank_ok
-            else {"component_ranks": ranks, "joint_rank": joint.rank, "dim": sig.dim},
-        )
-    )
-
-    rng = random.Random(seed)
-    irr_witness = None
-    for ci, comp in enumerate(rep.components):
+def _irreducible(ctx: _Context) -> dict | None:
+    sig = ctx.sig
+    for ci, comp in enumerate(ctx.rep.components):
         ideal_dim = comp.basis.size * comp.kbasis.dim
         basis_products = [
             s * u for s in comp.basis.elements for u in comp.kbasis.units
@@ -263,7 +298,7 @@ def _verify_repr_checks(rep: Representation, seed: int) -> list[CheckResult]:
             while psi.is_zero():
                 psi = sig.scalar(0)
                 for v in basis_products:
-                    c = rng.randint(-3, 3)
+                    c = ctx.rng.randint(-3, 3)
                     if c:
                         psi = psi + v * c
             samples.append(psi)
@@ -274,236 +309,127 @@ def _verify_repr_checks(rep: Representation, seed: int) -> list[CheckResult]:
                 if span.rank == ideal_dim:
                     break
             if span.rank != ideal_dim:
-                irr_witness = {
+                return {
                     "component": ci,
                     "psi": str(psi),
                     "rank": span.rank,
                     "expected": ideal_dim,
                 }
-                break
-        if irr_witness:
-            break
-    checks.append(CheckResult("repr.irreducible", irr_witness is None, irr_witness))
+    return None
 
-    rm_witness = None
-    for ci, comp in enumerate(rep.components):
-        kb = comp.kbasis
-        sample_masks = [rng.randrange(sig.dim) for _ in range(5)]
-        for mask in sample_masks:
+
+def _right_module(ctx: _Context) -> dict | None:
+    sig = ctx.sig
+    for ci, comp in enumerate(ctx.rep.components):
+        kb, sb = comp.kbasis, comp.basis
+        for mask in [ctx.rng.randrange(sig.dim) for _ in range(5)]:
             u = sig.blade(mask)
-            gamma_u = solved[ci][mask]
-            for s in comp.basis.elements[: min(3, comp.basis.size)]:
-                x = spinor_coordinates(kb, comp.basis, s)
-                col = KMatrix(kb, tuple((e,) for e in x))
-                for j in range(kb.dim):
-                    mu = tuple(
-                        Fraction(1) if jj == j else Fraction(0)
-                        for jj in range(kb.dim)
-                    )
+            gamma_u = ctx.solved[ci][mask]
+            for s in sb.elements[:3]:
+                col = KMatrix(kb, tuple((e,) for e in spinor_coordinates(kb, sb, s)))
+                for j, unit in enumerate(kb.units):
+                    mu = tuple(Fraction(int(jj == j)) for jj in range(kb.dim))
                     left = (gamma_u @ col).scale_right(mu)
                     right = gamma_u @ col.scale_right(mu)
-                    direct = spinor_coordinates(
-                        kb, comp.basis, u * (s * kb.units[j])
-                    )
-                    if direct is None or left != right or tuple(
-                        e for (e,) in left.entries
-                    ) != direct:
-                        rm_witness = {"component": ci, "mask": mask, "unit": j}
-                        break
-                if rm_witness:
-                    break
-            if rm_witness:
-                break
-        if rm_witness:
-            break
-    checks.append(CheckResult("repr.right_module", rm_witness is None, rm_witness))
+                    direct = spinor_coordinates(kb, sb, u * (s * unit))
+                    if left != right or tuple(e for (e,) in left.entries) != direct:
+                        return {"component": ci, "mask": mask, "unit": j}
+    return None
 
-    return checks
+
+def _center_dimension(ctx: _Context) -> dict | None:
+    # The center has dimension 2 exactly when the pseudoscalar is central
+    # (n odd): R + R for semisimple algebras, C for simple ones with K = C.
+    expected = 2 if ctx.sig.n % 2 else 1
+    dim = len(center_basis(ctx.sig))
+    if dim != expected:
+        return {"dim": dim, "expected": expected}
+    return None
+
+
+def _semi_split(ctx: _Context) -> dict | None:
+    sig = ctx.sig
+    c1, c2 = central_idempotents(sig)
+    gens = [sig.blade(1 << i) for i in range(sig.n)]
+    if c1 + c2 != sig.scalar(1):
+        return {"fail": "c1 + c2 != 1"}
+    if not (c1 * c2).is_zero() or not (c2 * c1).is_zero():
+        return {"fail": "c1 c2 != 0"}
+    if any(c * g != g * c for c in (c1, c2) for g in gens):
+        return {"fail": "central idempotents do not commute with generators"}
+    zb = center_basis(sig)
+    span_center = _span(dict(z.terms) for z in zb)
+    if not (
+        span_center.contains(dict(c1.terms)) and span_center.contains(dict(c2.terms))
+    ):
+        return {"fail": "c1, c2 outside span of the center basis"}
+    span_c = _span([dict(c1.terms), dict(c2.terms)])
+    if not all(span_c.contains(dict(z.terms)) for z in zb):
+        return {"fail": "center basis outside span of c1, c2"}
+    f = ctx.idems.idempotents[0]  # the all-plus sign vector
+    fh = f.involute()
+    if not (fh * f).is_zero():
+        return {"fail": "hat(f) f != 0"}
+    joint = _span(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))
+    dim_s = joint.rank
+    for mask in range(sig.dim):
+        joint.add(dict((sig.blade(mask) * fh).terms), ("Sh", mask))
+    if joint.rank != 2 * dim_s:
+        return {
+            "fail": "S + hat(S) is not a direct sum",
+            "dim_S": dim_s,
+            "joint": joint.rank,
+        }
+    return None
+
+
+def _from_representation(check_id: str):
+    return lambda ctx: ctx.repr_witnesses[check_id]
+
+
+REPR_CHECKS = (
+    ("class.representation_agrees", _representation_agrees),
+    ("repr.generator_relations", _generator_relations),
+    ("repr.homomorphism", _homomorphism),
+    ("repr.faithful_rank", _faithful_rank),
+    ("repr.irreducible", _irreducible),
+    ("repr.right_module", _right_module),
+)
+
+# Every check of one signature, in report order.  The representation checks
+# run through verify_representation, as for a dump; semi.split, last, applies
+# to semisimple algebras only.
+CHECKS = (
+    ("class.dimension_identity", _dimension_identity),
+    ("class.simplicity_mod4", _simplicity_mod4),
+    ("idem.count", _idem_count),
+    *(
+        (check_id, _over_idempotents(witness_of))
+        for check_id, witness_of in IDEMPOTENT_INVARIANTS
+    ),
+    ("ideal.dimension", _ideal_dimension),
+    *((check_id, _from_representation(check_id)) for check_id, _ in REPR_CHECKS),
+    ("center.dimension", _center_dimension),
+    ("semi.split", _semi_split),
+)
 
 
 def verify_representation(
     rep: Representation, seed: int = DEFAULT_SAMPLE_SEED
 ) -> list[CheckResult]:
     """Representation-level checks; also used on re-ingested JSON dumps."""
-    try:
-        return _verify_repr_checks(rep, seed)
-    except Exception as exc:  # a defect during checking is itself a failure
-        witness = _error_witness(exc)
-        return [CheckResult(cid, False, dict(witness)) for cid in _REPR_CHECK_IDS]
+    ctx = _Context(rep.signature, seed)
+    ctx.rep = rep  # in place of the lazily built one
+    return _run(REPR_CHECKS, ctx)
 
 
 def verify_signature(
     sig: Signature, seed: int = DEFAULT_SAMPLE_SEED
 ) -> VerificationReport:
     """Run every structural check for one signature; failures become entries."""
-    checks: list[CheckResult] = []
-    cls = classify(sig)
-
-    dim_ok = sig.dim == cls.components * cls.matrix_size**2 * K_DIMENSION[cls.ktype]
-    checks.append(
-        CheckResult(
-            "class.dimension_identity",
-            dim_ok,
-            None if dim_ok else {"class": cls.to_json_dict()},
-        )
-    )
-    mod_ok = cls.simple == ((sig.p - sig.q) % 4 != 1)
-    checks.append(
-        CheckResult(
-            "class.simplicity_mod4",
-            mod_ok,
-            None if mod_ok else {"simple": cls.simple, "p_minus_q_mod4": (sig.p - sig.q) % 4},
-        )
-    )
-
-    frame = None
-    idems = None
-    try:
-        frame = find_frame(sig)
-        svs = sign_vectors(frame.k)
-        idems = [primitive_idempotent(frame, sv) for sv in svs]
-    except Exception as exc:
-        witness = _error_witness(exc)
-        checks.extend(
-            CheckResult(cid, False, dict(witness)) for cid in _IDEM_CHECK_IDS
-        )
-
-    if idems is not None:
-        checks.append(
-            CheckResult(
-                "idem.count",
-                len(idems) == 1 << cls.k,
-                None if len(idems) == 1 << cls.k else {"count": len(idems), "k": cls.k},
-            )
-        )
-
-        witness = None
-        for sv, f in zip(svs, idems):
-            if f * f != f:
-                witness = {"signs": list(sv)}
-                break
-        checks.append(CheckResult("idem.idempotent", witness is None, witness))
-
-        witness = None
-        for a in range(len(idems)):
-            for b in range(a + 1, len(idems)):
-                if not (idems[a] * idems[b]).is_zero():
-                    witness = {"i": list(svs[a]), "j": list(svs[b])}
-                    break
-            if witness:
-                break
-        checks.append(
-            CheckResult("idem.mutually_annihilating", witness is None, witness)
-        )
-
-        total = sig.scalar(0)
-        for f in idems:
-            total = total + f
-        sum_ok = total == sig.scalar(1)
-        checks.append(
-            CheckResult(
-                "idem.sum_to_unity", sum_ok, None if sum_ok else {"sum": str(total)}
-            )
-        )
-
-        witness = None
-        for sv, f in zip(svs, idems):
-            try:
-                if not is_primitive(f):
-                    witness = {"signs": list(sv)}
-                    break
-            except Exception as exc:
-                witness = {"signs": list(sv), **_error_witness(exc)}
-                break
-        checks.append(CheckResult("idem.primitive", witness is None, witness))
-
-        expected_dim = 1 << (sig.n - cls.k)
-        witness = None
-        for sv, f in zip(svs, idems):
-            got = brute_force_minimal_ideal_dim(sig, f)
-            if got != expected_dim:
-                witness = {"signs": list(sv), "dim": got, "expected": expected_dim}
-                break
-        checks.append(CheckResult("ideal.dimension", witness is None, witness))
-
-    rep = None
-    try:
-        rep = build_representation(sig)
-    except Exception as exc:
-        witness = _error_witness(exc)
-        checks.extend(
-            CheckResult(cid, False, dict(witness)) for cid in _REPR_CHECK_IDS
-        )
-    if rep is not None:
-        checks.extend(verify_representation(rep, seed=seed))
-
-    zb = center_basis(sig)
-    # The center has dimension 2 exactly when the pseudoscalar is central
-    # (n odd): R + R for semisimple algebras, C for simple ones with K = C.
-    expected_zdim = 2 if sig.n % 2 else 1
-    zdim_ok = len(zb) == expected_zdim
-    checks.append(
-        CheckResult(
-            "center.dimension",
-            zdim_ok,
-            None
-            if zdim_ok
-            else {"dim": len(zb), "expected": expected_zdim},
-        )
-    )
-
-    if not cls.simple:
-        witness = None
-        try:
-            c1, c2 = central_idempotents(sig)
-            one = sig.scalar(1)
-            gens = [sig.blade(1 << i) for i in range(sig.n)]
-            if c1 + c2 != one:
-                witness = {"fail": "c1 + c2 != 1"}
-            elif not (c1 * c2).is_zero() or not (c2 * c1).is_zero():
-                witness = {"fail": "c1 c2 != 0"}
-            elif c1 * c1 != c1 or c2 * c2 != c2:
-                witness = {"fail": "central elements not idempotent"}
-            elif any(not (c * g == g * c) for c in (c1, c2) for g in gens):
-                witness = {"fail": "central idempotents do not commute with generators"}
-            else:
-                span_center = ExactSpan()
-                for idx, z in enumerate(zb):
-                    span_center.add(dict(z.terms), idx)
-                if not (
-                    span_center.contains(dict(c1.terms))
-                    and span_center.contains(dict(c2.terms))
-                ):
-                    witness = {"fail": "c1, c2 outside span of the center basis"}
-                else:
-                    span_c = ExactSpan()
-                    span_c.add(dict(c1.terms), 0)
-                    span_c.add(dict(c2.terms), 1)
-                    if not all(span_c.contains(dict(z.terms)) for z in zb):
-                        witness = {"fail": "center basis outside span of c1, c2"}
-            if witness is None and frame is not None:
-                f = primitive_idempotent(frame, (1,) * frame.k)
-                fh = f.involute()
-                if not (fh * f).is_zero():
-                    witness = {"fail": "hat(f) f != 0"}
-                else:
-                    joint = ExactSpan()
-                    for mask in range(sig.dim):
-                        joint.add(dict((sig.blade(mask) * f).terms), ("S", mask))
-                    dim_s = joint.rank
-                    for mask in range(sig.dim):
-                        joint.add(dict((sig.blade(mask) * fh).terms), ("Sh", mask))
-                    if joint.rank != 2 * dim_s:
-                        witness = {
-                            "fail": "S + hat(S) is not a direct sum",
-                            "dim_S": dim_s,
-                            "joint": joint.rank,
-                        }
-        except Exception as exc:
-            witness = _error_witness(exc)
-        checks.append(CheckResult("semi.split", witness is None, witness))
-
-    return VerificationReport(sig, checks)
+    ctx = _Context(sig, seed)
+    checks = CHECKS[:-1] if ctx.cls.simple else CHECKS
+    return VerificationReport(sig, _run(checks, ctx))
 
 
 def verify_range(max_n: int, seed: int = DEFAULT_SAMPLE_SEED) -> RangeSummary:

@@ -9,6 +9,8 @@ from cliffstruct import (
     complete_set,
     division_ring_basis,
     find_frame,
+    is_primitive,
+    parse_multivector,
     primitive_idempotent,
 )
 from cliffstruct.division import (
@@ -156,3 +158,19 @@ def test_general_path_used_for_non_product_idempotents():
     assert _half_product_form(g) is None
     kb = division_ring_basis(g)
     assert kb.ktype == "R"
+
+
+def test_unit_search_reaches_integer_combinations():
+    # A rational-rotor conjugate of the product idempotent of Cl(1,4): no
+    # single projection normalizes to a unit with square -f, so the units
+    # of K = H come from the integer combinations of the leftovers.
+    sig = Signature(1, 4)
+    f = parse_multivector(
+        sig,
+        "1/4 - 3/65*e1 - 4/65*e12 - 12/65*e14 + 3/20*e234 - 3/20*e15"
+        " - 12/65*e235 - 4/65*e345 - 3/65*e2345 + 1/4*e12345",
+    )
+    assert f * f == f
+    assert _half_product_form(f) is None
+    assert division_ring_basis(f).ktype == "H"
+    assert is_primitive(f)

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import cliffstruct.idempotents as idempotents
 from cliffstruct import (
+    IdempotentSetError,
     Signature,
     center_basis,
     central_idempotents,
@@ -123,6 +125,31 @@ def test_complete_set_invariants_sweep():
         for a in range(len(result.idempotents)):
             for b in range(a + 1, len(result.idempotents)):
                 assert (result.idempotents[a] * result.idempotents[b]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        # every member is f_+: the expansion looks right, f_+ f_+ != 0
+        (
+            lambda f, fplus: fplus,
+            r"Cl\(1,1\): idem\.mutually_annihilating fails: "
+            r"\{'i': \[1\], 'j': \[-1\]\}",
+        ),
+        (lambda f, fplus: f * 2, r"\(1,\): expansion shape is wrong"),
+    ],
+    ids=["annihilation", "shape"],
+)
+def test_complete_set_raises_with_the_first_witness(monkeypatch, replace, message):
+    original = idempotents.primitive_idempotent
+
+    def corrupted(frame, signs):
+        f = original(frame, signs)
+        return replace(f, original(frame, (1,) * frame.k))
+
+    monkeypatch.setattr(idempotents, "primitive_idempotent", corrupted)
+    with pytest.raises(IdempotentSetError, match=message):
+        complete_set(find_frame(Signature(1, 1)))
 
 
 def test_sign_vector_order():
