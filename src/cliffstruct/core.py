@@ -219,11 +219,22 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
+        negative = _negative_mask(self.signature)
+        if len(self.terms) == 1:
+            a, ca = self.terms[0]
+            if ca == 1 or ca == -1:
+                # e_a e_b = +-e_{a ^ b}: +-e_a permutes the terms of other and
+                # keeps their coefficients up to sign.
+                flip = ca < 0
+                moved = (
+                    (a ^ b, -cb if ((a & _sign_mask(b, negative)).bit_count() ^ flip) & 1 else cb)
+                    for b, cb in other.terms
+                )
+                return Multivector(self.signature, tuple(sorted(moved)))
         # Integer numerators over each operand's common denominator; one
         # normalized Fraction per output term.
         da, a_masks, a_nums = self._integer_terms()
         db, b_masks, b_nums = other._integer_terms()
-        negative = _negative_mask(self.signature)
         acc: dict[int, int] = {}
         get = acc.get
         for b, cb in zip(b_masks, b_nums):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Multivector, blade_square_sign, blades_commute
 from .linalg import ExactSpan, gf2_insert
@@ -68,18 +69,39 @@ class DivisionRingBasis:
     def kscale(self, c: Fraction, x: KElement) -> KElement:
         return tuple(c * a for a in x)
 
+    @cached_property
+    def _sparse_table(self) -> tuple:
+        """``table`` as (index, t) pairs of its nonzero coordinates, with the
+        +-1 entries of canonical units as ints."""
+        return tuple(
+            tuple(
+                tuple(
+                    (idx, int(t) if t in (1, -1) else t)
+                    for idx, t in enumerate(entry)
+                    if t
+                )
+                for entry in row
+            )
+            for row in self.table
+        )
+
     def kmul(self, x: KElement, y: KElement) -> KElement:
         out = [_ZERO] * self.dim
+        table = self._sparse_table
         for a, xa in enumerate(x):
             if not xa:
                 continue
-            row = self.table[a]
+            row = table[a]
             for b, yb in enumerate(y):
                 if not yb:
                     continue
                 c = xa * yb
-                for idx, t in enumerate(row[b]):
-                    if t:
+                for idx, t in row[b]:
+                    if t == 1:
+                        out[idx] += c
+                    elif t == -1:
+                        out[idx] -= c
+                    else:
                         out[idx] += c * t
         return tuple(out)
 

@@ -517,13 +517,27 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             raise ValueError(
                 f"components[{ci}].units has {len(units)} entries, not 1, 2 or 4"
             )
+        d = len(units)
         table = tuple(
             tuple(_kelement_from_json(entry) for entry in row)
             for row in comp["unit_table"]
         )
-        kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[len(units)], table)
+        if len(table) != d or any(
+            len(row) != d or any(len(entry) != d for entry in row) for row in table
+        ):
+            raise ValueError(
+                f"components[{ci}].unit_table is not {d} rows of {d} entries"
+                f" with {d} coordinates each"
+            )
+        kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
         blades = tuple(int(m) for m in comp["spinor_blades"])
-        signs = tuple(int(s) for s in comp["spinor_blade_signs"])
+        signs = comp["spinor_blade_signs"]
+        if len(signs) != len(blades) or any(s not in (1, -1) for s in signs):
+            raise ValueError(
+                f"components[{ci}].spinor_blade_signs must hold one sign of"
+                f" +1 or -1 per spinor blade ({len(blades)})"
+            )
+        signs = tuple(int(s) for s in signs)
         elements = tuple(
             sig.blade(mask, s) * f for mask, s in zip(blades, signs)
         )

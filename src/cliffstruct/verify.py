@@ -7,6 +7,11 @@ instead of raising, so a verification sweep always completes and reports.
 the checks share from a lazily built per-signature context and returns a
 witness, or None on a pass.  An exception fails only the checks that meet
 it, each under its own id with an ``{"error": "Type: message"}`` witness.
+
+A check may confirm a pass with a cheaper certificate, such as
+``repr.irreducible``'s rank over a projection of its rows; when the
+certificate cannot decide, the check falls back to exact arithmetic, which
+alone gives verdicts of failure and their witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION, classify
-from .core import Multivector, Signature, SignatureMismatchError
+from .core import (
+    Multivector,
+    Signature,
+    SignatureMismatchError,
+    _negative_mask,
+    _sign_mask,
+)
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -285,7 +296,37 @@ def _faithful_rank(ctx: _Context) -> dict | None:
     return {"component_ranks": ranks, "joint_rank": joint, "dim": sig.dim}
 
 
+def _projected_rank_reaches(
+    sig: Signature, psi: Multivector, masks: list[int], rank: int
+) -> bool:
+    """Whether the rows e_A psi, cut down to the coordinates ``masks``, reach
+    ``rank``.
+
+    The coefficient of e_A psi at m is +-psi[A xor m], so no product is
+    formed.  A projection never raises rank, so True proves that the full
+    rows reach ``rank`` too; False decides nothing.
+    """
+    if len(masks) < rank:
+        return False
+    coeffs = dict(psi.terms)
+    negative = _negative_mask(sig)
+    span = ExactSpan()
+    for a in range(sig.dim):
+        row = {}
+        for m in masks:
+            b = a ^ m
+            c = coeffs.get(b)
+            if c:
+                row[m] = -c if (a & _sign_mask(b, negative)).bit_count() & 1 else c
+        if span.add(row, a) and span.rank == rank:
+            return True
+    return False
+
+
 def _irreducible(ctx: _Context) -> dict | None:
+    """Every sample psi of S generates all of S: the left multiples e_A psi
+    reach rank dim_R S.  A projected-rank certificate may confirm a sample;
+    the others, and every witness, come from the exact rows."""
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
         ideal_dim = comp.basis.size * comp.kbasis.dim
@@ -302,7 +343,10 @@ def _irreducible(ctx: _Context) -> dict | None:
                     if c:
                         psi = psi + v * c
             samples.append(psi)
+        masks = sorted({v.terms[0][0] for v in basis_products if v})
         for psi in samples:
+            if _projected_rank_reaches(sig, psi, masks, ideal_dim):
+                continue
             span = ExactSpan()
             for mask in range(sig.dim):
                 span.add(dict((sig.blade(mask) * psi).terms), mask)

@@ -333,6 +333,12 @@ def test_product_matches_oracle_product(n):
             sig.scalar(1) + sig.blade(top),
             sig.scalar(1) - sig.blade(top),
             *(_non_dyadic_multivector(rng, sig, 6) for _ in range(3)),
+            # +-1 blades, which a left operand multiplies as a signed
+            # permutation of the right operand's terms
+            sig.blade(top),
+            sig.blade(top, -1),
+            sig.blade(1 << (n - 1)) if n else sig.scalar(1),
+            sig.blade(rng.randrange(sig.dim), rng.choice((1, -1))),
         ]
         for x in operands:
             for y in operands:

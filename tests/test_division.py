@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,24 @@ def test_kmul_follows_table():
     y = (Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
     lhs = kb.element_from_coordinates(x) * kb.element_from_coordinates(y)
     assert kb.element_coordinates(lhs) == kb.kmul(x, y)
+    # a table with entries other than 0 and +-1 against the dense formula
+    sig = Signature(3, 0)
+    c = division_ring_basis((sig.scalar(1) + sig.e(1)) * HALF)
+    scaled = tuple(
+        tuple(tuple(t * Fraction(3, 2) for t in entry) for entry in row)
+        for row in c.table
+    )
+    kb = dataclasses.replace(c, table=scaled)
+    for x, y in [
+        ((Fraction(1), Fraction(2)), (Fraction(-1, 3), Fraction(5))),
+        ((Fraction(0), Fraction(-7, 2)), (Fraction(4), Fraction(0))),
+    ]:
+        dense = [Fraction(0)] * 2
+        for a in range(2):
+            for b in range(2):
+                for idx in range(2):
+                    dense[idx] += x[a] * y[b] * scaled[a][b][idx]
+        assert kb.kmul(x, y) == tuple(dense)
 
 
 def test_element_coordinates_roundtrip():

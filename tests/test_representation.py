@@ -265,6 +265,48 @@ def test_representation_json_rejects_empty_units():
         representation_from_json_dict(data)
 
 
+def _drop_last_sign(comp):
+    comp["spinor_blade_signs"].pop()
+
+
+def _sign_two(comp):
+    comp["spinor_blade_signs"][0] = 2
+
+
+def _sign_fraction(comp):
+    comp["spinor_blade_signs"][0] = 1.5
+
+
+def _drop_table_row(comp):
+    comp["unit_table"].pop()
+
+
+def _drop_table_entry(comp):
+    comp["unit_table"][1].pop()
+
+
+def _drop_table_coordinate(comp):
+    comp["unit_table"][0][1].pop()
+
+
+@pytest.mark.parametrize(
+    "pq, corrupt, field",
+    [
+        ((1, 1), _drop_last_sign, "spinor_blade_signs"),
+        ((1, 1), _sign_two, "spinor_blade_signs"),
+        ((1, 1), _sign_fraction, "spinor_blade_signs"),
+        ((0, 2), _drop_table_row, "unit_table"),
+        ((0, 2), _drop_table_entry, "unit_table"),
+        ((3, 0), _drop_table_coordinate, "unit_table"),
+    ],
+)
+def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
+    data = representation_to_json_dict(build_representation(Signature(*pq)))
+    corrupt(data["components"][0])
+    with pytest.raises(ValueError, match=rf"components\[0\]\.{field}"):
+        representation_from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # the coset kernel against the exact span solves it replaced
 

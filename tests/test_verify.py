@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import cliffstruct.verify as verify
 from cliffstruct import (
     Signature,
     SignatureMismatchError,
@@ -131,3 +132,9 @@ def test_verify_sweep_through_n9():
         if not r.passed
     }
     assert failures == {}
+
+
+def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
+    default = verify_range(5).to_json_dict()
+    monkeypatch.setattr(verify, "_projected_rank_reaches", lambda *args: False)
+    assert verify_range(5).to_json_dict() == default
