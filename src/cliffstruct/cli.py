@@ -18,6 +18,7 @@ from .core import (
     format_multivector,
     multivector_to_json_dict,
 )
+from .division import UNIT_NAMES
 from .idempotents import complete_set, find_frame
 from .representation import (
     build_representation,
@@ -102,7 +103,7 @@ def _cmd_repr(args) -> int:
         print(f"  f = {format_multivector(comp.basis.idempotent)}")
         units = "; ".join(
             f"{name} = {format_multivector(u)}"
-            for name, u in zip(("1", "i", "j", "k"), comp.kbasis.units)
+            for name, u in zip(UNIT_NAMES, comp.kbasis.units)
         )
         print(f"  K = {comp.kbasis.ktype}: {units}")
         blades = ", ".join(f"e{blade_name(m)}" for m in comp.basis.blades)

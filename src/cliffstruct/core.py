@@ -74,9 +74,6 @@ class Signature:
             out = out * self.blade(1 << (i - 1))
         return out
 
-    def basis_blades(self) -> range:
-        return range(self.dim)
-
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
 
@@ -177,11 +174,6 @@ class Multivector:
                 return c
             if m > mask:
                 break
-        return _ZERO
-
-    def scalar_part(self) -> Fraction:
-        if self.terms and self.terms[0][0] == 0:
-            return self.terms[0][1]
         return _ZERO
 
     def __neg__(self) -> "Multivector":

@@ -3,9 +3,11 @@
 For a primitive idempotent f the commutant is a division ring isomorphic to
 R, C, or H.  The construction is fully exact: imaginary units are found among
 blade projections f e_A f and normalized only by rational factors, so unit
-relations such as i**2 == -f hold on the nose.  When the commutant fails to
-be a division ring of real dimension 1, 2, or 4, the search produces an exact
-witness and f is reported as not primitive.
+relations such as i**2 == -f hold on the nose.  The multiplication table of
+the units is therefore the fixed table of R, C or H; every product of two
+units is confirmed against it by exact multivector equality.  When the
+commutant fails to be a division ring of real dimension 1, 2, or 4, the
+search produces an exact witness and f is reported as not primitive.
 """
 
 from __future__ import annotations
@@ -15,10 +17,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .classify import K_DIMENSION
 from .core import Multivector, blade_square_sign, blades_commute
 from .linalg import ExactSpan, gf2_insert
 
-KTYPE_BY_DIM = {1: "R", 2: "C", 4: "H"}
+KTYPE_BY_DIM = {d: ktype for ktype, d in K_DIMENSION.items()}
+UNIT_NAMES = ("1", "i", "j", "k")
+
+# units[a] * units[b] == s * units[c] for (c, s) = _UNIT_PRODUCTS[a][b]: the
+# table of H's units 1, i, j, k, whose leading 1x1 and 2x2 blocks are the
+# tables of R and C.
+_UNIT_PRODUCTS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
 # A K-element is a coordinate tuple against DivisionRingBasis.units.
 KElement = tuple
@@ -42,7 +56,8 @@ class DivisionRingBasis:
 
     ``units[0]`` is always f itself (the unit of K); the remaining units
     square to -f and pairwise anticommute.  ``table[a][b]`` holds the
-    coordinates of ``units[a] * units[b]`` over the units.
+    coordinates of ``units[a] * units[b]`` over the units: the fixed table
+    of R, C or H, which ``division_ring_basis`` confirms by exact products.
     """
 
     idempotent: Multivector
@@ -65,9 +80,6 @@ class DivisionRingBasis:
 
     def kneg(self, x: KElement) -> KElement:
         return tuple(-a for a in x)
-
-    def kscale(self, c: Fraction, x: KElement) -> KElement:
-        return tuple(c * a for a in x)
 
     @cached_property
     def _sparse_table(self) -> tuple:
@@ -312,59 +324,20 @@ def _search_unit(
     )
 
 
-def _unit_table(units: list[Multivector]) -> tuple:
-    span = ExactSpan()
-    for idx, u in enumerate(units):
-        if not span.add(dict(u.terms), idx):
-            raise UnitConstructionError("constructed units are not independent")
-    d = len(units)
-    rows = []
-    for a in units:
-        row = []
-        for b in units:
-            coords = span.coordinates(dict((a * b).terms))
-            if coords is None:
-                raise UnitConstructionError("unit products leave the unit span")
-            row.append(tuple(coords.get(i, _ZERO) for i in range(d)))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _validate_units(basis: DivisionRingBasis) -> None:
-    f = basis.idempotent
-    for u in basis.units:
-        if f * u != u or u * f != u:
-            raise UnitConstructionError("unit is not reproduced by f on both sides")
-    if basis.dim >= 2:
-        i = basis.units[1]
-        if i * i != -f:
-            raise UnitConstructionError("i**2 != -f")
-    if basis.dim == 4:
-        i, j, k = basis.units[1], basis.units[2], basis.units[3]
-        relations = (
-            j * j == -f,
-            k * k == -f,
-            i * j == k,
-            j * i == -k,
-            j * k == i,
-            k * j == -i,
-            k * i == j,
-            i * k == -j,
-        )
-        if not all(relations):
-            raise UnitConstructionError("quaternion unit relations failed")
-
-
 def division_ring_basis(f: Multivector) -> DivisionRingBasis:
     """Canonical R-basis of K = f Cl f with exact unit relations.
 
+    Every product of two units is confirmed against ``_UNIT_PRODUCTS``; the
+    relations also make the units independent (i = c f would square to
+    c**2 f, and for H the units are the image of a division algebra under a
+    map that is nonzero on 1), so the table's coordinates are the constant's.
     Raises NotPrimitiveError when K fails to be a division ring of real
     dimension 1, 2, or 4, which is exactly the primitivity criterion for f.
     """
     if f.is_zero():
         raise ValueError("f must be a nonzero idempotent")
     if f * f != f:
-        raise ValueError("f is not idempotent")
+        raise NotPrimitiveError("f is not idempotent")
     candidates = sandwich_projections(f)
     span = ExactSpan()
     for mask, v in candidates:
@@ -381,6 +354,15 @@ def division_ring_basis(f: Multivector) -> DivisionRingBasis:
         j = _search_unit(f, candidates, [units[1]])
         units.append(j)
         units.append(units[1] * j)
-    basis = DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], _unit_table(units))
-    _validate_units(basis)
-    return basis
+    table = []
+    for a in range(d):
+        row = []
+        for b in range(d):
+            c, s = _UNIT_PRODUCTS[a][b]
+            if units[a] * units[b] != (units[c] if s == 1 else -units[c]):
+                raise UnitConstructionError(
+                    f"units[{a}] * units[{b}] != {'-' if s < 0 else ''}units[{c}]"
+                )
+            row.append(tuple(Fraction(s) if t == c else _ZERO for t in range(d)))
+        table.append(tuple(row))
+    return DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], tuple(table))

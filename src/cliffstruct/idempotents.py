@@ -189,8 +189,6 @@ def is_primitive(f: Multivector) -> bool:
     """
     if f.is_zero():
         raise ValueError("primitivity is undefined for the zero element")
-    if f * f != f:
-        return False
     try:
         division_ring_basis(f)
     except NotPrimitiveError:

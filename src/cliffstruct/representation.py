@@ -36,6 +36,7 @@ from .core import (
 )
 from .division import (
     KTYPE_BY_DIM,
+    UNIT_NAMES,
     DivisionRingBasis,
     KElement,
     _half_product_form,
@@ -559,13 +560,10 @@ def representation_from_json_dict(data: Mapping) -> Representation:
 # ---------------------------------------------------------------------------
 # text rendering
 
-_UNIT_NAMES = {1: ("1",), 2: ("1", "i"), 4: ("1", "i", "j", "k")}
-
 
 def format_kelement(kb: DivisionRingBasis, x: KElement) -> str:
-    names = _UNIT_NAMES[kb.dim]
     chunks = []
-    for c, name in zip(x, names):
+    for c, name in zip(x, UNIT_NAMES[: kb.dim]):
         if not c:
             continue
         neg = c < 0

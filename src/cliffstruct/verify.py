@@ -333,6 +333,8 @@ def _irreducible(ctx: _Context) -> dict | None:
         basis_products = [
             s * u for s in comp.basis.elements for u in comp.kbasis.units
         ]
+        if not any(basis_products):
+            return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
         samples = list(comp.basis.elements)
         for _ in range(_RANDOM_PSI_COUNT):
             psi = sig.scalar(0)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import cliffstruct.division as division
 from cliffstruct import (
     NotPrimitiveError,
     Signature,
+    UnitConstructionError,
     classify,
     complete_set,
     division_ring_basis,
@@ -19,6 +21,7 @@ from cliffstruct.division import (
     _projections_general,
     sandwich_projections,
 )
+from cliffstruct.linalg import ExactSpan
 
 HALF = Fraction(1, 2)
 
@@ -27,6 +30,33 @@ def all_signatures(max_n):
     for n in range(max_n + 1):
         for p in range(n + 1):
             yield Signature(p, n - p)
+
+
+def _rotor_conjugate():
+    """A rational-rotor conjugate of the product idempotent of Cl(1,4)."""
+    sig = Signature(1, 4)
+    return parse_multivector(
+        sig,
+        "1/4 - 3/65*e1 - 4/65*e12 - 12/65*e14 + 3/20*e234 - 3/20*e15"
+        " - 12/65*e235 - 4/65*e345 - 3/65*e2345 + 1/4*e12345",
+    )
+
+
+def _solved_unit_table(units):
+    """Coordinates of every unit product, solved over the units by
+    elimination: the reference for the constant table of R, C and H."""
+    span = ExactSpan()
+    for idx, u in enumerate(units):
+        assert span.add(dict(u.terms), idx), "units are not independent"
+    rows = []
+    for a in units:
+        row = []
+        for b in units:
+            coords = span.coordinates(dict((a * b).terms))
+            assert coords is not None, "a unit product leaves the unit span"
+            row.append(tuple(coords.get(i, Fraction(0)) for i in range(len(units))))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def test_real_case():
@@ -77,6 +107,32 @@ def test_quaternion_table_relations():
     assert i * j == k and j * i == -k
     assert j * k == i and k * j == -i
     assert k * i == j and i * k == -j
+
+
+def test_table_matches_solved_coordinates():
+    fs = []
+    for sig in all_signatures(8):
+        frame = find_frame(sig)
+        fs.append(primitive_idempotent(frame, (1,) * frame.k))
+    fs.append(_rotor_conjugate())
+    for f in fs:
+        kb = division_ring_basis(f)
+        assert kb.table == _solved_unit_table(kb.units)
+
+
+def test_broken_unit_relation_raises(monkeypatch):
+    # j' = j + f keeps i j' == k' true by construction, but j' i != -k'.
+    search = division._search_unit
+    found = []
+
+    def shifted_second_unit(f, candidates, imaginary):
+        u = search(f, candidates, imaginary)
+        found.append(u)
+        return u + f if len(found) == 2 else u
+
+    monkeypatch.setattr(division, "_search_unit", shifted_second_unit)
+    with pytest.raises(UnitConstructionError, match=r"units\[2\] \* units\[1\]"):
+        division_ring_basis(Signature(0, 2).scalar(1))
 
 
 def test_kmul_follows_table():
@@ -183,12 +239,7 @@ def test_unit_search_reaches_integer_combinations():
     # A rational-rotor conjugate of the product idempotent of Cl(1,4): no
     # single projection normalizes to a unit with square -f, so the units
     # of K = H come from the integer combinations of the leftovers.
-    sig = Signature(1, 4)
-    f = parse_multivector(
-        sig,
-        "1/4 - 3/65*e1 - 4/65*e12 - 12/65*e14 + 3/20*e234 - 3/20*e15"
-        " - 12/65*e235 - 4/65*e345 - 3/65*e2345 + 1/4*e12345",
-    )
+    f = _rotor_conjugate()
     assert f * f == f
     assert _half_product_form(f) is None
     assert division_ring_basis(f).ktype == "H"

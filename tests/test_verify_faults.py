@@ -95,6 +95,13 @@ def _append_spinor_blade(d):
     comp["spinor_blade_signs"].append(1)
 
 
+def _empty_spinor_basis(d):
+    comp = d["components"][0]
+    comp["spinor_blades"] = []
+    comp["spinor_blade_signs"] = []
+    comp["gammas"] = [[] for _ in comp["gammas"]]
+
+
 def _drop_component(d):
     del d["components"][1]
 
@@ -146,6 +153,27 @@ DUMP_CASES = {
             "repr.homomorphism": {"component": 0, "mask": 0},
             "repr.irreducible": {
                 "component": 0, "psi": "1/2 + 1/2*e1", "rank": 2, "expected": 3,
+            },
+        },
+    ),
+    # With no spinor blades the real basis {s_t u_j} is empty, so no
+    # nonzero sample psi can be drawn from it.
+    "repr.irreducible-zero-basis": (
+        (1, 1),
+        _empty_spinor_basis,
+        {
+            "class.representation_agrees": {
+                "expected": {
+                    "p": 1, "q": 1, "simple": True, "K": "R", "k": 1, "N": 2,
+                    "components": 1,
+                },
+                "components": 1,
+            },
+            "repr.faithful_rank": {
+                "component_ranks": [0], "joint_rank": 0, "dim": 4,
+            },
+            "repr.irreducible": {
+                "component": 0, "fail": "the real basis {s_t u_j} is zero",
             },
         },
     ),
