@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION
-from .core import Multivector, blade_square_sign, blades_commute
+from .core import Multivector, Signature, blade_square_sign, blades_commute
 from .linalg import ExactSpan, gf2_insert
 
 KTYPE_BY_DIM = {d: ktype for ktype, d in K_DIMENSION.items()}
@@ -135,6 +135,14 @@ class DivisionRingBasis:
         return out
 
 
+def _expand_product(sig: Signature, monomials, signs) -> Multivector:
+    """The expanded product of the factors (1 + s_i e_{m_i}) / 2, in order."""
+    f = sig.scalar(1)
+    for mask, s in zip(monomials, signs):
+        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
+    return f
+
+
 def _half_product_form(f: Multivector):
     """Recognize f as an expanded product of commuting factors (1 + s*e_m)/2.
 
@@ -174,10 +182,7 @@ def _half_product_form(f: Multivector):
                 return None
     coeffs = dict(terms)
     signs = tuple(1 if coeffs[m] > 0 else -1 for m in basis)
-    rebuilt = sig.scalar(1)
-    for m, s in zip(basis, signs):
-        rebuilt = rebuilt * ((sig.scalar(1) + sig.blade(m, s)) * _HALF)
-    if rebuilt != f:
+    if _expand_product(sig, basis, signs) != f:
         return None
     return tuple(basis), signs
 

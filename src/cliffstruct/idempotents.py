@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .classify import classify
 from .core import Multivector, Signature, blade_square_sign, blades_commute
-from .division import NotPrimitiveError, division_ring_basis
+from .division import NotPrimitiveError, _expand_product, division_ring_basis
 from .linalg import gf2_insert
 
 _HALF = Fraction(1, 2)
@@ -53,13 +53,6 @@ def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((1, -1), repeat=k))
 
 
-def _expand_product(sig: Signature, monomials, signs) -> Multivector:
-    f = sig.scalar(1)
-    for mask, s in zip(monomials, signs):
-        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
-    return f
-
-
 def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
     """Expanded product of the factors (1 + s_i * m_i) / 2."""
     signs = tuple(signs)
@@ -71,44 +64,32 @@ def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
 
 
 def find_frame(sig: Signature) -> MonomialFrame:
-    """Deterministic search for the lexicographically smallest valid frame.
+    """The lexicographically smallest valid frame, by one ascending scan.
 
-    Depth-first over blade masks in ascending order; a candidate must square
-    to +1, commute with every chosen monomial, and be GF(2)-independent of
-    them (so all 2^k subset products are distinct blades).  In the semisimple
-    case the all-plus idempotent f must additionally satisfy hat(f) * f == 0,
-    otherwise the search backtracks.
+    A blade mask is taken, in ascending order, when it squares to +1,
+    commutes with the monomials taken so far and is GF(2)-independent of
+    them (so all 2^k subset products are distinct blades), until k are
+    taken.  A semisimple algebra needs no test of hat(f) * f == 0 for the
+    all-plus f: that holds exactly when some monomial has odd grade, and an
+    all-even frame would put 2^k orthogonal idempotents into the even
+    subalgebra Mat(2^(k-1), K) (x -> x (1 + pseudoscalar) / 2 is injective
+    on even x).
     """
-    cls = classify(sig)
-    k = cls.k
-    if k == 0:
-        return MonomialFrame(sig, ())
-    semisimple = not cls.simple
-    candidates = [m for m in range(1, sig.dim) if blade_square_sign(m, sig) == 1]
-
-    def search(start: int, chosen: list[int], echelon: dict[int, int]):
+    k = classify(sig).k
+    chosen: list[int] = []
+    echelon: dict[int, int] = {}
+    for mask in range(1, sig.dim):
         if len(chosen) == k:
-            if semisimple:
-                f = _expand_product(sig, chosen, (1,) * k)
-                if not (f.involute() * f).is_zero():
-                    return None
-            return tuple(chosen)
-        for idx in range(start, len(candidates)):
-            mask = candidates[idx]
-            if any(not blades_commute(mask, c) for c in chosen):
-                continue
-            extended = dict(echelon)
-            if not gf2_insert(mask, extended):
-                continue
-            found = search(idx + 1, chosen + [mask], extended)
-            if found is not None:
-                return found
-        return None
-
-    found = search(0, [], {})
-    if found is None:
+            break
+        if (
+            blade_square_sign(mask, sig) == 1
+            and all(blades_commute(mask, c) for c in chosen)
+            and gf2_insert(mask, echelon)
+        ):
+            chosen.append(mask)
+    if len(chosen) != k:
         raise FrameSearchError(f"no admissible frame of size {k} found for {sig}")
-    return MonomialFrame(sig, found)
+    return MonomialFrame(sig, tuple(chosen))
 
 
 def _idempotency_witness(signs, idempotents) -> dict | None:

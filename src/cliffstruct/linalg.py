@@ -119,11 +119,12 @@ class ExactSpan:
         return {lbl: Fraction(c, scale) for lbl, c in combo.items()}
 
 
-def rank_of(vectors: Iterable[Mapping]) -> int:
+def span_of(vectors: Iterable[Mapping]) -> ExactSpan:
+    """The span of the vectors, each labelled by its position."""
     span = ExactSpan()
     for idx, vec in enumerate(vectors):
         span.add(vec, idx)
-    return span.rank
+    return span
 
 
 def gf2_reduce(mask: int, echelon: Mapping[int, int]) -> int:

@@ -5,7 +5,10 @@ over K = f Cl f, and the action u s_t = sum_i s_i lambda_it defines the
 matrix of u with entries lambda_it in K.  Keeping the K-scalars on the right
 of the basis spinors is what makes u -> gamma(u) a homomorphism when K is
 noncommutative.  Semisimple algebras get a pair of matrices, one for S and
-one for its grade-involution image.
+one for its grade-involution image hat(S).  The involution is an algebra
+automorphism sending each generator e_i to -e_i, so on the image basis
+hat(s_t) over the image units the generator matrices of hat(S) are exactly
+the negated matrices of S.
 
 When f = prod (1 + s_i e_{g_i}) / 2 is a product over commuting square-one
 monomials, e_A f = +-e_{A xor w} f for every w in the GF(2) span W of the
@@ -423,13 +426,6 @@ def represent_semisimple(
     )
 
 
-def _component(sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis) -> Component:
-    cosets = _cosets(kb.idempotent, kb)
-    if cosets is None:
-        raise RepresentationError("the idempotent is not in product form")
-    return Component(kb, sb, _coset_gammas(sig, kb, sb, cosets))
-
-
 def build_representation(sig: Signature) -> Representation:
     """Full pipeline: frame, idempotent, division ring, basis, matrices."""
     cls = classify(sig)
@@ -437,10 +433,14 @@ def build_representation(sig: Signature) -> Representation:
     f = primitive_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(f)
     sb = spinor_basis(f, kb)
-    components = [_component(sig, kb, sb)]
+    gammas = _coset_gammas(sig, kb, sb, _cosets(f, kb))
+    components = [Component(kb, sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
-        # first, so gamma_2(u) equals gamma_1(involute(u)) by construction.
+        # first, over the images of f, the units and the spinors.  The
+        # involution is an automorphism sending e_i to -e_i, so each confirmed
+        # e_i s_t == s_s u_j * lam maps to e_i hat(s_t) == hat(s_s) hat(u_j)
+        # * (-lam): the second gammas are the negated first ones, exactly.
         fh = f.involute()
         kb2 = DivisionRingBasis(
             fh,
@@ -454,7 +454,9 @@ def build_representation(sig: Signature) -> Representation:
             tuple(-1 if grade(m) & 1 else 1 for m in sb.blades),
             tuple(s.involute() for s in sb.elements),
         )
-        components.append(_component(sig, kb2, sb2))
+        components.append(
+            Component(kb2, sb2, tuple(KMatrix(kb2, (-g).entries) for g in gammas))
+        )
     if (
         len(components) != cls.components
         or sb.size != cls.matrix_size
@@ -504,38 +506,46 @@ def representation_to_json_dict(rep: Representation) -> dict:
     }
 
 
+def _field(data: Mapping, key: str, prefix: str = ""):
+    """data[key], or a ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"{prefix}{key} is missing")
+    return data[key]
+
+
 def representation_from_json_dict(data: Mapping) -> Representation:
     """Rebuild a representation from its dump without recomputing anything
     that the dump pins down, so re-verification sees exactly the dumped data."""
-    sig = Signature(int(data["p"]), int(data["q"]))
+    sig = Signature(int(_field(data, "p")), int(_field(data, "q")))
     cls = classify(sig)
-    frame = MonomialFrame(sig, tuple(int(m) for m in data["frame"]))
+    frame = MonomialFrame(sig, tuple(int(m) for m in _field(data, "frame")))
     components = []
-    for ci, comp in enumerate(data["components"]):
-        f = multivector_from_json_dict(comp["idempotent"])
-        units = tuple(multivector_from_json_dict(u) for u in comp["units"])
+    for ci, comp in enumerate(_field(data, "components")):
+        where = f"components[{ci}]."
+        f = multivector_from_json_dict(_field(comp, "idempotent", where))
+        units = tuple(
+            multivector_from_json_dict(u) for u in _field(comp, "units", where)
+        )
         if len(units) not in KTYPE_BY_DIM:
-            raise ValueError(
-                f"components[{ci}].units has {len(units)} entries, not 1, 2 or 4"
-            )
+            raise ValueError(f"{where}units has {len(units)} entries, not 1, 2 or 4")
         d = len(units)
         table = tuple(
             tuple(_kelement_from_json(entry) for entry in row)
-            for row in comp["unit_table"]
+            for row in _field(comp, "unit_table", where)
         )
         if len(table) != d or any(
             len(row) != d or any(len(entry) != d for entry in row) for row in table
         ):
             raise ValueError(
-                f"components[{ci}].unit_table is not {d} rows of {d} entries"
+                f"{where}unit_table is not {d} rows of {d} entries"
                 f" with {d} coordinates each"
             )
         kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
-        blades = tuple(int(m) for m in comp["spinor_blades"])
-        signs = comp["spinor_blade_signs"]
+        blades = tuple(int(m) for m in _field(comp, "spinor_blades", where))
+        signs = _field(comp, "spinor_blade_signs", where)
         if len(signs) != len(blades) or any(s not in (1, -1) for s in signs):
             raise ValueError(
-                f"components[{ci}].spinor_blade_signs must hold one sign of"
+                f"{where}spinor_blade_signs must hold one sign of"
                 f" +1 or -1 per spinor blade ({len(blades)})"
             )
         signs = tuple(int(s) for s in signs)
@@ -543,6 +553,12 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             sig.blade(mask, s) * f for mask, s in zip(blades, signs)
         )
         sb = SpinorBasis(f, blades, signs, elements)
+        # one matrix per generator; ragged rows are left to the checks
+        gammas = _field(comp, "gammas", where)
+        if len(gammas) != sig.n:
+            raise ValueError(
+                f"{where}gammas has {len(gammas)} matrices, not n = {sig.n}"
+            )
         gammas = tuple(
             KMatrix(
                 kb,
@@ -551,7 +567,7 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                     for row in g
                 ),
             )
-            for g in comp["gammas"]
+            for g in gammas
         )
         components.append(Component(kb, sb, gammas))
     return Representation(sig, cls, frame, tuple(components))

@@ -38,7 +38,7 @@ from .idempotents import (
     primitive_idempotent,
     sign_vectors,
 )
-from .linalg import ExactSpan
+from .linalg import ExactSpan, span_of
 from .representation import (
     Component,
     KMatrix,
@@ -95,10 +95,6 @@ class RangeSummary:
         return sum(1 for r in self.reports if r.passed)
 
     @property
-    def check_count(self) -> int:
-        return sum(len(r.checks) for r in self.reports)
-
-    @property
     def failure_count(self) -> int:
         return sum(len(r.failures()) for r in self.reports)
 
@@ -119,14 +115,7 @@ def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
     """R-dimension of Cl(p,q) f by row reduction over all blade left-multiples."""
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
-    return _span(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim)).rank
-
-
-def _span(vectors) -> ExactSpan:
-    span = ExactSpan()
-    for label, vec in enumerate(vectors):
-        span.add(vec, label)
-    return span
+    return span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim)).rank
 
 
 @dataclass
@@ -288,8 +277,8 @@ def _faithful_rank(ctx: _Context) -> dict | None:
     simple), and each blade's matrices in all components together span all
     of it."""
     sig = ctx.sig
-    ranks = [_span(_flatten(mat) for mat in mats).rank for mats in ctx.solved]
-    joint = _span(_flatten(*mats) for mats in zip(*ctx.solved)).rank
+    ranks = [span_of(_flatten(mat) for mat in mats).rank for mats in ctx.solved]
+    joint = span_of(_flatten(*mats) for mats in zip(*ctx.solved)).rank
     expected = [sig.dim] if ctx.rep.simple else [sig.dim // 2] * 2
     if ranks == expected and joint == sig.dim:
         return None
@@ -404,19 +393,19 @@ def _semi_split(ctx: _Context) -> dict | None:
     if any(c * g != g * c for c in (c1, c2) for g in gens):
         return {"fail": "central idempotents do not commute with generators"}
     zb = center_basis(sig)
-    span_center = _span(dict(z.terms) for z in zb)
+    span_center = span_of(dict(z.terms) for z in zb)
     if not (
         span_center.contains(dict(c1.terms)) and span_center.contains(dict(c2.terms))
     ):
         return {"fail": "c1, c2 outside span of the center basis"}
-    span_c = _span([dict(c1.terms), dict(c2.terms)])
+    span_c = span_of([dict(c1.terms), dict(c2.terms)])
     if not all(span_c.contains(dict(z.terms)) for z in zb):
         return {"fail": "center basis outside span of c1, c2"}
     f = ctx.idems.idempotents[0]  # the all-plus sign vector
     fh = f.involute()
     if not (fh * f).is_zero():
         return {"fail": "hat(f) f != 0"}
-    joint = _span(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))
+    joint = span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))
     dim_s = joint.rank
     for mask in range(sig.dim):
         joint.add(dict((sig.blade(mask) * fh).terms), ("Sh", mask))

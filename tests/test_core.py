@@ -191,9 +191,9 @@ def test_blade_square_sign_pseudoscalar():
 
 def test_blades_linearly_independent():
     sig = Signature(2, 1)
-    from cliffstruct.linalg import rank_of
+    from cliffstruct.linalg import span_of
 
-    assert rank_of([{m: 1} for m in range(sig.dim)]) == sig.dim
+    assert span_of([{m: 1} for m in range(sig.dim)]).rank == sig.dim
 
 
 def test_terms_canonical_order():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,16 +7,20 @@ import cliffstruct.idempotents as idempotents
 from cliffstruct import (
     IdempotentSetError,
     Signature,
+    blade_square_sign,
+    blades_commute,
     center_basis,
     central_idempotents,
     classify,
     complete_set,
     find_frame,
+    grade,
     is_idempotent,
     is_primitive,
     primitive_idempotent,
 )
-from cliffstruct.idempotents import MonomialFrame, sign_vectors
+from cliffstruct.idempotents import FrameSearchError, MonomialFrame, sign_vectors
+from cliffstruct.linalg import gf2_insert
 
 HALF = Fraction(1, 2)
 
@@ -38,8 +43,6 @@ def test_find_frame_spot_cases():
 
 
 def test_find_frame_invariants_sweep():
-    from cliffstruct import blade_square_sign, blades_commute
-
     for sig in all_signatures(6):
         frame = find_frame(sig)
         cls = classify(sig)
@@ -62,6 +65,69 @@ def test_find_frame_invariants_sweep():
         # subset products all square to +1 (the generated group avoids -1)
         for x in seen:
             assert blade_square_sign(x, sig) == 1
+
+
+def _admissible_frames(sig):
+    """Every admissible frame of sig in lexicographic order: k commuting,
+    GF(2)-independent masks with square +1, ascending.
+
+    This is the depth-first search that ``find_frame``'s ascending scan
+    replaced, written as a generator; its first frame passing the semisimple
+    leaf test was the old result.
+    """
+    k = classify(sig).k
+    candidates = [m for m in range(1, sig.dim) if blade_square_sign(m, sig) == 1]
+
+    def search(start, chosen, echelon):
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for idx in range(start, len(candidates)):
+            mask = candidates[idx]
+            if any(not blades_commute(mask, c) for c in chosen):
+                continue
+            extended = dict(echelon)
+            if not gf2_insert(mask, extended):
+                continue
+            yield from search(idx + 1, chosen + [mask], extended)
+
+    yield from search(0, [], {})
+
+
+def _splits(sig, monomials):
+    """The semisimple leaf test: hat(f) * f == 0 for the all-plus f."""
+    f = primitive_idempotent(MonomialFrame(sig, monomials), (1,) * len(monomials))
+    return (f.involute() * f).is_zero()
+
+
+def _depth_first_frame(sig):
+    simple = classify(sig).simple
+    return next(m for m in _admissible_frames(sig) if simple or _splits(sig, m))
+
+
+def test_ascending_scan_matches_depth_first_search():
+    for sig in all_signatures(12):
+        assert find_frame(sig).monomials == _depth_first_frame(sig)
+
+
+def test_every_semisimple_frame_has_an_odd_monomial_and_splits():
+    count = 0
+    for sig in all_signatures(6):
+        if classify(sig).simple:
+            continue
+        for monomials in _admissible_frames(sig):
+            count += 1
+            assert any(grade(m) % 2 for m in monomials)
+            assert _splits(sig, monomials)
+    assert count == 206
+
+
+def test_scan_that_ends_short_raises(monkeypatch):
+    sig = Signature(1, 1)
+    short = dataclasses.replace(classify(sig), k=3)
+    monkeypatch.setattr(idempotents, "classify", lambda s: short)
+    with pytest.raises(FrameSearchError, match="size 3"):
+        find_frame(sig)
 
 
 def test_semisimple_frames_admit_the_split():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffstruct.linalg import ExactSpan, rank_of
+from cliffstruct.linalg import ExactSpan, span_of
 
 from span_oracle import ExactSpan as OracleSpan
 
@@ -101,4 +101,4 @@ def test_exact_span_coordinates_over_non_dyadic_basis():
     target = {0: Fraction(1, 2), 1: Fraction(-13, 63), 2: Fraction(10, 3)}
     assert span.coordinates(target) == {"a": Fraction(3, 2), "b": Fraction(2, 3)}
     assert span.coordinates({2: 1}) is None
-    assert rank_of([{0: Fraction(1, 3)}, {0: -7}, {1: Fraction(2, 5)}]) == 2
+    assert span_of([{0: Fraction(1, 3)}, {0: -7}, {1: Fraction(2, 5)}]).rank == 2

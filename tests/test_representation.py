@@ -27,7 +27,8 @@ from cliffstruct import (
 )
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
-    _component,
+    _coset_gammas,
+    _cosets,
     _greedy_spinor_basis,
     _matrix_of,
     _solver,
@@ -289,6 +290,18 @@ def _drop_table_coordinate(comp):
     comp["unit_table"][0][1].pop()
 
 
+def _extra_gamma(comp):
+    comp["gammas"].append(comp["gammas"][0])
+
+
+def _drop_last_gamma(comp):
+    comp["gammas"].pop()
+
+
+def _drop_gammas(comp):
+    del comp["gammas"]
+
+
 @pytest.mark.parametrize(
     "pq, corrupt, field",
     [
@@ -298,12 +311,22 @@ def _drop_table_coordinate(comp):
         ((0, 2), _drop_table_row, "unit_table"),
         ((0, 2), _drop_table_entry, "unit_table"),
         ((3, 0), _drop_table_coordinate, "unit_table"),
+        ((1, 1), _extra_gamma, "gammas"),
+        ((1, 1), _drop_last_gamma, "gammas"),
+        ((1, 1), _drop_gammas, "gammas"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
     data = representation_to_json_dict(build_representation(Signature(*pq)))
     corrupt(data["components"][0])
     with pytest.raises(ValueError, match=rf"components\[0\]\.{field}"):
+        representation_from_json_dict(data)
+
+
+def test_representation_json_names_a_missing_top_level_key():
+    data = representation_to_json_dict(build_representation(Signature(1, 1)))
+    del data["frame"]
+    with pytest.raises(ValueError, match=r"^frame is missing$"):
         representation_from_json_dict(data)
 
 
@@ -327,6 +350,10 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             )
             for i, gamma in enumerate(comp.gammas):
                 assert gamma == _matrix_of(sig.blade(1 << i), kb, sb)
+            # the coset kernel on the component's own tables, with its
+            # column confirmations (for the second component, the run that
+            # the negated first gammas replaced)
+            assert comp.gammas == _coset_gammas(sig, kb, sb, _cosets(sb.idempotent, kb))
 
 
 def test_non_product_idempotent_uses_greedy_scan():
@@ -353,7 +380,7 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
     with pytest.raises(RepresentationError):
         spinor_basis(f, bad)
     with pytest.raises(RepresentationError):
-        _component(sig, bad, sb)
+        _coset_gammas(sig, bad, sb, _cosets(f, bad))
 
 
 def test_gf2_reduce_gives_the_coset_minimum():
