@@ -28,8 +28,50 @@ from .representation import (
 from .verify import DEFAULT_SAMPLE_SEED, verify_range, verify_signature
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python; here each scalar
+    goes through ``json.dumps`` on its C path, and a list of scalars met
+    again at the same depth reuses its text (``representation_to_json_dict``
+    shares equal K-entries).  Object keys must be strings.
+    """
+    lists: dict[tuple[int, int], str] = {}
+
+    def block(items: list[str], brackets: str, depth: int) -> str:
+        if not items:
+            return brackets
+        inner = "\n" + "  " * (depth + 1)
+        return (
+            brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * depth + brackets[1]
+        )
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, (list, tuple)):
+            key = (id(value), depth)
+            text = lists.get(key)
+            if text is None:
+                text = block([encode(v, depth + 1) for v in value], "[]", depth)
+                # only lists of scalars are kept: keeping every list would
+                # hold the output again in the texts of its rows and matrices
+                if not any(isinstance(v, (list, tuple, dict)) for v in value):
+                    lists[key] = text
+            return text
+        if isinstance(value, dict):
+            if not all(isinstance(k, str) for k in value):
+                raise TypeError("JSON object keys must be strings")
+            items = [
+                f"{json.dumps(k)}: {encode(value[k], depth + 1)}" for k in sorted(value)
+            ]
+            return block(items, "{}", depth)
+        return json.dumps(value)
+
+    return encode(obj, 0)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _status_line(report) -> str:

@@ -405,12 +405,24 @@ def multivector_to_json_dict(u: Multivector) -> dict:
     }
 
 
-def multivector_from_json_dict(data: Mapping) -> Multivector:
-    sig = Signature(int(data["p"]), int(data["q"]))
+def _field(data: Mapping, key: str, prefix: str = ""):
+    """data[key], or a ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"{prefix}{key} is missing")
+    return data[key]
+
+
+def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
+    """Inverse of :func:`multivector_to_json_dict`; a missing key or a zero
+    denominator raises a ValueError naming the field after ``prefix``."""
+    sig = Signature(int(_field(data, "p", prefix)), int(_field(data, "q", prefix)))
     terms = []
-    for idx, t in enumerate(data["terms"]):
-        den = int(t["den"])
+    for idx, t in enumerate(_field(data, "terms", prefix)):
+        where = f"{prefix}terms[{idx}]."
+        mask = int(_field(t, "mask", where))
+        num = int(_field(t, "num", where))
+        den = int(_field(t, "den", where))
         if not den:
-            raise ValueError(f"terms[{idx}].den is zero")
-        terms.append((int(t["mask"]), Fraction(int(t["num"]), den)))
+            raise ValueError(f"{where}den is zero")
+        terms.append((mask, Fraction(num, den)))
     return Multivector.from_terms(sig, terms)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION
-from .core import Multivector, Signature, blade_square_sign, blades_commute
+from .core import Multivector, Signature, blade_square_sign, blades_commute, grade
 from .linalg import ExactSpan, gf2_insert
 
 KTYPE_BY_DIM = {d: ktype for ktype, d in K_DIMENSION.items()}
@@ -209,11 +209,26 @@ def sandwich_projections(f: Multivector) -> list[tuple[int, Multivector]]:
         return _projections_general(f)
     gens, _ = form
     sig = f.signature
+    tests = [_commute_mask(g, sig.n) for g in gens]
     out = []
     for mask in range(sig.dim):
-        if all(blades_commute(mask, g) for g in gens):
+        for t in tests:
+            if (mask & t).bit_count() & 1:
+                break
+        else:
             out.append((mask, sig.blade(mask) * f))
     return out
+
+
+def _commute_mask(g: int, n: int) -> int:
+    """Mask L with e_a e_g == e_g e_a exactly when popcount(a & L) is even,
+    for every blade a of an n-generator algebra.
+
+    e_a e_g == (-1)**(|a| |g| + |a & g|) e_g e_a, so for even |g| the
+    condition is |a & g| even, and for odd |g| it is |a| + |a & g| even,
+    i.e. |a & ~g| even: L is g, or its complement within the n bits.
+    """
+    return g ^ ((1 << n) - 1) if grade(g) & 1 else g
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:

@@ -16,9 +16,9 @@ g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per coset
 of U = W + span{m_j}, and each column of a generator matrix has a single
 nonzero entry, a rational multiple of one unit.  Basis and matrices are
 then read off GF(2) coset tables, and each matrix column is confirmed by
-exact multivector equality.  Exact span solves remain for idempotents of
-any other form and for matrices of arbitrary elements (``represent``,
-``spinor_coordinates``).
+exact equality, compared on integer numerators.  Exact span solves remain
+for idempotents of any other form and for matrices of arbitrary elements
+(``represent``, ``spinor_coordinates``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .core import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    _field,
+    _negative_mask,
+    _sign_mask,
     blades_commute,
     grade,
     multivector_from_json_dict,
@@ -160,8 +163,14 @@ class KMatrix:
 
     def __neg__(self):
         kb = self.basis
+        # each entry object is negated once, so shared entries stay shared
+        negated: dict[int, KElement] = {}
+        for row in self.entries:
+            for e in row:
+                if id(e) not in negated:
+                    negated[id(e)] = kb.kneg(e)
         return KMatrix(
-            kb, tuple(tuple(kb.kneg(e) for e in row) for row in self.entries)
+            kb, tuple(tuple(negated[id(e)] for e in row) for row in self.entries)
         )
 
     def scale_right(self, mu: KElement) -> "KMatrix":
@@ -228,6 +237,11 @@ def _cosets(f: Multivector, kb: DivisionRingBasis) -> _Cosets | None:
     commuting with the frame, or when S = Cl f is not a free right K-module,
     i.e. the d unit masks do not fill U / W with rank(U) = k + log2(d).
     """
+    # Kept on kb with the f it was built for, matched by identity, so that
+    # build_representation reuses the run made inside spinor_basis.
+    cached = kb.__dict__.get("_cosets")
+    if cached is not None and cached[0] is f:
+        return cached[1]
     form = _half_product_form(f)
     if form is None:
         return None
@@ -256,7 +270,9 @@ def _cosets(f: Multivector, kb: DivisionRingBasis) -> _Cosets | None:
             f"S = Cl f is not a free right K-module: unit masks span rank"
             f" {len(ideal) - len(frame)} over the frame"
         )
-    return _Cosets(frame, ideal, unit_of)
+    cosets = _Cosets(frame, ideal, unit_of)
+    kb.__dict__["_cosets"] = (f, cosets)
+    return cosets
 
 
 def _greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
@@ -321,40 +337,66 @@ def _coset_gammas(
     as ``spinor_basis`` and its involution image build it, and u_j == f u_j,
     as ``_cosets`` confirms, sign_s e_{A_s} u_j is the real basis element
     s_s u_j; each is built once and shared by the generators.
+
+    Both sides are compared on integer numerators over their common
+    denominators: e_i permutes the terms of s_t with the signs of
+    ``_sign_mask``, and the equality holds exactly when the two sides have
+    the same masks and proportional numerators, lambda being the ratio of
+    their leading terms.  Equal entries are one shared tuple.
     """
+    negative = _negative_mask(sig)
     row_of = {mask: s for s, mask in enumerate(sb.blades)}
-    real_basis: dict[tuple[int, int], Multivector] = {}
+    # per spinor: denominator, then mask -> (numerator, sign mask) per term
+    spinors = []
+    for s_t in sb.elements:
+        den, masks, nums = s_t._integer_terms()
+        spinors.append(
+            (den, {b: (c, _sign_mask(b, negative)) for b, c in zip(masks, nums)})
+        )
+    # (s, j) -> denominator, mask -> numerator, leading mask and numerator
+    real_basis: dict[tuple[int, int], tuple] = {}
+    entries: dict[tuple[int, int, int], KElement] = {}
     zero = kb.kzero()
     gammas = []
     for i in range(sig.n):
-        gen = sig.blade(1 << i)
-        columns = []
-        for t, s_t in enumerate(sb.elements):
-            x = (1 << i) ^ sb.blades[t]
-            a = gf2_reduce(x, cosets.ideal)
+        x = 1 << i
+        rows = [[zero] * sb.size for _ in range(sb.size)]
+        for t, (lden, lhs) in enumerate(spinors):
+            a = gf2_reduce(x ^ sb.blades[t], cosets.ideal)
             s = row_of[a]
-            j = cosets.unit_of[gf2_reduce(x ^ a, cosets.frame)]
-            lhs = gen * s_t
+            j = cosets.unit_of[gf2_reduce(x ^ sb.blades[t] ^ a, cosets.frame)]
             rhs = real_basis.get((s, j))
             if rhs is None:
-                rhs = sig.blade(a, sb.blade_signs[s]) * kb.units[j]
-                real_basis[s, j] = rhs
-            lam = lhs.terms[0][1] / rhs.terms[0][1]
-            if lhs != rhs * lam:
+                uden, umasks, unums = kb.units[j]._integer_terms()
+                flip = sb.blade_signs[s] < 0
+                terms = {
+                    a ^ m: -c
+                    if ((a & _sign_mask(m, negative)).bit_count() ^ flip) & 1
+                    else c
+                    for m, c in zip(umasks, unums)
+                }
+                lead = min(terms)
+                rhs = real_basis[s, j] = (uden, terms, lead, terms[lead])
+            rden, rterms, lead, r0 = rhs
+            lead_c, lead_q = lhs.get(lead ^ x, (0, 0))
+            l0 = -lead_c if lead_q >> i & 1 else lead_c
+            # the same masks, and numerators proportional to the leading pair
+            if not l0 or len(lhs) != len(rterms) or any(
+                (-c if q >> i & 1 else c) * r0 != rterms.get(b ^ x, 0) * l0
+                for b, (c, q) in lhs.items()
+            ):
                 raise RepresentationError(
                     f"e{i + 1} s_{t} is not a multiple of s_{s} u_{j}"
                 )
-            entry = tuple(lam if jj == j else _ZERO for jj in range(kb.dim))
-            columns.append((s, entry))
-        gammas.append(
-            KMatrix(
-                kb,
-                tuple(
-                    tuple(entry if s == row else zero for s, entry in columns)
-                    for row in range(sb.size)
-                ),
-            )
-        )
+            lam = Fraction(l0 * rden, r0 * lden)
+            key = (j, lam.numerator, lam.denominator)
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = tuple(
+                    lam if jj == j else _ZERO for jj in range(kb.dim)
+                )
+            rows[s][t] = entry
+        gammas.append(KMatrix(kb, tuple(map(tuple, rows))))
     return tuple(gammas)
 
 
@@ -472,15 +514,21 @@ def build_representation(sig: Signature) -> Representation:
 # JSON interchange
 
 
-def _kelement_json(x: KElement) -> list[str]:
-    return [str(c) for c in x]
-
-
 def _kelement_from_json(data) -> KElement:
     return tuple(Fraction(s) for s in data)
 
 
 def representation_to_json_dict(rep: Representation) -> dict:
+    # One list per K-entry object: the generator matrices repeat a few shared
+    # entry tuples (zero above all), which the JSON writer then renders once.
+    kelements: dict[int, list[str]] = {}
+
+    def kelement(x: KElement) -> list[str]:
+        out = kelements.get(id(x))
+        if out is None:
+            out = kelements[id(x)] = [str(c) for c in x]
+        return out
+
     return {
         "p": rep.signature.p,
         "q": rep.signature.q,
@@ -491,26 +539,19 @@ def representation_to_json_dict(rep: Representation) -> dict:
                 "idempotent": multivector_to_json_dict(comp.basis.idempotent),
                 "units": [multivector_to_json_dict(u) for u in comp.kbasis.units],
                 "unit_table": [
-                    [_kelement_json(entry) for entry in row]
+                    [kelement(entry) for entry in row]
                     for row in comp.kbasis.table
                 ],
                 "spinor_blades": list(comp.basis.blades),
                 "spinor_blade_signs": list(comp.basis.blade_signs),
                 "gammas": [
-                    [[_kelement_json(entry) for entry in row] for row in g.entries]
+                    [[kelement(entry) for entry in row] for row in g.entries]
                     for g in comp.gammas
                 ],
             }
             for comp in rep.components
         ],
     }
-
-
-def _field(data: Mapping, key: str, prefix: str = ""):
-    """data[key], or a ValueError naming the missing field."""
-    if key not in data:
-        raise ValueError(f"{prefix}{key} is missing")
-    return data[key]
 
 
 def representation_from_json_dict(data: Mapping) -> Representation:
@@ -522,9 +563,12 @@ def representation_from_json_dict(data: Mapping) -> Representation:
     components = []
     for ci, comp in enumerate(_field(data, "components")):
         where = f"components[{ci}]."
-        f = multivector_from_json_dict(_field(comp, "idempotent", where))
+        f = multivector_from_json_dict(
+            _field(comp, "idempotent", where), f"{where}idempotent."
+        )
         units = tuple(
-            multivector_from_json_dict(u) for u in _field(comp, "units", where)
+            multivector_from_json_dict(u, f"{where}units[{j}].")
+            for j, u in enumerate(_field(comp, "units", where))
         )
         if len(units) not in KTYPE_BY_DIM:
             raise ValueError(f"{where}units has {len(units)} entries, not 1, 2 or 4")

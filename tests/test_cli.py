@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import cliffstruct.cli as cli
 from cliffstruct import Signature, parse_multivector
 from cliffstruct.cli import main
 from cliffstruct.verify import CheckResult, VerificationReport
@@ -170,3 +171,84 @@ def test_multivector_json_schema_from_repr(capsys):
         jsonschema.validate(comp["idempotent"], schema)
         for unit in comp["units"]:
             jsonschema.validate(unit, schema)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps, the encoder it replaced
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "3", "1", "--json"),
+        ("table", "--max-n", "4", "--format", "json"),
+        ("idempotents", "4", "1", "--json"),
+        ("repr", "0", "3", "--json"),
+        ("repr", "2", "1", "--json"),
+        ("repr", "1", "4", "--json"),
+        ("verify", "2", "1", "--json"),
+        ("verify", "--max-n", "2", "--json"),
+    ],
+)
+def test_json_writer_matches_json_dumps_on_every_subcommand(monkeypatch, capsys, argv):
+    """The objects each subcommand hands the writer, with their shared lists."""
+    written = []
+    encode = cli._json_text
+
+    def checked(obj):
+        text = encode(obj)
+        assert text == _oracle(obj)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == written[0] + "\n"
+
+
+def test_json_writer_reuses_a_shared_list_only_at_its_own_depth():
+    shared = ["0", 1, [2.5, None]]
+    obj = {"b": [shared, shared, {"x": shared}], "a": (shared, ()), "e": {}}
+    assert cli._json_text(obj) == _oracle(obj)
+    with pytest.raises(TypeError):
+        cli._json_text({1: "key is not a string"})
+
+
+def _json_trees():
+    st = pytest.importorskip("hypothesis.strategies")
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text(alphabet=st.characters(), max_size=6)
+    )
+    trees = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        max_leaves=20,
+    )
+    # the same list object at two depths, and twice at one depth
+    return st.builds(
+        lambda tree, shared: {"s": shared, "deep": [[shared, tree, shared]]},
+        trees,
+        st.lists(trees, max_size=3),
+    )
+
+
+def test_json_writer_matches_json_dumps_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_json_trees())
+    def check(obj):
+        assert cli._json_text(obj) == _oracle(obj)
+
+    check()

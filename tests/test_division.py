@@ -16,7 +16,9 @@ from cliffstruct import (
     parse_multivector,
     primitive_idempotent,
 )
+from cliffstruct.core import blades_commute
 from cliffstruct.division import (
+    _commute_mask,
     _half_product_form,
     _projections_general,
     sandwich_projections,
@@ -218,6 +220,14 @@ def test_fast_projections_agree_with_general_sweep():
         for f in result.idempotents:
             assert _half_product_form(f) is not None
             assert sandwich_projections(f) == _projections_general(f)
+
+
+def test_commute_mask_decides_blades_commute():
+    for n in range(7):
+        for g in range(1 << n):
+            test = _commute_mask(g, n)
+            for a in range(1 << n):
+                assert blades_commute(a, g) == (not (a & test).bit_count() & 1)
 
 
 def test_general_path_used_for_non_product_idempotents():

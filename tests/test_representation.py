@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import cliffstruct.representation as representation
 from cliffstruct import (
     DivisionRingBasis,
     KMatrix,
@@ -302,6 +305,18 @@ def _drop_gammas(comp):
     del comp["gammas"]
 
 
+def _drop(*path):
+    """Delete the key at the end of path inside a dumped component."""
+
+    def corrupt(comp):
+        node = comp
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "pq, corrupt, field",
     [
@@ -314,12 +329,18 @@ def _drop_gammas(comp):
         ((1, 1), _extra_gamma, "gammas"),
         ((1, 1), _drop_last_gamma, "gammas"),
         ((1, 1), _drop_gammas, "gammas"),
+        ((1, 1), _drop("idempotent", "terms"), "idempotent.terms is missing"),
+        ((1, 1), _drop("idempotent", "p"), "idempotent.p is missing"),
+        ((0, 2), _drop("units", 1, "q"), "units[1].q is missing"),
+        ((0, 2), _drop("units", 1, "terms", 0, "mask"), "units[1].terms[0].mask is"),
+        ((0, 2), _drop("units", 2, "terms", 0, "num"), "units[2].terms[0].num is"),
+        ((1, 1), _drop("idempotent", "terms", 1, "den"), "idempotent.terms[1].den is"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
     data = representation_to_json_dict(build_representation(Signature(*pq)))
     corrupt(data["components"][0])
-    with pytest.raises(ValueError, match=rf"components\[0\]\.{field}"):
+    with pytest.raises(ValueError, match=r"components\[0\]\." + re.escape(field)):
         representation_from_json_dict(data)
 
 
@@ -332,6 +353,40 @@ def test_representation_json_names_a_missing_top_level_key():
 
 # ---------------------------------------------------------------------------
 # the coset kernel against the exact span solves it replaced
+
+
+def _coset_gammas_oracle(sig, kb, sb, cosets):
+    """The generator matrices with each column confirmed by exact
+    multivector equality, as ``_coset_gammas`` did before it compared
+    integer numerators."""
+    row_of = {mask: s for s, mask in enumerate(sb.blades)}
+    gammas = []
+    for i in range(sig.n):
+        gen = sig.blade(1 << i)
+        columns = []
+        for t, s_t in enumerate(sb.elements):
+            x = (1 << i) ^ sb.blades[t]
+            a = gf2_reduce(x, cosets.ideal)
+            s = row_of[a]
+            j = cosets.unit_of[gf2_reduce(x ^ a, cosets.frame)]
+            lhs = gen * s_t
+            rhs = sig.blade(a, sb.blade_signs[s]) * kb.units[j]
+            lam = lhs.terms[0][1] / rhs.terms[0][1]
+            if lhs != rhs * lam:
+                raise RepresentationError(
+                    f"e{i + 1} s_{t} is not a multiple of s_{s} u_{j}"
+                )
+            columns.append((s, tuple(lam if jj == j else F0 for jj in range(kb.dim))))
+        gammas.append(
+            KMatrix(
+                kb,
+                tuple(
+                    tuple(entry if s == row else kb.kzero() for s, entry in columns)
+                    for row in range(sb.size)
+                ),
+            )
+        )
+    return tuple(gammas)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -353,7 +408,48 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             # the coset kernel on the component's own tables, with its
             # column confirmations (for the second component, the run that
             # the negated first gammas replaced)
-            assert comp.gammas == _coset_gammas(sig, kb, sb, _cosets(sb.idempotent, kb))
+            cosets = _cosets(sb.idempotent, kb)
+            assert comp.gammas == _coset_gammas(sig, kb, sb, cosets)
+            assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, cosets)
+
+
+def _scale_last_term(u):
+    (m, c), *_ = reversed(u.terms)
+    return u + u.signature.blade(m, c)
+
+
+def _drop_last_term(u):
+    return type(u)(u.signature, u.terms[:-1])
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (1, 3), (3, 1)])
+@pytest.mark.parametrize("corrupt", [_scale_last_term, _drop_last_term])
+def test_coset_gammas_reject_a_spinor_proportional_but_for_one_term(pq, corrupt):
+    sig = Signature(*pq)
+    comp = build_representation(sig).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    cosets = _cosets(sb.idempotent, kb)
+    elements = list(sb.elements)
+    elements[1] = corrupt(elements[1])
+    bad = dataclasses.replace(sb, elements=tuple(elements))
+    for gammas in (_coset_gammas, _coset_gammas_oracle):
+        with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
+            gammas(sig, kb, bad, cosets)
+
+
+def test_build_representation_runs_the_coset_tables_once(monkeypatch):
+    calls = []
+    recognize = representation._half_product_form
+
+    def counted(f):
+        calls.append(f)
+        return recognize(f)
+
+    monkeypatch.setattr(representation, "_half_product_form", counted)
+    for pq in ((0, 3), (2, 1), (3, 3)):
+        calls.clear()
+        build_representation(Signature(*pq))
+        assert len(calls) == 1, pq
 
 
 def test_non_product_idempotent_uses_greedy_scan():

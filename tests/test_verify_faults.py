@@ -9,6 +9,7 @@ to how checks share their inputs shows up as a changed set.
 
 import copy
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from cliffstruct import (
     verify_representation,
     verify_signature,
 )
+from cliffstruct.cli import _json_text
+from cliffstruct.verify import VerificationReport
 
 HALF = Fraction(1, 2)
 _classify = verify.classify
@@ -43,7 +46,16 @@ def _negated(entry):
 
 
 def _verify_dump(data) -> dict:
-    return _failures(verify_representation(representation_from_json_dict(data)))
+    rep = representation_from_json_dict(data)
+    results = verify_representation(rep)
+    _assert_json_writer_matches(VerificationReport(rep.signature, results))
+    return _failures(results)
+
+
+def _assert_json_writer_matches(report) -> None:
+    """The CLI's JSON writer agrees with json.dumps on a report with witnesses."""
+    data = report.to_json_dict()
+    assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True)
 
 
 def _boom(*args):
@@ -425,7 +437,9 @@ def test_injected_defect_fails_its_check(monkeypatch, case):
     assert verify_signature(sig).passed
     for name, fake in patches.items():
         monkeypatch.setattr(verify, name, fake)
-    assert _failures(verify_signature(sig).checks) == expected
+    report = verify_signature(sig)
+    _assert_json_writer_matches(report)
+    assert _failures(report.checks) == expected
 
 
 def test_every_check_id_has_a_fault_case():
