@@ -16,15 +16,24 @@ g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per coset
 of U = W + span{m_j}, and each column of a generator matrix has a single
 nonzero entry, a rational multiple of one unit.  Basis and matrices are
 then read off GF(2) coset tables, and each matrix column is confirmed by
-exact equality, compared on integer numerators.  Exact span solves remain
-for idempotents of any other form and for matrices of arbitrary elements
-(``represent``, ``spinor_coordinates``).
+exact equality, compared on integer numerators.
+
+The matrices and coordinates of other elements (``represent``,
+``spinor_coordinates``) are read off the real basis s_t u_j.  An index maps
+the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
+exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
+vectors with distinct leading masks are independent.  The lookup only
+confirms: an exact span solve decides every psi it cannot confirm, for
+idempotents of any other form and for elements that are not a multiple of
+one basis element, and it alone reports a product outside S.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .classify import AlgebraClass, classify
@@ -114,37 +123,55 @@ class KMatrix:
         if need_square and self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} columns vs {other.rows} rows")
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, KElement], ...], ...]:
+        """Per column, the (row, entry) pairs of its nonzero entries; an
+        entry missing from a short row reads as zero.  Built once, outside
+        the dataclass fields, so equality still compares entries."""
+        columns: list[list] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for t, entry in enumerate(row):
+                if any(entry):
+                    columns[t].append((i, entry))
+        return tuple(map(tuple, columns))
+
+    @staticmethod
+    def _from_columns(
+        kb: DivisionRingBasis, rows: int, columns: list[tuple]
+    ) -> "KMatrix":
+        """The matrix with the given nonzero (row, entry) pairs per column,
+        its column view set from them."""
+        zero = kb.kzero()
+        dense = [[zero] * len(columns) for _ in range(rows)]
+        for t, column in enumerate(columns):
+            for i, entry in column:
+                dense[i][t] = entry
+        mat = KMatrix(kb, tuple(map(tuple, dense)))
+        mat.__dict__["_columns"] = tuple(columns)
+        return mat
+
     def __matmul__(self, other):
         if not isinstance(other, KMatrix):
             return NotImplemented
         self._check_compatible(other, need_square=True)
         kb = self.basis
-        d = kb.dim
-        zero = kb.kzero()
-        # Generator images are monomial-like, so skipping zero entries turns
-        # the cubic dense loop into a near-linear sparse one.
-        sparse_b = [
-            [(t, y) for t, y in enumerate(row) if any(y)] for row in other.entries
-        ]
-        out = []
-        for row_a in self.entries:
-            accs: list[list | None] = [None] * other.cols
-            for m, x in enumerate(row_a):
-                if not any(x):
-                    continue
-                for t, y in sparse_b[m]:
-                    prod = kb.kmul(x, y)
-                    acc = accs[t]
-                    if acc is None:
-                        accs[t] = list(prod)
-                    else:
-                        for idx in range(d):
-                            if prod[idx]:
-                                acc[idx] += prod[idx]
-            out.append(
-                tuple(zero if acc is None else tuple(acc) for acc in accs)
+        kmul = kb.kmul
+        left = self._columns
+        # Column t of the product meets each nonzero (m, y) of other's column
+        # t with the nonzero entries of self's column m: generator images
+        # have one entry per column, so a product visits about N pairs.
+        columns = []
+        for column in other._columns:
+            acc: dict[int, KElement] = {}
+            for m, y in column:
+                for i, x in left[m]:
+                    prod = kmul(x, y)
+                    cur = acc.get(i)
+                    acc[i] = prod if cur is None else kb.kadd(cur, prod)
+            columns.append(
+                tuple((i, acc[i]) for i in sorted(acc) if any(acc[i]))
             )
-        return KMatrix(kb, tuple(out))
+        return KMatrix._from_columns(kb, self.rows, columns)
 
     def __add__(self, other):
         if not isinstance(other, KMatrix):
@@ -153,13 +180,11 @@ class KMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix addition")
         kb = self.basis
-        return KMatrix(
-            kb,
-            tuple(
-                tuple(kb.kadd(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        rows = [list(row) for row in self.entries]
+        for t, column in enumerate(other._columns):
+            for i, y in column:
+                rows[i][t] = kb.kadd(rows[i][t], y)
+        return KMatrix(kb, tuple(map(tuple, rows)))
 
     def __neg__(self):
         kb = self.basis
@@ -414,35 +439,129 @@ def _solver(kb: DivisionRingBasis, sb: SpinorBasis) -> ExactSpan:
     return span
 
 
+def _solve(
+    kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
+) -> list[tuple[int, KElement]] | None:
+    """The nonzero K-coordinates of psi as (t, entry) pairs by exact span
+    solve, or None if psi is not in S."""
+    coords = _solver(kb, sb).coordinates(dict(psi.terms))
+    if coords is None:
+        return None
+    column = []
+    for t in range(sb.size):
+        entry = tuple(coords.get((t, j), _ZERO) for j in range(kb.dim))
+        if any(entry):
+            column.append((t, entry))
+    return column
+
+
+def _real_basis_index(kb: DivisionRingBasis, sb: SpinorBasis) -> dict | None:
+    """The leading (smallest) mask of each real basis element s_t u_j mapped
+    to (t, j, denominator, numerator by mask), from the exact products.
+
+    None when some s_t u_j is zero or two share a leading mask.  Kept on sb
+    with the kb it was built for, matched by identity, like ``_solver``.
+    """
+    cached = sb.__dict__.get("_index")
+    if cached is not None and cached[0] is kb:
+        return cached[1]
+    index: dict | None = {}
+    for t, s in enumerate(sb.elements):
+        for j, unit in enumerate(kb.units):
+            den, masks, nums = (s * unit)._integer_terms()
+            if not masks or masks[0] in index:
+                index = None
+                break
+            index[masks[0]] = (t, j, den, dict(zip(masks, nums)))
+        if index is None:
+            break
+    sb.__dict__["_index"] = (kb, index)
+    return index
+
+
+def _lookup(
+    kb: DivisionRingBasis, sb: SpinorBasis, den: int, nums: dict[int, int]
+) -> tuple[int, KElement] | None:
+    """(t, entry) with psi == s_t u_j * lambda exactly, for psi given by its
+    numerators over den, or None when the lookup cannot decide.
+
+    The s_t u_j have pairwise distinct leading masks, so they are linearly
+    independent and the confirmed lambda at (t, j) are the unique
+    coordinates of psi, the ones the span solve would return.  Confirmed as
+    ``_coset_gammas`` confirms a column: the same masks as s_t u_j, and
+    numerators proportional to the leading pair.
+    """
+    index = _real_basis_index(kb, sb)
+    if index is None or not nums:
+        return None
+    lead = min(nums)
+    hit = index.get(lead)
+    if hit is None:
+        return None
+    t, j, rden, rnums = hit
+    l0 = nums[lead]
+    r0 = rnums[lead]
+    if len(nums) != len(rnums) or any(
+        c * r0 != rnums.get(b, 0) * l0 for b, c in nums.items()
+    ):
+        return None
+    lam = Fraction(l0 * rden, r0 * den)
+    return t, tuple(lam if jj == j else _ZERO for jj in range(kb.dim))
+
+
 def spinor_coordinates(
     kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
 ) -> tuple[KElement, ...] | None:
     """K-coordinates of psi over the spinor basis, or None if psi is not in S."""
-    coords = _solver(kb, sb).coordinates(dict(psi.terms))
-    if coords is None:
+    den, masks, nums = psi._integer_terms()
+    hit = _lookup(kb, sb, den, dict(zip(masks, nums)))
+    column = [hit] if hit is not None else _solve(kb, sb, psi)
+    if column is None:
         return None
-    return tuple(
-        tuple(coords.get((t, j), _ZERO) for j in range(kb.dim))
-        for t in range(sb.size)
-    )
+    out = [kb.kzero()] * sb.size
+    for t, entry in column:
+        out[t] = entry
+    return tuple(out)
 
 
 def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatrix:
-    span = _solver(kb, sb)
-    d = kb.dim
-    size = sb.size
+    """Matrix of u: column t holds the K-coordinates of u s_t.
+
+    A +-1 blade u = +-e_a permutes the terms of s_t with the signs of
+    ``_sign_mask``, so u s_t is read off s_t's integer numerators without
+    forming the product, which only the span solve needs.
+    """
+    negative = _negative_mask(u.signature)
+    blade = None
+    if len(u.terms) == 1 and u.terms[0][1] in (1, -1):
+        blade = u.terms[0]
     columns = []
     for s in sb.elements:
-        coords = span.coordinates(dict((u * s).terms))
-        if coords is None:
-            raise RepresentationError("product left the spinor ideal")
-        columns.append(
-            [tuple(coords.get((i, j), _ZERO) for j in range(d)) for i in range(size)]
-        )
-    entries = tuple(
-        tuple(columns[t][i] for t in range(size)) for i in range(size)
-    )
-    return KMatrix(kb, entries)
+        if blade is None:
+            psi = u * s
+            den, masks, nums = psi._integer_terms()
+            terms = dict(zip(masks, nums))
+        else:
+            u._check_same(s)
+            psi = None
+            a, ca = blade
+            flip = ca < 0
+            den, masks, nums = s._integer_terms()
+            terms = {
+                a ^ b: -c
+                if ((a & _sign_mask(b, negative)).bit_count() ^ flip) & 1
+                else c
+                for b, c in zip(masks, nums)
+            }
+        hit = _lookup(kb, sb, den, terms)
+        if hit is not None:
+            column = [hit]
+        else:
+            column = _solve(kb, sb, u * s if psi is None else psi)
+            if column is None:
+                raise RepresentationError("product left the spinor ideal")
+        columns.append(tuple(column))
+    return KMatrix._from_columns(kb, sb.size, columns)
 
 
 def represent(u: Multivector, rep: Representation) -> KMatrix:
@@ -514,8 +633,44 @@ def build_representation(sig: Signature) -> Representation:
 # JSON interchange
 
 
-def _kelement_from_json(data) -> KElement:
-    return tuple(Fraction(s) for s in data)
+# the schema's ``rational``: an integer or a fraction, as a string
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _list(value, where: str) -> list:
+    """value, or a ValueError naming the field when it is not a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} is not a list")
+    return value
+
+
+def _list_field(data: Mapping, key: str, prefix: str = "") -> list:
+    return _list(_field(data, key, prefix), prefix + key)
+
+
+def _kelement_from_json(data, where: str) -> KElement:
+    """A K-element from its list of rational strings; anything else, and a
+    zero denominator, raises a ValueError naming the coordinate."""
+    out = []
+    for k, c in enumerate(_list(data, where)):
+        if not isinstance(c, str) or not _RATIONAL.fullmatch(c):
+            raise ValueError(f"{where}[{k}] is not a rational string: {c!r}")
+        _, _, den = c.partition("/")
+        if den and not int(den):
+            raise ValueError(f"{where}[{k}] has a zero denominator: {c!r}")
+        out.append(Fraction(c))
+    return tuple(out)
+
+
+def _kentries_from_json(rows, where: str) -> tuple[tuple[KElement, ...], ...]:
+    """Rows of K-elements, each one a list; rows may be ragged."""
+    return tuple(
+        tuple(
+            _kelement_from_json(entry, f"{where}[{i}][{t}]")
+            for t, entry in enumerate(_list(row, f"{where}[{i}]"))
+        )
+        for i, row in enumerate(_list(rows, where))
+    )
 
 
 def representation_to_json_dict(rep: Representation) -> dict:
@@ -559,23 +714,22 @@ def representation_from_json_dict(data: Mapping) -> Representation:
     that the dump pins down, so re-verification sees exactly the dumped data."""
     sig = Signature(int(_field(data, "p")), int(_field(data, "q")))
     cls = classify(sig)
-    frame = MonomialFrame(sig, tuple(int(m) for m in _field(data, "frame")))
+    frame = MonomialFrame(sig, tuple(int(m) for m in _list_field(data, "frame")))
     components = []
-    for ci, comp in enumerate(_field(data, "components")):
+    for ci, comp in enumerate(_list_field(data, "components")):
         where = f"components[{ci}]."
         f = multivector_from_json_dict(
             _field(comp, "idempotent", where), f"{where}idempotent."
         )
         units = tuple(
             multivector_from_json_dict(u, f"{where}units[{j}].")
-            for j, u in enumerate(_field(comp, "units", where))
+            for j, u in enumerate(_list_field(comp, "units", where))
         )
         if len(units) not in KTYPE_BY_DIM:
             raise ValueError(f"{where}units has {len(units)} entries, not 1, 2 or 4")
         d = len(units)
-        table = tuple(
-            tuple(_kelement_from_json(entry) for entry in row)
-            for row in _field(comp, "unit_table", where)
+        table = _kentries_from_json(
+            _field(comp, "unit_table", where), f"{where}unit_table"
         )
         if len(table) != d or any(
             len(row) != d or any(len(entry) != d for entry in row) for row in table
@@ -585,8 +739,8 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                 f" with {d} coordinates each"
             )
         kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
-        blades = tuple(int(m) for m in _field(comp, "spinor_blades", where))
-        signs = _field(comp, "spinor_blade_signs", where)
+        blades = tuple(int(m) for m in _list_field(comp, "spinor_blades", where))
+        signs = _list_field(comp, "spinor_blade_signs", where)
         if len(signs) != len(blades) or any(s not in (1, -1) for s in signs):
             raise ValueError(
                 f"{where}spinor_blade_signs must hold one sign of"
@@ -598,20 +752,14 @@ def representation_from_json_dict(data: Mapping) -> Representation:
         )
         sb = SpinorBasis(f, blades, signs, elements)
         # one matrix per generator; ragged rows are left to the checks
-        gammas = _field(comp, "gammas", where)
+        gammas = _list_field(comp, "gammas", where)
         if len(gammas) != sig.n:
             raise ValueError(
                 f"{where}gammas has {len(gammas)} matrices, not n = {sig.n}"
             )
         gammas = tuple(
-            KMatrix(
-                kb,
-                tuple(
-                    tuple(_kelement_from_json(entry) for entry in row)
-                    for row in g
-                ),
-            )
-            for g in gammas
+            KMatrix(kb, _kentries_from_json(g, f"{where}gammas[{gi}]"))
+            for gi, g in enumerate(gammas)
         )
         components.append(Component(kb, sb, gammas))
     return Representation(sig, cls, frame, tuple(components))

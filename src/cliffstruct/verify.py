@@ -11,7 +11,10 @@ it, each under its own id with an ``{"error": "Type: message"}`` witness.
 A check may confirm a pass with a cheaper certificate, such as
 ``repr.irreducible``'s rank over a projection of its rows; when the
 certificate cannot decide, the check falls back to exact arithmetic, which
-alone gives verdicts of failure and their witnesses.
+alone gives verdicts of failure and their witnesses.  The same holds for the
+blade matrices and spinor coordinates the representation checks read: a
+lookup in the real spinor basis only confirms a column by exact equality,
+and the exact span solve decides every other one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .classify import K_DIMENSION, classify
 from .core import (
@@ -180,8 +184,8 @@ def _flatten(*mats: KMatrix) -> dict:
     """The nonzero entries of the matrices, keyed by (matrix, row, col, unit)."""
     out = {}
     for m, mat in enumerate(mats):
-        for i, row in enumerate(mat.entries):
-            for t, entry in enumerate(row):
+        for t, column in enumerate(mat._columns):
+            for i, entry in column:
                 for j, c in enumerate(entry):
                     if c:
                         out[m, i, t, j] = c
@@ -293,11 +297,14 @@ def _projected_rank_reaches(
 
     The coefficient of e_A psi at m is +-psi[A xor m], so no product is
     formed.  A projection never raises rank, so True proves that the full
-    rows reach ``rank`` too; False decides nothing.
+    rows reach ``rank`` too; False decides nothing.  The rows are read off
+    psi's integer numerators, a common multiple that leaves the rank as it
+    is.
     """
     if len(masks) < rank:
         return False
-    coeffs = dict(psi.terms)
+    _, psi_masks, nums = psi._integer_terms()
+    coeffs = dict(zip(psi_masks, nums))
     negative = _negative_mask(sig)
     span = ExactSpan()
     for a in range(sig.dim):
@@ -312,6 +319,37 @@ def _projected_rank_reaches(
     return False
 
 
+def _psi_sampler(sig: Signature, vectors: list[Multivector]):
+    """draw(rng): psi = sum c_v v over the vectors with each c_v drawn by
+    ``rng.randint(-3, 3)`` in order, all drawn again while psi is zero.
+
+    psi is accumulated on integer numerators over the vectors' common
+    denominator and normalized once.  Some vector must be nonzero.
+    """
+    den = 1
+    for v in vectors:
+        d = v._integer_terms()[0]
+        den = den * d // gcd(den, d)
+    rows = []
+    for v in vectors:
+        d, masks, nums = v._integer_terms()
+        rows.append((masks, [c * (den // d) for c in nums]))
+
+    def draw(rng: random.Random) -> Multivector:
+        while True:
+            acc: dict[int, int] = {}
+            for masks, nums in rows:
+                c = rng.randint(-3, 3)
+                if c:
+                    for m, x in zip(masks, nums):
+                        acc[m] = acc.get(m, 0) + c * x
+            terms = tuple(sorted((m, Fraction(x, den)) for m, x in acc.items() if x))
+            if terms:
+                return Multivector(sig, terms)
+
+    return draw
+
+
 def _irreducible(ctx: _Context) -> dict | None:
     """Every sample psi of S generates all of S: the left multiples e_A psi
     reach rank dim_R S.  A projected-rank certificate may confirm a sample;
@@ -324,16 +362,9 @@ def _irreducible(ctx: _Context) -> dict | None:
         ]
         if not any(basis_products):
             return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
+        draw = _psi_sampler(sig, basis_products)
         samples = list(comp.basis.elements)
-        for _ in range(_RANDOM_PSI_COUNT):
-            psi = sig.scalar(0)
-            while psi.is_zero():
-                psi = sig.scalar(0)
-                for v in basis_products:
-                    c = ctx.rng.randint(-3, 3)
-                    if c:
-                        psi = psi + v * c
-            samples.append(psi)
+        samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
         masks = sorted({v.terms[0][0] for v in basis_products if v})
         for psi in samples:
             if _projected_rank_reaches(sig, psi, masks, ideal_dim):
@@ -357,16 +388,28 @@ def _right_module(ctx: _Context) -> dict | None:
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
-        for mask in [ctx.rng.randrange(sig.dim) for _ in range(5)]:
+        masks = [ctx.rng.randrange(sig.dim) for _ in range(5)]
+        solved = ctx.solved[ci]
+        # per spinor s, what no mask changes: its coordinate column, that
+        # column times each unit tuple mu, and the products s u_j
+        mus = [
+            tuple(Fraction(int(jj == j)) for jj in range(kb.dim))
+            for j in range(kb.dim)
+        ]
+        spinors = []
+        for s in sb.elements[:3]:
+            col = KMatrix(kb, tuple((e,) for e in spinor_coordinates(kb, sb, s)))
+            scaled = [col.scale_right(mu) for mu in mus]
+            spinors.append((col, scaled, [s * unit for unit in kb.units]))
+        for mask in masks:
             u = sig.blade(mask)
-            gamma_u = ctx.solved[ci][mask]
-            for s in sb.elements[:3]:
-                col = KMatrix(kb, tuple((e,) for e in spinor_coordinates(kb, sb, s)))
-                for j, unit in enumerate(kb.units):
-                    mu = tuple(Fraction(int(jj == j)) for jj in range(kb.dim))
-                    left = (gamma_u @ col).scale_right(mu)
-                    right = gamma_u @ col.scale_right(mu)
-                    direct = spinor_coordinates(kb, sb, u * (s * unit))
+            gamma_u = solved[mask]
+            for col, scaled, products in spinors:
+                gamma_col = gamma_u @ col
+                for j, mu in enumerate(mus):
+                    left = gamma_col.scale_right(mu)
+                    right = gamma_u @ scaled[j]
+                    direct = spinor_coordinates(kb, sb, u * products[j])
                     if left != right or tuple(e for (e,) in left.entries) != direct:
                         return {"component": ci, "mask": mask, "unit": j}
     return None

@@ -36,6 +36,7 @@ from cliffstruct.representation import (
     _matrix_of,
     _solver,
 )
+from test_division import _rotor_conjugate
 
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
@@ -210,6 +211,106 @@ def test_kmatrix_mismatch_errors():
         kmatrix_add(col, a)
 
 
+def _kmatmul_oracle(a, b):
+    """a @ b by the loops ``KMatrix.__matmul__`` ran before its column view:
+    both operands are scanned entry by entry."""
+    kb = a.basis
+    d = kb.dim
+    zero = kb.kzero()
+    sparse_b = [[(t, y) for t, y in enumerate(row) if any(y)] for row in b.entries]
+    out = []
+    for row_a in a.entries:
+        accs = [None] * b.cols
+        for m, x in enumerate(row_a):
+            if not any(x):
+                continue
+            for t, y in sparse_b[m]:
+                prod = kb.kmul(x, y)
+                if accs[t] is None:
+                    accs[t] = list(prod)
+                else:
+                    for idx in range(d):
+                        accs[t][idx] += prod[idx]
+        out.append(tuple(zero if acc is None else tuple(acc) for acc in accs))
+    return KMatrix(kb, tuple(out))
+
+
+def _kadd_oracle(a, b):
+    """a + b entry by entry, as ``KMatrix.__add__`` added before its column
+    view."""
+    kb = a.basis
+    return KMatrix(
+        kb,
+        tuple(
+            tuple(kb.kadd(x, y) for x, y in zip(ra, rb))
+            for ra, rb in zip(a.entries, b.entries)
+        ),
+    )
+
+
+def _scanned_columns(mat):
+    return KMatrix(mat.basis, mat.entries)._columns
+
+
+def test_kmatrix_product_drops_entries_that_sum_to_zero():
+    kb = build_representation(Signature(1, 1)).components[0].kbasis
+    one, zero = kb.kone(), kb.kzero()
+    a = KMatrix(kb, ((one, one), (one, zero)))
+    b = KMatrix(kb, ((one, zero), (kb.kneg(one), zero)))
+    ab = a @ b
+    assert ab == _kmatmul_oracle(a, b)
+    assert ab.entries == ((zero, zero), (one, zero))
+    assert ab._columns == (((1, one),), ())
+
+
+def test_kmatrix_arithmetic_matches_the_dense_loops():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # K = R, C and H
+    bases = [
+        build_representation(Signature(*pq)).components[0].kbasis
+        for pq in ((1, 1), (0, 1), (0, 2))
+    ]
+    assert [kb.ktype for kb in bases] == ["R", "C", "H"]
+    coordinate = st.sampled_from([F0, F0, F1, -F1, HALF, Fraction(-3, 2)])
+
+    @st.composite
+    def operands(draw):
+        kb = draw(st.sampled_from(bases))
+        entry = st.one_of(st.just(kb.kzero()), st.tuples(*[coordinate] * kb.dim))
+        r, m, c, k = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+
+        def matrix(rows, cols):
+            return KMatrix(
+                kb, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+            )
+
+        return matrix(r, m), matrix(m, c), matrix(m, c), matrix(c, k)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(operands())
+    def check(ops):
+        a, b, b2, c = ops
+        ab = a @ b
+        assert ab == _kmatmul_oracle(a, b)
+        # the view a product gets at construction is the one a scan gives
+        assert ab._columns == _scanned_columns(ab)
+        # chained: ab's view feeds the next product
+        abc = ab @ c
+        assert abc == _kmatmul_oracle(_kmatmul_oracle(a, b), c)
+        assert abc._columns == _scanned_columns(abc)
+        assert c.rows == b.cols and (a @ (b @ c)) == abc
+        total = b + b2
+        assert total == _kadd_oracle(b, b2)
+        assert a @ total == _kmatmul_oracle(a, _kadd_oracle(b, b2))
+        # every entry sums to zero
+        cancel = ab + a @ -b
+        assert cancel == _kadd_oracle(ab, _kmatmul_oracle(a, -b))
+        assert _scanned_columns(cancel) == ((),) * cancel.cols
+
+    check()
+
+
 def test_spinor_coordinates_and_right_action():
     sig = Signature(3, 0)
     rep = build_representation(sig)
@@ -317,6 +418,20 @@ def _drop(*path):
     return corrupt
 
 
+def _set(*path):
+    """Set the value at the end of path inside a dumped component.  Equal
+    K-entries of a dump share one list, so an entry is replaced whole."""
+    *path, value = path
+
+    def corrupt(comp):
+        node = comp
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "pq, corrupt, field",
     [
@@ -335,6 +450,23 @@ def _drop(*path):
         ((0, 2), _drop("units", 1, "terms", 0, "mask"), "units[1].terms[0].mask is"),
         ((0, 2), _drop("units", 2, "terms", 0, "num"), "units[2].terms[0].num is"),
         ((1, 1), _drop("idempotent", "terms", 1, "den"), "idempotent.terms[1].den is"),
+        ((1, 1), _set("gammas", 0, 0, 0, ["1/0"]), "gammas[0][0][0][0] has a zero"),
+        ((0, 2), _set("unit_table", 1, 2, ["0", "0", "0", "-1/0"]), "unit_table[1][2][3] has a zero"),
+        ((1, 1), _set("gammas", 0, 1, 0, [None]), "gammas[0][1][0][0] is not a rational"),
+        ((0, 2), _set("unit_table", 0, 0, [None, "0", "0", "0"]), "unit_table[0][0][0] is not a rational"),
+        ((1, 1), _set("gammas", 1, 0, 1, [0.5]), "gammas[1][0][1][0] is not a rational"),
+        ((1, 1), _set("gammas", 0, 0, 0, [1]), "gammas[0][0][0][0] is not a rational"),
+        ((1, 1), _set("gammas", 0, 0, 0, ["1.5"]), "gammas[0][0][0][0] is not a rational"),
+        ((1, 1), _set("gammas", 0, 0, 0, [" 1"]), "gammas[0][0][0][0] is not a rational"),
+        ((1, 1), _set("gammas", 0, 0, 0, "1"), "gammas[0][0][0] is not a list"),
+        ((1, 1), _set("gammas", 0, 1, None), "gammas[0][1] is not a list"),
+        ((1, 1), _set("gammas", 1, None), "gammas[1] is not a list"),
+        ((0, 2), _set("unit_table", 2, None), "unit_table[2] is not a list"),
+        ((1, 1), _set("units", None), "units is not a list"),
+        ((1, 1), _set("unit_table", None), "unit_table is not a list"),
+        ((1, 1), _set("spinor_blades", None), "spinor_blades is not a list"),
+        ((1, 1), _set("spinor_blade_signs", None), "spinor_blade_signs is not a list"),
+        ((1, 1), _set("gammas", None), "gammas is not a list"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
@@ -349,6 +481,159 @@ def test_representation_json_names_a_missing_top_level_key():
     del data["frame"]
     with pytest.raises(ValueError, match=r"^frame is missing$"):
         representation_from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["frame", "components"])
+@pytest.mark.parametrize("value", [None, 3, {}])
+def test_representation_json_names_a_top_level_container_that_is_not_a_list(key, value):
+    data = representation_to_json_dict(build_representation(Signature(1, 1)))
+    data[key] = value
+    with pytest.raises(ValueError, match=rf"^{key} is not a list$"):
+        representation_from_json_dict(data)
+
+
+def test_representation_json_reads_every_rational_form():
+    data = representation_to_json_dict(build_representation(Signature(0, 2)))
+    data["components"][0]["gammas"][0][0][0] = ["-0", "6/4", "-3/1", "007"]
+    gamma = representation_from_json_dict(data).components[0].gammas[0]
+    assert gamma.entries[0][0] == (F0, Fraction(3, 2), Fraction(-3), Fraction(7))
+
+
+# ---------------------------------------------------------------------------
+# the real-basis lookup against the span solves it confirms
+
+
+def _spinor_coordinates_oracle(kb, sb, psi):
+    """K-coordinates of psi by span solve alone, as ``spinor_coordinates``
+    computed them before the lookup."""
+    coords = _solver(kb, sb).coordinates(dict(psi.terms))
+    if coords is None:
+        return None
+    return tuple(
+        tuple(coords.get((t, j), F0) for j in range(kb.dim)) for t in range(sb.size)
+    )
+
+
+def _matrix_of_oracle(u, kb, sb):
+    """Matrix of u by one span solve per column, as ``_matrix_of`` computed
+    it before the lookup."""
+    columns = []
+    for s in sb.elements:
+        col = _spinor_coordinates_oracle(kb, sb, u * s)
+        if col is None:
+            raise RepresentationError("product left the spinor ideal")
+        columns.append(col)
+    return KMatrix(
+        kb, tuple(tuple(col[i] for col in columns) for i in range(sb.size))
+    )
+
+
+def _random_element(sig, rng, terms):
+    """A sum of rational multiples of random blades."""
+    u = sig.scalar(0)
+    for _ in range(terms):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        u = u + sig.blade(rng.randrange(sig.dim), c)
+    return u
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_blade_matrices_match_the_span_solve(n, monkeypatch):
+    solves = []
+    solve = representation._solve
+    monkeypatch.setattr(
+        representation, "_solve", lambda *args: solves.append(args) or solve(*args)
+    )
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        for comp in build_representation(sig).components:
+            kb, sb = comp.kbasis, comp.basis
+            assert representation._real_basis_index(kb, sb) is not None
+            coeffs = (1, -1) if n <= 6 else (1,)
+            blades = [sig.blade(mask, c) for mask in range(sig.dim) for c in coeffs]
+            mats = [_matrix_of(u, kb, sb) for u in blades]
+            # every column was confirmed by the lookup: no solve was needed
+            assert solves == [], sig
+            for u, mat in zip(blades, mats):
+                assert mat == _matrix_of_oracle(u, kb, sb)
+                # the column view set at construction is the one a scan gives
+                assert mat._columns == KMatrix(kb, mat.entries)._columns
+
+
+@pytest.mark.parametrize("pq", [(2, 0), (1, 1), (0, 2), (3, 0), (0, 3), (2, 2), (1, 3)])
+def test_represent_of_multi_term_elements_matches_the_span_solve(pq):
+    sig = Signature(*pq)
+    rep = build_representation(sig)
+    rng = random.Random(808)
+    for _ in range(12):
+        u = _random_element(sig, rng, rng.randint(2, 4))
+        expected = tuple(
+            _matrix_of_oracle(u, comp.kbasis, comp.basis) for comp in rep.components
+        )
+        got = (represent(u, rep),) if rep.simple else represent_semisimple(u, rep)
+        assert got == expected
+        for comp in rep.components:
+            kb, sb = comp.kbasis, comp.basis
+            for psi in (u * sb.elements[0], u, sb.elements[-1] * Fraction(-3, 7)):
+                assert spinor_coordinates(kb, sb, psi) == _spinor_coordinates_oracle(
+                    kb, sb, psi
+                )
+
+
+def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
+    # A rational-rotor conjugate of the product idempotent of Cl(1,4), with
+    # the greedy spinor basis: its real basis shares leading masks, so the
+    # index is None and the solve decides every column.
+    f = _rotor_conjugate()
+    sig = f.signature
+    kb = division_ring_basis(f)
+    sb = spinor_basis(f, kb)
+    assert sb == _greedy_spinor_basis(f, kb)
+    assert representation._real_basis_index(kb, sb) is None
+    rng = random.Random(909)
+    elements = [sig.blade(mask) for mask in range(sig.dim)]
+    elements += [_random_element(sig, rng, 3) for _ in range(8)]
+    for u in elements:
+        assert _matrix_of(u, kb, sb) == _matrix_of_oracle(u, kb, sb)
+        psi = u * sb.elements[1]
+        assert spinor_coordinates(kb, sb, psi) == _spinor_coordinates_oracle(kb, sb, psi)
+
+
+def test_lookup_rejects_a_leading_mask_match_that_is_not_proportional():
+    sig = Signature(3, 0)
+    comp = build_representation(sig).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    s = sb.elements[1]
+    # the masks of s_1 are kept and its last coefficient is doubled
+    bent = s + sig.blade(*s.terms[-1])
+    assert bent.masks() == s.masks() and len(s.terms) > 1
+    assert spinor_coordinates(kb, sb, bent) is None
+    assert spinor_coordinates(kb, sb, s * 5) == _spinor_coordinates_oracle(kb, sb, s * 5)
+    assert spinor_coordinates(kb, sb, s + sb.elements[0]) == (kb.kone(), kb.kone())
+
+
+def test_repeated_spinor_blade_leaves_the_solve_to_decide():
+    sig = Signature(1, 1)
+    data = representation_to_json_dict(build_representation(sig))
+    data["components"][0]["spinor_blades"] = [0, 0]
+    comp = representation_from_json_dict(data).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    assert representation._real_basis_index(kb, sb) is None
+    assert _matrix_of(sig.scalar(1), kb, sb) == _matrix_of_oracle(sig.scalar(1), kb, sb)
+    with pytest.raises(RepresentationError, match="product left the spinor ideal"):
+        _matrix_of(sig.e(2), kb, sb)
+
+
+def test_solver_is_built_only_for_a_fallback():
+    sig = Signature(2, 1)
+    rep = build_representation(sig)
+    comp = rep.components[0]
+    kb, sb = comp.kbasis, comp.basis
+    for mask in range(sig.dim):
+        represent_semisimple(sig.blade(mask, -1), rep)
+    assert "_solver" not in sb.__dict__
+    assert spinor_coordinates(kb, sb, sig.e(2)) is None
+    assert "_solver" in sb.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +689,7 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
                 e * s for e, s in zip(greedy.elements, sb.blade_signs)
             )
             for i, gamma in enumerate(comp.gammas):
-                assert gamma == _matrix_of(sig.blade(1 << i), kb, sb)
+                assert gamma == _matrix_of_oracle(sig.blade(1 << i), kb, sb)
             # the coset kernel on the component's own tables, with its
             # column confirmations (for the second component, the run that
             # the negated first gammas replaced)

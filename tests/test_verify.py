@@ -1,9 +1,11 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
     Signature,
@@ -138,3 +140,41 @@ def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
     default = verify_range(5).to_json_dict()
     monkeypatch.setattr(verify, "_projected_rank_reaches", lambda *args: False)
     assert verify_range(5).to_json_dict() == default
+
+
+def test_lookup_falls_back_to_the_span_solve(monkeypatch):
+    default = verify_range(5).to_json_dict()
+    monkeypatch.setattr(representation, "_real_basis_index", lambda kb, sb: None)
+    assert verify_range(5).to_json_dict() == default
+
+
+def _psi_oracle(sig, vectors, rng):
+    """The sample psi as repr.irreducible drew it before the integer
+    accumulation: a Multivector sum, drawn again while zero."""
+    psi = sig.scalar(0)
+    while psi.is_zero():
+        psi = sig.scalar(0)
+        for v in vectors:
+            c = rng.randint(-3, 3)
+            if c:
+                psi = psi + v * c
+    return psi
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (0, 2), (2, 1), (1, 3), (3, 3)])
+def test_psi_sampler_matches_the_multivector_sum(pq):
+    sig = Signature(*pq)
+    for comp in build_representation(sig).components:
+        vectors = [s * u for s in comp.basis.elements for u in comp.kbasis.units]
+        # scaled copies give the vectors distinct denominators
+        vectors = [v * Fraction(k % 3 + 1, k % 4 + 1) for k, v in enumerate(vectors)]
+        draw = verify._psi_sampler(sig, vectors)
+        ours, theirs = random.Random(5), random.Random(5)
+        for _ in range(20):
+            assert draw(ours) == _psi_oracle(sig, vectors, theirs)
+        # a lone vector draws 0 one time in seven and is drawn again
+        ours, theirs = random.Random(7), random.Random(7)
+        lone = verify._psi_sampler(sig, vectors[:1])
+        for _ in range(20):
+            assert lone(ours) == _psi_oracle(sig, vectors[:1], theirs)
+        assert ours.getstate() == theirs.getstate()

@@ -127,7 +127,12 @@ def _ragged_gamma(d):
     gamma[0] = gamma[0][:1]
 
 
+def _repeat_spinor_blade(d):
+    d["components"][0]["spinor_blades"] = [0, 0]
+
+
 SHAPE_ERROR = {"error": "ValueError: shape mismatch: 1 columns vs 2 rows"}
+LEFT_IDEAL = {"error": "RepresentationError: product left the spinor ideal"}
 
 DUMP_CASES = {
     "repr.right_module": (
@@ -214,6 +219,18 @@ DUMP_CASES = {
             "repr.faithful_rank": {
                 "component_ranks": [1, 1], "joint_rank": 1, "dim": 2,
             },
+        },
+    ),
+    # With s_0 == s_1 == f the real basis {s_t u_j} repeats a leading mask,
+    # so the lookup has no index and the span solve decides: e2 f is
+    # outside the span of f.
+    "repr.homomorphism-repeated-blade": (
+        (1, 1),
+        _repeat_spinor_blade,
+        {
+            "repr.homomorphism": LEFT_IDEAL,
+            "repr.faithful_rank": LEFT_IDEAL,
+            "repr.right_module": LEFT_IDEAL,
         },
     ),
     # A check that raises fails under its own id; the checks that never
