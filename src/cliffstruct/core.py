@@ -104,6 +104,21 @@ def _negative_mask(sig: Signature) -> int:
     return (1 << sig.n) - (1 << sig.p)
 
 
+def _blade_times(
+    a: int, negate: bool, terms: Iterable[tuple[int, Rational]], negative: int
+) -> dict:
+    """The terms of +-e_a x as {mask: coefficient}, minus when ``negate``,
+    for x given by its (mask, coefficient) pairs.
+
+    e_a e_b = (-1)**popcount(a & q_b) e_{a ^ b} with q_b = _sign_mask(b,
+    negative), so a +-1 blade permutes the terms of x and only flips signs.
+    """
+    return {
+        a ^ b: -c if ((a & _sign_mask(b, negative)).bit_count() ^ negate) & 1 else c
+        for b, c in terms
+    }
+
+
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades as ``(sign, mask)`` with ``mask = a ^ b``.
 
@@ -215,14 +230,8 @@ class Multivector:
         if len(self.terms) == 1:
             a, ca = self.terms[0]
             if ca == 1 or ca == -1:
-                # e_a e_b = +-e_{a ^ b}: +-e_a permutes the terms of other and
-                # keeps their coefficients up to sign.
-                flip = ca < 0
-                moved = (
-                    (a ^ b, -cb if ((a & _sign_mask(b, negative)).bit_count() ^ flip) & 1 else cb)
-                    for b, cb in other.terms
-                )
-                return Multivector(self.signature, tuple(sorted(moved)))
+                moved = _blade_times(a, ca < 0, other.terms, negative)
+                return Multivector(self.signature, tuple(sorted(moved.items())))
         # Integer numerators over each operand's common denominator; one
         # normalized Fraction per output term.
         da, a_masks, a_nums = self._integer_terms()
@@ -406,20 +415,53 @@ def multivector_to_json_dict(u: Multivector) -> dict:
 
 
 def _field(data: Mapping, key: str, prefix: str = ""):
-    """data[key], or a ValueError naming the missing field."""
+    """data[key], or a ValueError naming the field when data is not an
+    object or has no key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{prefix[:-1] or 'the dump'} is not an object")
     if key not in data:
         raise ValueError(f"{prefix}{key} is missing")
     return data[key]
 
 
+def _list(value, where: str) -> list:
+    """value, or a ValueError naming the field when it is not a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} is not a list")
+    return value
+
+
+def _list_field(data: Mapping, key: str, prefix: str = "") -> list:
+    return _list(_field(data, key, prefix), prefix + key)
+
+
+def _integer(value, where: str) -> int:
+    """value as an int where JSON Schema's ``integer`` accepts it (1 and 1.0,
+    not 1.5, a string, a boolean or null), else a ValueError naming the
+    field."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{where} is not an integer: {value!r}")
+    return value
+
+
+def _integer_field(data: Mapping, key: str, prefix: str = "") -> int:
+    return _integer(_field(data, key, prefix), prefix + key)
+
+
 def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
-    """Inverse of :func:`multivector_to_json_dict`; a missing key or a zero
-    denominator raises a ValueError naming the field after ``prefix``."""
-    sig = Signature(int(_field(data, "p", prefix)), int(_field(data, "q", prefix)))
+    """Inverse of :func:`multivector_to_json_dict`; a missing key, a ``p``,
+    ``q`` or ``mask`` that is not an integer, a dump or term that is not an
+    object, or a zero denominator raises a ValueError naming the field after
+    ``prefix``."""
+    sig = Signature(
+        _integer_field(data, "p", prefix), _integer_field(data, "q", prefix)
+    )
     terms = []
-    for idx, t in enumerate(_field(data, "terms", prefix)):
+    for idx, t in enumerate(_list_field(data, "terms", prefix)):
         where = f"{prefix}terms[{idx}]."
-        mask = int(_field(t, "mask", where))
+        mask = _integer_field(t, "mask", where)
         num = int(_field(t, "num", where))
         den = int(_field(t, "den", where))
         if not den:

@@ -8,6 +8,12 @@ the units is therefore the fixed table of R, C or H; every product of two
 units is confirmed against it by exact multivector equality.  When the
 commutant fails to be a division ring of real dimension 1, 2, or 4, the
 search produces an exact witness and f is reported as not primitive.
+
+When f = prod (1 + s_i e_{g_i}) / 2 is a product over commuting square-one
+monomials, e_w f = +-f for every w in the GF(2) span W of the g_i, so the
+projections e_A f of one frame coset A + W agree up to sign.  K then keeps one
+candidate per frame coset: e_A f at the coset minimum A, for each A whose
+blade commutes with the frame.
 """
 
 from __future__ import annotations
@@ -34,12 +40,21 @@ _UNIT_PRODUCTS = (
     ((3, 1), (2, 1), (1, -1), (0, -1)),
 )
 
-# A K-element is a coordinate tuple against DivisionRingBasis.units.
+# A K-element is a coordinate tuple against DivisionRingBasis.units.  The
+# tables, identities and generator matrices built here hold integral
+# coordinates as ints and the others as Fractions; span solves and dumps give
+# Fractions.  The two agree on ==, hash and str, and mix exactly.
 KElement = tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+
+
+def _kcoordinate(num: int, den: int) -> int | Fraction:
+    """num / den as a K-coordinate: an int when den divides num, else a
+    Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 class NotPrimitiveError(ValueError):
@@ -70,10 +85,10 @@ class DivisionRingBasis:
         return len(self.units)
 
     def kzero(self) -> KElement:
-        return (_ZERO,) * self.dim
+        return (0,) * self.dim
 
     def kone(self) -> KElement:
-        return (_ONE,) + (_ZERO,) * (self.dim - 1)
+        return (1,) + (0,) * (self.dim - 1)
 
     def kadd(self, x: KElement, y: KElement) -> KElement:
         return tuple(a + b for a, b in zip(x, y))
@@ -98,7 +113,7 @@ class DivisionRingBasis:
         )
 
     def kmul(self, x: KElement, y: KElement) -> KElement:
-        out = [_ZERO] * self.dim
+        out = [0] * self.dim
         table = self._sparse_table
         for a, xa in enumerate(x):
             if not xa:
@@ -197,12 +212,16 @@ def _projections_general(f: Multivector) -> list[tuple[int, Multivector]]:
     return out
 
 
-def sandwich_projections(f: Multivector) -> list[tuple[int, Multivector]]:
-    """Nonzero values of f e_A f for every blade A, in ascending mask order.
+def commutant_candidates(f: Multivector) -> list[tuple[int, Multivector]]:
+    """Nonzero projections f e_A f spanning K = f Cl f, in ascending mask
+    order: for every blade A, or one per frame coset for product-form f.
 
     When f is an expanded half-sum product, f e_A f equals e_A f for blades
-    commuting with every product generator and vanishes otherwise, which
-    avoids the full quadratic sweep.
+    commuting with every product generator and vanishes otherwise.  Every
+    other e_B f of the coset A + W is +-e_A f, and e_A f of distinct cosets
+    have disjoint supports, so keeping the coset minima (no pivot bit of W's
+    echelon set) keeps the span and the first candidate of each coset in the
+    ascending order ``_search_unit`` scans.
     """
     form = _half_product_form(f)
     if form is None:
@@ -210,8 +229,14 @@ def sandwich_projections(f: Multivector) -> list[tuple[int, Multivector]]:
     gens, _ = form
     sig = f.signature
     tests = [_commute_mask(g, sig.n) for g in gens]
+    frame: dict[int, int] = {}
+    for g in gens:
+        gf2_insert(g, frame)
+    pivots = sum(1 << bit for bit in frame)
     out = []
     for mask in range(sig.dim):
+        if mask & pivots:
+            continue
         for t in tests:
             if (mask & t).bit_count() & 1:
                 break
@@ -358,7 +383,7 @@ def division_ring_basis(f: Multivector) -> DivisionRingBasis:
         raise ValueError("f must be a nonzero idempotent")
     if f * f != f:
         raise NotPrimitiveError("f is not idempotent")
-    candidates = sandwich_projections(f)
+    candidates = commutant_candidates(f)
     span = ExactSpan()
     for mask, v in candidates:
         span.add(dict(v.terms), mask)
@@ -383,6 +408,6 @@ def division_ring_basis(f: Multivector) -> DivisionRingBasis:
                 raise UnitConstructionError(
                     f"units[{a}] * units[{b}] != {'-' if s < 0 else ''}units[{c}]"
                 )
-            row.append(tuple(Fraction(s) if t == c else _ZERO for t in range(d)))
+            row.append(tuple(s if t == c else 0 for t in range(d)))
         table.append(tuple(row))
     return DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], tuple(table))

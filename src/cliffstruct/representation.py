@@ -41,7 +41,12 @@ from .core import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    _blade_times,
     _field,
+    _integer,
+    _integer_field,
+    _list,
+    _list_field,
     _negative_mask,
     _sign_mask,
     blades_commute,
@@ -55,13 +60,13 @@ from .division import (
     DivisionRingBasis,
     KElement,
     _half_product_form,
+    _kcoordinate,
     division_ring_basis,
 )
 from .idempotents import MonomialFrame, find_frame, primitive_idempotent
 from .linalg import ExactSpan, gf2_insert, gf2_reduce
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class RepresentationError(RuntimeError):
@@ -103,11 +108,15 @@ class KMatrix:
 
     @staticmethod
     def identity(kb: DivisionRingBasis, size: int) -> "KMatrix":
-        return KMatrix.scalar_matrix(kb, size, _ONE)
+        return KMatrix.scalar_matrix(kb, size, 1)
 
     @staticmethod
-    def scalar_matrix(kb: DivisionRingBasis, size: int, value: Fraction) -> "KMatrix":
-        diag = (Fraction(value),) + (_ZERO,) * (kb.dim - 1)
+    def scalar_matrix(
+        kb: DivisionRingBasis, size: int, value: int | Fraction
+    ) -> "KMatrix":
+        value = Fraction(value)
+        diag = (_kcoordinate(value.numerator, value.denominator),)
+        diag += (0,) * (kb.dim - 1)
         zero = kb.kzero()
         return KMatrix(
             kb,
@@ -393,13 +402,9 @@ def _coset_gammas(
             rhs = real_basis.get((s, j))
             if rhs is None:
                 uden, umasks, unums = kb.units[j]._integer_terms()
-                flip = sb.blade_signs[s] < 0
-                terms = {
-                    a ^ m: -c
-                    if ((a & _sign_mask(m, negative)).bit_count() ^ flip) & 1
-                    else c
-                    for m, c in zip(umasks, unums)
-                }
+                terms = _blade_times(
+                    a, sb.blade_signs[s] < 0, zip(umasks, unums), negative
+                )
                 lead = min(terms)
                 rhs = real_basis[s, j] = (uden, terms, lead, terms[lead])
             rden, rterms, lead, r0 = rhs
@@ -413,12 +418,12 @@ def _coset_gammas(
                 raise RepresentationError(
                     f"e{i + 1} s_{t} is not a multiple of s_{s} u_{j}"
                 )
-            lam = Fraction(l0 * rden, r0 * lden)
-            key = (j, lam.numerator, lam.denominator)
+            lam = _kcoordinate(l0 * rden, r0 * lden)
+            key = (j, lam)
             entry = entries.get(key)
             if entry is None:
                 entry = entries[key] = tuple(
-                    lam if jj == j else _ZERO for jj in range(kb.dim)
+                    lam if jj == j else 0 for jj in range(kb.dim)
                 )
             rows[s][t] = entry
         gammas.append(KMatrix(kb, tuple(map(tuple, rows))))
@@ -505,8 +510,8 @@ def _lookup(
         c * r0 != rnums.get(b, 0) * l0 for b, c in nums.items()
     ):
         return None
-    lam = Fraction(l0 * rden, r0 * den)
-    return t, tuple(lam if jj == j else _ZERO for jj in range(kb.dim))
+    lam = _kcoordinate(l0 * rden, r0 * den)
+    return t, tuple(lam if jj == j else 0 for jj in range(kb.dim))
 
 
 def spinor_coordinates(
@@ -545,14 +550,8 @@ def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatri
             u._check_same(s)
             psi = None
             a, ca = blade
-            flip = ca < 0
             den, masks, nums = s._integer_terms()
-            terms = {
-                a ^ b: -c
-                if ((a & _sign_mask(b, negative)).bit_count() ^ flip) & 1
-                else c
-                for b, c in zip(masks, nums)
-            }
+            terms = _blade_times(a, ca < 0, zip(masks, nums), negative)
         hit = _lookup(kb, sb, den, terms)
         if hit is not None:
             column = [hit]
@@ -637,15 +636,11 @@ def build_representation(sig: Signature) -> Representation:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _list(value, where: str) -> list:
-    """value, or a ValueError naming the field when it is not a list."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} is not a list")
-    return value
-
-
-def _list_field(data: Mapping, key: str, prefix: str = "") -> list:
-    return _list(_field(data, key, prefix), prefix + key)
+def _integer_list(data: Mapping, key: str, prefix: str = "") -> tuple[int, ...]:
+    return tuple(
+        _integer(m, f"{prefix}{key}[{i}]")
+        for i, m in enumerate(_list_field(data, key, prefix))
+    )
 
 
 def _kelement_from_json(data, where: str) -> KElement:
@@ -712,9 +707,9 @@ def representation_to_json_dict(rep: Representation) -> dict:
 def representation_from_json_dict(data: Mapping) -> Representation:
     """Rebuild a representation from its dump without recomputing anything
     that the dump pins down, so re-verification sees exactly the dumped data."""
-    sig = Signature(int(_field(data, "p")), int(_field(data, "q")))
+    sig = Signature(_integer_field(data, "p"), _integer_field(data, "q"))
     cls = classify(sig)
-    frame = MonomialFrame(sig, tuple(int(m) for m in _list_field(data, "frame")))
+    frame = MonomialFrame(sig, _integer_list(data, "frame"))
     components = []
     for ci, comp in enumerate(_list_field(data, "components")):
         where = f"components[{ci}]."
@@ -739,9 +734,11 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                 f" with {d} coordinates each"
             )
         kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
-        blades = tuple(int(m) for m in _list_field(comp, "spinor_blades", where))
+        blades = _integer_list(comp, "spinor_blades", where)
         signs = _list_field(comp, "spinor_blade_signs", where)
-        if len(signs) != len(blades) or any(s not in (1, -1) for s in signs):
+        if len(signs) != len(blades) or any(
+            s not in (1, -1) or isinstance(s, bool) for s in signs
+        ):
             raise ValueError(
                 f"{where}spinor_blade_signs must hold one sign of"
                 f" +1 or -1 per spinor blade ({len(blades)})"

@@ -30,6 +30,7 @@ from .core import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    _blade_times,
     _negative_mask,
     _sign_mask,
 )
@@ -42,7 +43,7 @@ from .idempotents import (
     primitive_idempotent,
     sign_vectors,
 )
-from .linalg import ExactSpan, span_of
+from .linalg import ExactSpan, rank_mod_p, span_of
 from .representation import (
     Component,
     KMatrix,
@@ -116,10 +117,19 @@ class RangeSummary:
 
 
 def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
-    """R-dimension of Cl(p,q) f by row reduction over all blade left-multiples."""
+    """R-dimension of Cl(p,q) f by row reduction over all blade left-multiples.
+
+    Each row e_A f is read off f's integer numerators as a signed permutation
+    (a common multiple that leaves the rank as it is), with no product formed.
+    """
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
-    return span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim)).rank
+    _, masks, nums = f._integer_terms()
+    terms = list(zip(masks, nums))
+    negative = _negative_mask(sig)
+    return span_of(
+        _blade_times(a, False, terms, negative) for a in range(sig.dim)
+    ).rank
 
 
 @dataclass
@@ -259,9 +269,7 @@ def _generator_relations(ctx: _Context) -> dict | None:
         for i in range(sig.n):
             for j in range(i, sig.n):
                 eta = sig.generator_square(i + 1) if i == j else 0
-                expected = KMatrix.scalar_matrix(
-                    comp.kbasis, comp.basis.size, Fraction(2 * eta)
-                )
+                expected = KMatrix.scalar_matrix(comp.kbasis, comp.basis.size, 2 * eta)
                 if g[i] @ g[j] + g[j] @ g[i] != expected:
                     return {"component": ci, "i": i + 1, "j": j + 1}
     return None
@@ -296,27 +304,28 @@ def _projected_rank_reaches(
     ``rank``.
 
     The coefficient of e_A psi at m is +-psi[A xor m], so no product is
-    formed.  A projection never raises rank, so True proves that the full
-    rows reach ``rank`` too; False decides nothing.  The rows are read off
-    psi's integer numerators, a common multiple that leaves the rank as it
-    is.
+    formed.  A projection never raises rank, and neither does reduction
+    modulo a prime, so True proves that the full rows reach ``rank`` over Q
+    too; False decides nothing.  The rows are read off psi's integer
+    numerators, a common multiple that leaves the rank as it is.
     """
     if len(masks) < rank:
         return False
     _, psi_masks, nums = psi._integer_terms()
     coeffs = dict(zip(psi_masks, nums))
     negative = _negative_mask(sig)
-    span = ExactSpan()
-    for a in range(sig.dim):
-        row = {}
-        for m in masks:
-            b = a ^ m
-            c = coeffs.get(b)
-            if c:
-                row[m] = -c if (a & _sign_mask(b, negative)).bit_count() & 1 else c
-        if span.add(row, a) and span.rank == rank:
-            return True
-    return False
+
+    def rows():
+        for a in range(sig.dim):
+            row = {}
+            for m in masks:
+                b = a ^ m
+                c = coeffs.get(b)
+                if c:
+                    row[m] = -c if (a & _sign_mask(b, negative)).bit_count() & 1 else c
+            yield row
+
+    return rank_mod_p(rows(), rank) == rank
 
 
 def _psi_sampler(sig: Signature, vectors: list[Multivector]):
@@ -392,10 +401,7 @@ def _right_module(ctx: _Context) -> dict | None:
         solved = ctx.solved[ci]
         # per spinor s, what no mask changes: its coordinate column, that
         # column times each unit tuple mu, and the products s u_j
-        mus = [
-            tuple(Fraction(int(jj == j)) for jj in range(kb.dim))
-            for j in range(kb.dim)
-        ]
+        mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
         spinors = []
         for s in sb.elements[:3]:
             col = KMatrix(kb, tuple((e,) for e in spinor_coordinates(kb, sb, s)))

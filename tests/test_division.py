@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,14 @@ from cliffstruct.division import (
     _commute_mask,
     _half_product_form,
     _projections_general,
-    sandwich_projections,
+    commutant_candidates,
 )
-from cliffstruct.linalg import ExactSpan
+from cliffstruct.idempotents import sign_vectors
+from cliffstruct.linalg import ExactSpan, gf2_insert, gf2_reduce
 
 HALF = Fraction(1, 2)
+# The candidate-sweep oracle runs to n <= 9 with CLIFFSTRUCT_SLOW=1.
+ORACLE_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 7
 
 
 def all_signatures(max_n):
@@ -42,6 +46,17 @@ def _rotor_conjugate():
         "1/4 - 3/65*e1 - 4/65*e12 - 12/65*e14 + 3/20*e234 - 3/20*e15"
         " - 12/65*e235 - 4/65*e345 - 3/65*e2345 + 1/4*e12345",
     )
+
+
+def _conjugated_cl20_idempotent():
+    """A rational conjugate a f a^-1 of the product idempotent (1 + e1)/2 of
+    Cl(2,0), which is not in product form."""
+    sig = Signature(2, 0)
+    f = (sig.scalar(1) + sig.e(1)) * HALF
+    a = sig.scalar(1) + sig.e(1, 2) * HALF  # invertible: a^-1 = 1 - e12/2 scaled
+    a_inv = (sig.scalar(1) - sig.e(1, 2) * HALF) * Fraction(4, 5)
+    assert a * a_inv == sig.scalar(1)
+    return a * f * a_inv
 
 
 def _solved_unit_table(units):
@@ -214,12 +229,87 @@ def test_half_product_form_recognition():
     assert _half_product_form((sig.scalar(1) + sig.e(1)) * HALF + sig.e(2, 3)) is None
 
 
+def _all_commuting_projections(f):
+    """e_A f for every blade A commuting with the frame of a product-form f,
+    in ascending mask order: the candidate sweep before one candidate per
+    frame coset, kept as the oracle for ``commutant_candidates``."""
+    gens, _ = _half_product_form(f)
+    sig = f.signature
+    tests = [_commute_mask(g, sig.n) for g in gens]
+    out = []
+    for mask in range(sig.dim):
+        for t in tests:
+            if (mask & t).bit_count() & 1:
+                break
+        else:
+            out.append((mask, sig.blade(mask) * f))
+    return out
+
+
+def _frame_echelon(f):
+    gens, _ = _half_product_form(f)
+    echelon = {}
+    for g in gens:
+        gf2_insert(g, echelon)
+    return echelon
+
+
 def test_fast_projections_agree_with_general_sweep():
     for sig in all_signatures(4):
         result = complete_set(find_frame(sig))
         for f in result.idempotents:
             assert _half_product_form(f) is not None
-            assert sandwich_projections(f) == _projections_general(f)
+            general = _projections_general(f)
+            assert _all_commuting_projections(f) == general
+            # the candidates are the general projections at the coset minima
+            echelon = _frame_echelon(f)
+            candidates = commutant_candidates(f)
+            assert candidates == [
+                (m, v) for m, v in general if gf2_reduce(m, echelon) == m
+            ]
+            # and every general projection is +- the candidate of its coset
+            by_coset = dict(candidates)
+            for m, v in general:
+                c = by_coset[gf2_reduce(m, echelon)]
+                assert v == c or v == -c
+
+
+@pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
+def test_division_ring_basis_matches_the_full_candidate_sweep(n, monkeypatch):
+    fs = []
+    for p in range(n + 1):
+        frame = find_frame(Signature(p, n - p))
+        fs += [primitive_idempotent(frame, sv) for sv in sign_vectors(frame.k)]
+    fast = [division_ring_basis(f) for f in fs]
+    monkeypatch.setattr(division, "commutant_candidates", _all_commuting_projections)
+    for f, kb in zip(fs, fast):
+        oracle = division_ring_basis(f)
+        assert oracle.units == kb.units
+        assert oracle.table == kb.table
+        assert oracle.ktype == kb.ktype
+
+
+def _not_primitive_product_forms():
+    """Product-form idempotents whose commutant is not a division ring."""
+    yield Signature(2, 0).scalar(1)  # Mat(2,R): a unit candidate squares to +f
+    yield Signature(1, 1).scalar(1)
+    yield Signature(0, 3).scalar(1)  # dimension 8
+    yield Signature(1, 0).scalar(1)  # R + R
+    sig = Signature(3, 1)  # one factor short of the frame's two
+    yield (sig.scalar(1) + sig.e(1)) * HALF
+    sig = Signature(2, 3)
+    yield (sig.scalar(1) + sig.e(1, 3)) * HALF
+
+
+@pytest.mark.parametrize("f", _not_primitive_product_forms(), ids=str)
+def test_not_primitive_message_matches_the_full_candidate_sweep(f, monkeypatch):
+    assert _half_product_form(f) is not None
+    with pytest.raises(NotPrimitiveError) as fast:
+        division_ring_basis(f)
+    monkeypatch.setattr(division, "commutant_candidates", _all_commuting_projections)
+    with pytest.raises(NotPrimitiveError) as oracle:
+        division_ring_basis(f)
+    assert str(fast.value) == str(oracle.value)
 
 
 def test_commute_mask_decides_blades_commute():
@@ -233,12 +323,7 @@ def test_commute_mask_decides_blades_commute():
 def test_general_path_used_for_non_product_idempotents():
     # 1 = f+ + f- in Cl(1,0) is GF(2)-closed but recognized and handled;
     # a conjugated idempotent falls back to the general sweep.
-    sig = Signature(2, 0)
-    f = (sig.scalar(1) + sig.e(1)) * HALF
-    a = sig.scalar(1) + sig.e(1, 2) * HALF  # invertible: a^-1 = 1 - e12/2 scaled
-    a_inv = (sig.scalar(1) - sig.e(1, 2) * HALF) * Fraction(4, 5)
-    assert a * a_inv == sig.scalar(1)
-    g = a * f * a_inv
+    g = _conjugated_cl20_idempotent()
     assert g * g == g
     assert _half_product_form(g) is None
     kb = division_ring_basis(g)

@@ -272,7 +272,10 @@ def test_kmatrix_arithmetic_matches_the_dense_loops():
         for pq in ((1, 1), (0, 1), (0, 2))
     ]
     assert [kb.ktype for kb in bases] == ["R", "C", "H"]
-    coordinate = st.sampled_from([F0, F0, F1, -F1, HALF, Fraction(-3, 2)])
+    # integral coordinates come as an int or a Fraction, as K-entries do
+    coordinate = st.sampled_from(
+        [0, F0, 0, F0, 1, F1, -1, -F1, 2, Fraction(2), HALF, Fraction(-3, 2)]
+    )
 
     @st.composite
     def operands(draw):
@@ -307,8 +310,34 @@ def test_kmatrix_arithmetic_matches_the_dense_loops():
         cancel = ab + a @ -b
         assert cancel == _kadd_oracle(ab, _kmatmul_oracle(a, -b))
         assert _scanned_columns(cancel) == ((),) * cancel.cols
+        # mixing ints and Fractions is exact: the same as all Fractions
+        fa, fb, fc = (_as_fractions(m) for m in (a, b, c))
+        assert _kmatmul_oracle(fa, fb) == ab and (fa @ fb) @ fc == abc
+        assert _kadd_oracle(fb, _as_fractions(b2)) == total
 
     check()
+
+
+def _as_fractions(mat):
+    return KMatrix(
+        mat.basis,
+        tuple(tuple(tuple(map(Fraction, e)) for e in row) for row in mat.entries),
+    )
+
+
+def test_integral_k_coordinates_are_ints():
+    for pq in [(1, 1), (3, 0), (0, 2), (1, 0), (2, 3)]:
+        rep = build_representation(Signature(*pq))
+        for comp in rep.components:
+            kb = comp.kbasis
+            coords = [*kb.kone(), *kb.kzero()]
+            coords += [c for row in kb.table for entry in row for c in entry]
+            coords += [c for g in comp.gammas for row in g.entries for e in row for c in e]
+            assert all(type(c) is int for c in coords)
+    kb = build_representation(Signature(0, 2)).components[0].kbasis
+    assert KMatrix.scalar_matrix(kb, 1, Fraction(4, 2)).entries == (((2, 0, 0, 0),),)
+    assert type(KMatrix.scalar_matrix(kb, 1, Fraction(4, 2)).entries[0][0][0]) is int
+    assert type(KMatrix.scalar_matrix(kb, 1, HALF).entries[0][0][0]) is Fraction
 
 
 def test_spinor_coordinates_and_right_action():
@@ -467,6 +496,23 @@ def _set(*path):
         ((1, 1), _set("spinor_blades", None), "spinor_blades is not a list"),
         ((1, 1), _set("spinor_blade_signs", None), "spinor_blade_signs is not a list"),
         ((1, 1), _set("gammas", None), "gammas is not a list"),
+        # integer fields take what the schema's integer takes
+        ((1, 1), _set("spinor_blades", [None, 2]), "spinor_blades[0] is not an integer"),
+        ((1, 1), _set("spinor_blades", [0.9, 2]), "spinor_blades[0] is not an integer"),
+        ((1, 1), _set("spinor_blades", ["0", 2]), "spinor_blades[0] is not an integer"),
+        ((1, 1), _set("spinor_blades", [0, True]), "spinor_blades[1] is not an integer"),
+        ((1, 1), _set("spinor_blade_signs", [True, 1]), "spinor_blade_signs"),
+        ((1, 1), _set("spinor_blade_signs", [1, False]), "spinor_blade_signs"),
+        ((1, 1), _set("idempotent", "p", None), "idempotent.p is not an integer"),
+        ((1, 1), _set("idempotent", "p", 1.5), "idempotent.p is not an integer"),
+        ((1, 1), _set("idempotent", "q", "1"), "idempotent.q is not an integer"),
+        ((1, 1), _set("idempotent", "p", True), "idempotent.p is not an integer"),
+        ((0, 2), _set("units", 1, "terms", 0, "mask", 1.5), "units[1].terms[0].mask is not an integer"),
+        ((0, 2), _set("units", 1, "terms", 0, "mask", "3"), "units[1].terms[0].mask is not an integer"),
+        ((0, 2), _set("units", 1, "terms", 0, None), "units[1].terms[0] is not an object"),
+        ((0, 2), _set("units", 1, None), "units[1] is not an object"),
+        ((1, 1), _set("idempotent", None), "idempotent is not an object"),
+        ((1, 1), _set("idempotent", "terms", None), "idempotent.terms is not a list"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
@@ -474,6 +520,49 @@ def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
     corrupt(data["components"][0])
     with pytest.raises(ValueError, match=r"components\[0\]\." + re.escape(field)):
         representation_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("p", None, "p is not an integer: None"),
+        ("p", 1.5, "p is not an integer: 1.5"),
+        ("p", "1", "p is not an integer: '1'"),
+        ("p", True, "p is not an integer: True"),
+        ("q", [1], "q is not an integer: [1]"),
+        ("frame", [1.7], "frame[0] is not an integer: 1.7"),
+        ("frame", ["3"], "frame[0] is not an integer: '3'"),
+        ("components", [None], "components[0] is not an object"),
+        ("components", [[]], "components[0] is not an object"),
+    ],
+)
+def test_representation_json_rejects_malformed_top_level_fields(key, value, message):
+    data = representation_to_json_dict(build_representation(Signature(1, 1)))
+    data[key] = value
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        representation_from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [None, [], "{}"])
+def test_representation_json_rejects_a_dump_that_is_not_an_object(data):
+    with pytest.raises(ValueError, match="^the dump is not an object$"):
+        representation_from_json_dict(data)
+
+
+def test_representation_json_reads_integral_floats_as_integers():
+    # the schema's integer takes 1.0 as it takes 1
+    data = representation_to_json_dict(build_representation(Signature(1, 1)))
+    rep = representation_from_json_dict(data)
+    data["p"] = 1.0
+    data["frame"] = [float(m) for m in data["frame"]]
+    comp = data["components"][0]
+    comp["spinor_blades"] = [float(m) for m in comp["spinor_blades"]]
+    comp["idempotent"]["q"] = 1.0
+    comp["idempotent"]["terms"][1]["mask"] = 1.0
+    again = representation_from_json_dict(data)
+    assert again == rep
+    assert all(type(m) is int for m in again.frame.monomials)
+    assert all(type(m) is int for m in again.components[0].basis.blades)
 
 
 def test_representation_json_names_a_missing_top_level_key():

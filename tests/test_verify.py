@@ -20,8 +20,15 @@ from cliffstruct import (
     verify_representation,
     verify_signature,
 )
+from cliffstruct.idempotents import sign_vectors
+from cliffstruct.linalg import ExactSpan, span_of
+
+from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
 
 HALF = Fraction(1, 2)
+SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
+# The ideal-dimension oracle runs to n <= 9 with CLIFFSTRUCT_SLOW=1.
+ORACLE_MAX_N = 9 if SLOW else 7
 
 
 def test_brute_force_ideal_dims():
@@ -49,6 +56,46 @@ def test_ideal_dim_matches_formula():
             frame = find_frame(sig)
             f = primitive_idempotent(frame, (1,) * frame.k)
             assert brute_force_minimal_ideal_dim(sig, f) == sig.dim >> frame.k
+
+
+def _ideal_dim_oracle(sig, f):
+    """R-dimension of Cl(p,q) f ranked on the Multivector rows e_A f, as
+    ``brute_force_minimal_ideal_dim`` computed it before the integer rows."""
+    return span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim)).rank
+
+
+@pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
+def test_ideal_dim_matches_the_multivector_rows_on_every_idempotent(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        frame = find_frame(sig)
+        for sv in sign_vectors(frame.k):
+            f = primitive_idempotent(frame, sv)
+            assert brute_force_minimal_ideal_dim(sig, f) == _ideal_dim_oracle(sig, f)
+
+
+def _random_multivectors(seed, count):
+    """Seeded sums of rational multiples of random blades, n <= 6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 6)
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        terms = {
+            rng.randrange(sig.dim): Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 7)))
+            for _ in range(rng.randint(1, 6))
+        }
+        yield sum((sig.blade(m, c) for m, c in terms.items()), sig.scalar(0))
+
+
+def test_ideal_dim_matches_the_multivector_rows_off_the_product_form():
+    elements = [_rotor_conjugate(), _conjugated_cl20_idempotent()]
+    assert all(f * f == f for f in elements)
+    elements += list(_random_multivectors(seed=2024, count=200))
+    assert any(u * u != u for u in elements)
+    for u in elements:
+        sig = u.signature
+        assert brute_force_minimal_ideal_dim(sig, u) == _ideal_dim_oracle(sig, u)
 
 
 def test_verify_signature_trivial():
@@ -134,6 +181,40 @@ def test_verify_sweep_through_n9():
         if not r.passed
     }
     assert failures == {}
+
+
+def _projected_rank_oracle(sig, psi, masks, rank):
+    """``_projected_rank_reaches`` by ``ExactSpan`` elimination over Q, as
+    it was computed before the rank modulo a prime."""
+    if len(masks) < rank:
+        return False
+    span = ExactSpan()
+    for a in range(sig.dim):
+        row = {m: (sig.blade(a) * psi).coefficient(m) for m in masks}
+        if span.add(row, a) and span.rank == rank:
+            return True
+    return False
+
+
+def test_irreducible_certificate_matches_the_rational_rank(monkeypatch):
+    certificate = verify._projected_rank_reaches
+    calls = []
+
+    def both(sig, psi, masks, rank):
+        got = certificate(sig, psi, masks, rank)
+        assert got == _projected_rank_oracle(sig, psi, masks, rank)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_projected_rank_reaches", both)
+    assert verify_range(5).passed
+    assert len(calls) > 100 and all(calls)
+    # too few masks, or rows of lower rank, give False
+    sig = Signature(1, 1)
+    psi = sig.scalar(1) + sig.e(1)
+    assert not certificate(sig, psi, [0, 1], 3)
+    assert not certificate(sig, psi, [0, 1, 2, 3], 3)
+    assert certificate(sig, sig.scalar(1) + sig.e(2), [0, 1, 2, 3], 4)
 
 
 def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
