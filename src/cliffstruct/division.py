@@ -1,31 +1,32 @@
-"""The commutant ring K = f Cl(p,q) f of an idempotent, with canonical units.
+"""The division ring K = f Cl(p,q) f of a product idempotent, with canonical units.
 
-For a primitive idempotent f the commutant is a division ring isomorphic to
-R, C, or H.  The construction is fully exact: imaginary units are found among
-blade projections f e_A f and normalized only by rational factors, so unit
-relations such as i**2 == -f hold on the nose.  The multiplication table of
-the units is therefore the fixed table of R, C or H; every product of two
-units is confirmed against it by exact multivector equality.  When the
-commutant fails to be a division ring of real dimension 1, 2, or 4, the
-search produces an exact witness and f is reported as not primitive.
+f = prod (1 + s_i e_{g_i}) / 2 is a product over a monomial frame (a
+``ProductIdempotent``; a multivector is recognized first, and one of any
+other form is rejected with a ValueError).  Then e_w f = +-f for every w in
+the GF(2) span W of the g_i, and f e_A f is e_A f when e_A commutes with
+every g_i and 0 otherwise.  So K has one basis element e_C f per frame
+coset C + W of commuting blades, taken at its minimum C, and its real
+dimension d is the number of these cosets, a power of two.
 
-When f = prod (1 + s_i e_{g_i}) / 2 is a product over commuting square-one
-monomials, e_w f = +-f for every w in the GF(2) span W of the g_i, so the
-projections e_A f of one frame coset A + W agree up to sign.  K then keeps one
-candidate per frame coset: e_A f at the coset minimum A, for each A whose
-blade commutes with the frame.
+Each e_C f squares to e_C^2 f, so the units are read off the masks C_0 = 0
+< C_1 < C_2 < C_3: f, then i = e_{C_1} f, j = e_{C_2} f, and k = i j.
+A unit whose blade squares to +1 is an exact witness of zero divisors, and
+d > 4 is too large for a division ring; either way f is not primitive.  The
+multiplication table of the units is the fixed table of R, C or H, and
+every product of two units is confirmed against it by exact multivector
+equality, so unit relations such as i**2 == -f hold on the nose.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION
-from .core import Multivector, Signature, blade_square_sign, blades_commute, grade
-from .linalg import ExactSpan, gf2_insert
+from .core import Multivector, blade_square_sign, grade
+from .idempotents import ProductIdempotent, product_form
+from .linalg import ExactSpan
 
 KTYPE_BY_DIM = {d: ktype for ktype, d in K_DIMENSION.items()}
 UNIT_NAMES = ("1", "i", "j", "k")
@@ -47,8 +48,6 @@ _UNIT_PRODUCTS = (
 KElement = tuple
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 def _kcoordinate(num: int, den: int) -> int | Fraction:
@@ -62,7 +61,7 @@ class NotPrimitiveError(ValueError):
 
 
 class UnitConstructionError(RuntimeError):
-    """No unit with square exactly -f is reachable by rational scaling."""
+    """A product of two units differs from the table of R, C or H."""
 
 
 @dataclass(frozen=True)
@@ -150,101 +149,6 @@ class DivisionRingBasis:
         return out
 
 
-def _expand_product(sig: Signature, monomials, signs) -> Multivector:
-    """The expanded product of the factors (1 + s_i e_{m_i}) / 2, in order."""
-    f = sig.scalar(1)
-    for mask, s in zip(monomials, signs):
-        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
-    return f
-
-
-def _half_product_form(f: Multivector):
-    """Recognize f as an expanded product of commuting factors (1 + s*e_m)/2.
-
-    Such an f has 2^j terms with coefficients +-1/2^j whose masks form a
-    GF(2)-closed set.  Returns (generator_masks, signs) or None; the
-    recovered generators are checked to commute, square to +1, and reproduce
-    f exactly, so a non-None result is trustworthy.
-    """
-    terms = f.terms
-    count = len(terms)
-    if count == 0 or count & (count - 1):
-        return None
-    j = count.bit_length() - 1
-    if terms[0][0] != 0:
-        return None
-    unit_coeff = Fraction(1, 1 << j)
-    masks = []
-    for mask, coeff in terms:
-        if coeff != unit_coeff and coeff != -unit_coeff:
-            return None
-        masks.append(mask)
-    mask_set = set(masks)
-    for x in masks:
-        for y in masks:
-            if x ^ y not in mask_set:
-                return None
-    echelon: dict[int, int] = {}
-    basis = [m for m in masks if gf2_insert(m, echelon)]
-    if len(basis) != j:
-        return None
-    sig = f.signature
-    for pos, a in enumerate(basis):
-        if blade_square_sign(a, sig) != 1:
-            return None
-        for b in basis[pos + 1 :]:
-            if not blades_commute(a, b):
-                return None
-    coeffs = dict(terms)
-    signs = tuple(1 if coeffs[m] > 0 else -1 for m in basis)
-    if _expand_product(sig, basis, signs) != f:
-        return None
-    return tuple(basis), signs
-
-
-def _projections_general(f: Multivector) -> list[tuple[int, Multivector]]:
-    sig = f.signature
-    out = []
-    for mask in range(sig.dim):
-        v = (f * sig.blade(mask)) * f
-        if not v.is_zero():
-            out.append((mask, v))
-    return out
-
-
-def commutant_candidates(f: Multivector) -> list[tuple[int, Multivector]]:
-    """Nonzero projections f e_A f spanning K = f Cl f, in ascending mask
-    order: for every blade A, or one per frame coset for product-form f.
-
-    When f is an expanded half-sum product, f e_A f equals e_A f for blades
-    commuting with every product generator and vanishes otherwise.  Every
-    other e_B f of the coset A + W is +-e_A f, and e_A f of distinct cosets
-    have disjoint supports, so keeping the coset minima (no pivot bit of W's
-    echelon set) keeps the span and the first candidate of each coset in the
-    ascending order ``_search_unit`` scans.
-    """
-    form = _half_product_form(f)
-    if form is None:
-        return _projections_general(f)
-    gens, _ = form
-    sig = f.signature
-    tests = [_commute_mask(g, sig.n) for g in gens]
-    frame: dict[int, int] = {}
-    for g in gens:
-        gf2_insert(g, frame)
-    pivots = sum(1 << bit for bit in frame)
-    out = []
-    for mask in range(sig.dim):
-        if mask & pivots:
-            continue
-        for t in tests:
-            if (mask & t).bit_count() & 1:
-                break
-        else:
-            out.append((mask, sig.blade(mask) * f))
-    return out
-
-
 def _commute_mask(g: int, n: int) -> int:
     """Mask L with e_a e_g == e_g e_a exactly when popcount(a & L) is even,
     for every blade a of an n-generator algebra.
@@ -256,120 +160,32 @@ def _commute_mask(g: int, n: int) -> int:
     return g ^ ((1 << n) - 1) if grade(g) & 1 else g
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x <= 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
+def _commuting_cosets(product: ProductIdempotent) -> list[int]:
+    """Ascending minima C of the frame cosets C + W whose blades commute
+    with every frame mask: the masks with no pivot bit of W's echelon that
+    pass each frame mask's ``_commute_mask`` test.  The e_C f span K."""
+    n = product.f.signature.n
+    pivots = sum(1 << bit for bit in product.echelon)
+    tests = [_commute_mask(g, n) for g in product.masks]
+    return [
+        mask
+        for mask in range(1 << n)
+        if not mask & pivots and not any((mask & t).bit_count() & 1 for t in tests)
+    ]
 
 
-def _scalar_multiple_of(f: Multivector, u: Multivector) -> Fraction | None:
-    """c with u == c * f, or None when u is not a rational multiple of f."""
-    if u.is_zero():
-        return _ZERO
-    lead_mask, lead_coeff = f.terms[0]
-    c = u.coefficient(lead_mask) / lead_coeff
-    if c and f * c == u:
-        return c
-    return None
-
-
-def _orthogonalized(
-    f: Multivector, imaginary: list[Multivector], v: Multivector
-) -> Multivector | None:
-    """Trace-free part of v made anticommuting with the chosen imaginary units.
-
-    Solves v**2 = alpha*f + beta*v to strip the trace, then corrects against
-    each existing unit u via the symmetric product u*w + w*u = tau*f.  Returns
-    None when v does not behave quadratically over f (impossible inside a
-    division ring, so the caller just skips such candidates).
-    """
-    span = ExactSpan()
-    span.add(dict(f.terms), "f")
-    span.add(dict(v.terms), "v")
-    coords = span.coordinates(dict((v * v).terms))
-    if coords is None:
-        return None
-    beta = coords.get("v", _ZERO)
-    w = v - f * (beta / 2)
-    for u in imaginary:
-        tau = _scalar_multiple_of(f, u * w + w * u)
-        if tau is None:
-            return None
-        if tau:
-            w = w + u * (tau / 2)
-    return w
-
-
-def _classify_square(f: Multivector, w: Multivector) -> Fraction | None:
-    """c with w**2 == c * f; raises NotPrimitiveError for c >= 0 witnesses."""
-    c = _scalar_multiple_of(f, w * w)
-    if c is None:
-        return None
-    if c == 0:
+def _imaginary_unit(f: Multivector, mask: int) -> Multivector:
+    """e_mask f, which squares to e_mask^2 f; a square of +f is a witness of
+    zero divisors in f Cl f."""
+    u = f.signature.blade(mask) * f
+    if blade_square_sign(mask, f.signature) > 0:
         raise NotPrimitiveError(
-            f"nilpotent element in f Cl f: ({w})**2 == 0 with w != 0"
+            f"zero divisors in f Cl f: ({u})**2 == 1 * f with positive square"
         )
-    if c > 0:
-        raise NotPrimitiveError(
-            f"zero divisors in f Cl f: ({w})**2 == {c} * f with positive square"
-        )
-    return c
+    return u
 
 
-def _search_unit(
-    f: Multivector,
-    candidates: list[tuple[int, Multivector]],
-    imaginary: list[Multivector],
-) -> Multivector:
-    """First projection candidate normalizable to a unit with square -f.
-
-    Candidates already spanned by f and the existing units are skipped.  A
-    candidate whose trace-free part squares to a nonnegative multiple of f is
-    an exact witness against primitivity.  Trace-free parts whose square is a
-    negative non-square rational are kept and retried in small integer
-    combinations before giving up.
-    """
-    base = ExactSpan()
-    base.add(dict(f.terms), "f")
-    for idx, u in enumerate(imaginary):
-        base.add(dict(u.terms), idx)
-    leftovers: list[Multivector] = []
-    for _, v in candidates:
-        if base.contains(dict(v.terms)):
-            continue
-        w = _orthogonalized(f, imaginary, v)
-        if w is None:
-            continue
-        c = _classify_square(f, w)
-        if c is None:
-            continue
-        root = _rational_sqrt(-c)
-        if root is not None:
-            return w * (_ONE / root)
-        leftovers.append(w)
-    for ia in range(len(leftovers)):
-        for ib in range(ia + 1, len(leftovers)):
-            for x in (1, 2, 3):
-                for y in (-3, -2, -1, 1, 2, 3):
-                    w = leftovers[ia] * x + leftovers[ib] * y
-                    if w.is_zero():
-                        continue
-                    c = _classify_square(f, w)
-                    if c is None:
-                        continue
-                    root = _rational_sqrt(-c)
-                    if root is not None:
-                        return w * (_ONE / root)
-    raise UnitConstructionError(
-        "no element with square exactly -f is reachable by rational scaling"
-    )
-
-
-def division_ring_basis(f: Multivector) -> DivisionRingBasis:
+def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis:
     """Canonical R-basis of K = f Cl f with exact unit relations.
 
     Every product of two units is confirmed against ``_UNIT_PRODUCTS``; the
@@ -377,28 +193,24 @@ def division_ring_basis(f: Multivector) -> DivisionRingBasis:
     c**2 f, and for H the units are the image of a division algebra under a
     map that is nonzero on 1), so the table's coordinates are the constant's.
     Raises NotPrimitiveError when K fails to be a division ring of real
-    dimension 1, 2, or 4, which is exactly the primitivity criterion for f.
+    dimension 1, 2, or 4, which is exactly the primitivity criterion for f,
+    and ValueError when f is not a product idempotent.
     """
-    if f.is_zero():
-        raise ValueError("f must be a nonzero idempotent")
-    if f * f != f:
-        raise NotPrimitiveError("f is not idempotent")
-    candidates = commutant_candidates(f)
-    span = ExactSpan()
-    for mask, v in candidates:
-        span.add(dict(v.terms), mask)
-        if span.rank > 4:
-            raise NotPrimitiveError("f Cl f has dimension greater than 4")
-    d = span.rank
-    if d not in KTYPE_BY_DIM:
-        raise NotPrimitiveError(f"f Cl f has dimension {d}, not 1, 2, or 4")
+    product = product_form(f)
+    f = product.f
+    cosets = _commuting_cosets(product)
+    d = len(cosets)
+    if d > 4:
+        raise NotPrimitiveError("f Cl f has dimension greater than 4")
     units = [f]
     if d >= 2:
-        units.append(_search_unit(f, candidates, []))
+        units.append(_imaginary_unit(f, cosets[1]))
     if d == 4:
-        j = _search_unit(f, candidates, [units[1]])
-        units.append(j)
-        units.append(units[1] * j)
+        # The cosets form a GF(2) plane on which commuting is an alternating
+        # form.  K (H, or Mat(2, R) when f is not primitive) is not
+        # commutative, so the form is not zero and C_2 anticommutes with C_1.
+        units.append(_imaginary_unit(f, cosets[2]))
+        units.append(units[1] * units[2])
     table = []
     for a in range(d):
         row = []

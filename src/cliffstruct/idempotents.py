@@ -3,17 +3,19 @@
 A frame of k commuting, independent basis monomials with square +1 expands
 into a complete set of 2^k primitive mutually annihilating idempotents, one
 per sign vector, which add up to the unit of the algebra.
+``product_idempotent`` gives each as a ``ProductIdempotent``: the frame
+masks, the signs, the echelon of the masks' GF(2) span and the expanded
+product, the one form the division ring and the spinor basis are built from.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classify import classify
+from .classify import K_DIMENSION, classify
 from .core import Multivector, Signature, blade_square_sign, blades_commute
-from .division import NotPrimitiveError, _expand_product, division_ring_basis
 from .linalg import gf2_insert
 
 _HALF = Fraction(1, 2)
@@ -49,18 +51,105 @@ class IdempotentSet:
     idempotents: tuple[Multivector, ...]
 
 
+@dataclass(frozen=True)
+class ProductIdempotent:
+    """f = prod (1 + s_i e_{m_i}) / 2 over commuting, GF(2)-independent
+    square-one blades: the masks m_i, the signs s_i, the fully reduced
+    echelon of the GF(2) span W of the masks, and the expanded f."""
+
+    masks: tuple[int, ...]
+    signs: tuple[int, ...]
+    echelon: dict[int, int] = field(compare=False, repr=False)
+    f: Multivector
+
+
 def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((1, -1), repeat=k))
 
 
-def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
-    """Expanded product of the factors (1 + s_i * m_i) / 2."""
+def _expand_product(sig: Signature, masks, signs) -> ProductIdempotent:
+    """The product of the factors (1 + s_i e_{m_i}) / 2, expanded in order."""
+    f = sig.scalar(1)
+    echelon: dict[int, int] = {}
+    for mask, s in zip(masks, signs):
+        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
+        gf2_insert(mask, echelon)
+    return ProductIdempotent(tuple(masks), tuple(signs), echelon, f)
+
+
+def product_idempotent(frame: MonomialFrame, signs) -> ProductIdempotent:
+    """The product idempotent of the frame with the given signs."""
     signs = tuple(signs)
     if len(signs) != frame.k:
         raise ValueError(f"expected {frame.k} signs, got {len(signs)}")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     return _expand_product(frame.signature, frame.monomials, signs)
+
+
+def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
+    """Expanded product of the factors (1 + s_i * m_i) / 2."""
+    return product_idempotent(frame, signs).f
+
+
+def _half_product_form(f: Multivector) -> ProductIdempotent | None:
+    """Recognize f as an expanded product of commuting factors (1 + s*e_m)/2.
+
+    Such an f has 2^j terms with coefficients +-1/2^j whose masks form a
+    GF(2)-closed set.  Returns the product or None; the recovered generators
+    are checked to commute, square to +1, and reproduce f exactly, so a
+    non-None result is trustworthy.
+    """
+    terms = f.terms
+    count = len(terms)
+    if count == 0 or count & (count - 1):
+        return None
+    j = count.bit_length() - 1
+    if terms[0][0] != 0:
+        return None
+    unit_coeff = Fraction(1, 1 << j)
+    masks = []
+    for mask, coeff in terms:
+        if coeff != unit_coeff and coeff != -unit_coeff:
+            return None
+        masks.append(mask)
+    mask_set = set(masks)
+    for x in masks:
+        for y in masks:
+            if x ^ y not in mask_set:
+                return None
+    echelon: dict[int, int] = {}
+    basis = [m for m in masks if gf2_insert(m, echelon)]
+    if len(basis) != j:
+        return None
+    sig = f.signature
+    for pos, a in enumerate(basis):
+        if blade_square_sign(a, sig) != 1:
+            return None
+        for b in basis[pos + 1 :]:
+            if not blades_commute(a, b):
+                return None
+    coeffs = dict(terms)
+    signs = tuple(1 if coeffs[m] > 0 else -1 for m in basis)
+    product = _expand_product(sig, basis, signs)
+    return product if product.f == f else None
+
+
+def product_form(f: Multivector | ProductIdempotent) -> ProductIdempotent:
+    """f itself when it is a ProductIdempotent, else its recognized product.
+
+    Raises ValueError when f is not such a product: K and the spinor basis
+    are read off its frame.
+    """
+    if isinstance(f, ProductIdempotent):
+        return f
+    product = _half_product_form(f)
+    if product is None:
+        raise ValueError(
+            "f must be a product idempotent prod (1 + s_i e_{g_i}) / 2 over"
+            " commuting, independent square-one blades"
+        )
+    return product
 
 
 def find_frame(sig: Signature) -> MonomialFrame:
@@ -163,18 +252,36 @@ def is_idempotent(u: Multivector) -> bool:
 
 
 def is_primitive(f: Multivector) -> bool:
-    """Whether f Cl f is a division ring of real dimension 1, 2, or 4.
+    """Whether f is a primitive idempotent, for any f.
+
+    By Wedderburn, f Cl f of a nonzero idempotent is Mat(r, K), or a sum of
+    two such blocks in a semisimple algebra, so f is primitive exactly when
+    dim_R f Cl f equals dim_R K.  x -> f x f is a projection onto f Cl f,
+    so that dimension is its trace over the blade basis.  The coefficient
+    of e_A in f e_A f is sum_B f_B^2 e_B^2 (+1 if e_B commutes with e_A,
+    else -1), and the signs of one e_B cancel over all A unless e_B is
+    central: 1 and, for odd n, the pseudoscalar e_I.  So the trace is
+    2^n (f_0^2 + [n odd] e_I^2 f_I^2).
 
     Non-idempotent elements are simply not primitive.  The zero element is
     outside the domain of the question and rejected.
     """
     if f.is_zero():
         raise ValueError("primitivity is undefined for the zero element")
-    try:
-        division_ring_basis(f)
-    except NotPrimitiveError:
+    if f * f != f:
         return False
-    return True
+    return _sandwich_trace(f) == K_DIMENSION[classify(f.signature).ktype]
+
+
+def _sandwich_trace(f: Multivector) -> Fraction:
+    """The trace 2^n (f_0^2 + [n odd] e_I^2 f_I^2) of x -> f x f over the
+    blade basis: dim_R f Cl f when f is idempotent."""
+    sig = f.signature
+    trace = f.coefficient(0) ** 2
+    if sig.n % 2:
+        top = sig.dim - 1
+        trace += blade_square_sign(top, sig) * f.coefficient(top) ** 2
+    return trace * sig.dim
 
 
 def central_idempotents(sig: Signature) -> tuple[Multivector, Multivector]:

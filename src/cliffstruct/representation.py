@@ -10,28 +10,31 @@ automorphism sending each generator e_i to -e_i, so on the image basis
 hat(s_t) over the image units the generator matrices of hat(S) are exactly
 the negated matrices of S.
 
-When f = prod (1 + s_i e_{g_i}) / 2 is a product over commuting square-one
-monomials, e_A f = +-e_{A xor w} f for every w in the GF(2) span W of the
-g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per coset
-of U = W + span{m_j}, and each column of a generator matrix has a single
-nonzero entry, a rational multiple of one unit.  Basis and matrices are
-then read off GF(2) coset tables, and each matrix column is confirmed by
-exact equality, compared on integer numerators.
+The spinor basis is built for a product idempotent
+f = prod (1 + s_i e_{g_i}) / 2 over commuting square-one monomials (a
+``ProductIdempotent``; a multivector of any other form is rejected with a
+ValueError).  Then e_A f = +-e_{A xor w} f for every w in the GF(2) span W
+of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per
+coset of U = W + span{m_j}, and each column of a generator matrix has a
+single nonzero entry, a rational multiple of one unit.  Basis and matrices
+are read off these GF(2) coset tables, and each matrix column is confirmed
+by exact equality, compared on integer numerators.
 
 The matrices and coordinates of other elements (``represent``,
 ``spinor_coordinates``) are read off the real basis s_t u_j.  An index maps
 the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
 exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
 vectors with distinct leading masks are independent.  The lookup only
-confirms: an exact span solve decides every psi it cannot confirm, for
-idempotents of any other form and for elements that are not a multiple of
-one basis element, and it alone reports a product outside S.
+confirms: an exact span solve decides every psi it cannot confirm, such as
+an element that is not a multiple of one basis element or a dumped basis
+whose real basis repeats a leading mask, and it alone reports a product
+outside S.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -59,11 +62,16 @@ from .division import (
     UNIT_NAMES,
     DivisionRingBasis,
     KElement,
-    _half_product_form,
     _kcoordinate,
     division_ring_basis,
 )
-from .idempotents import MonomialFrame, find_frame, primitive_idempotent
+from .idempotents import (
+    MonomialFrame,
+    ProductIdempotent,
+    find_frame,
+    product_form,
+    product_idempotent,
+)
 from .linalg import ExactSpan, gf2_insert, gf2_reduce
 
 _ZERO = Fraction(0)
@@ -74,13 +82,32 @@ class RepresentationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class _Cosets:
+    """GF(2) tables of a product-form f and its units u_j = c_j e_{m_j} f.
+
+    ``frame`` and ``ideal`` are fully reduced echelons of W = span{g_i} and
+    U = W + span{m_j}; ``unit_of`` maps the W-coset minimum of each m_j to j.
+    """
+
+    frame: dict[int, int]
+    ideal: dict[int, int]
+    unit_of: dict[int, int]
+
+
+@dataclass(frozen=True)
 class SpinorBasis:
-    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f."""
+    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f.
+
+    ``cosets`` are the tables ``spinor_basis`` read the basis off, from
+    which ``_coset_gammas`` reads the generator matrices; a dumped basis has
+    none, and they take no part in equality.
+    """
 
     idempotent: Multivector
     blades: tuple[int, ...]
     blade_signs: tuple[int, ...]
     elements: tuple[Multivector, ...]
+    cosets: _Cosets | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -251,47 +278,24 @@ class Representation:
         return self.algebra_class.simple
 
 
-@dataclass(frozen=True)
-class _Cosets:
-    """GF(2) tables of a product-form f and its units u_j = c_j e_{m_j} f.
-
-    ``frame`` and ``ideal`` are fully reduced echelons of W = span{g_i} and
-    U = W + span{m_j}; ``unit_of`` maps the W-coset minimum of each m_j to j.
-    """
-
-    frame: dict[int, int]
-    ideal: dict[int, int]
-    unit_of: dict[int, int]
-
-
-def _cosets(f: Multivector, kb: DivisionRingBasis) -> _Cosets | None:
-    """Coset tables of f, or None when f is not in product form.
+def _cosets(product: ProductIdempotent, kb: DivisionRingBasis) -> _Cosets:
+    """Coset tables of a product idempotent and the units of kb.
 
     Raises RepresentationError when a unit is not c * e_m f for a blade e_m
     commuting with the frame, or when S = Cl f is not a free right K-module,
     i.e. the d unit masks do not fill U / W with rank(U) = k + log2(d).
     """
-    # Kept on kb with the f it was built for, matched by identity, so that
-    # build_representation reuses the run made inside spinor_basis.
-    cached = kb.__dict__.get("_cosets")
-    if cached is not None and cached[0] is f:
-        return cached[1]
-    form = _half_product_form(f)
-    if form is None:
-        return None
-    gens, _ = form
+    f = product.f
     sig = f.signature
     scale = f.terms[0][1]
-    frame: dict[int, int] = {}
-    for g in gens:
-        gf2_insert(g, frame)
+    frame = product.echelon
     ideal = dict(frame)
     unit_of: dict[int, int] = {}
     for j, u in enumerate(kb.units):
         if u.is_zero():
             raise RepresentationError(f"unit {j} is zero")
         m, c = u.terms[0]
-        if any(not blades_commute(m, g) for g in gens) or u != sig.blade(
+        if any(not blades_commute(m, g) for g in product.masks) or u != sig.blade(
             m, c / scale
         ) * f:
             raise RepresentationError(
@@ -304,65 +308,33 @@ def _cosets(f: Multivector, kb: DivisionRingBasis) -> _Cosets | None:
             f"S = Cl f is not a free right K-module: unit masks span rank"
             f" {len(ideal) - len(frame)} over the frame"
         )
-    cosets = _Cosets(frame, ideal, unit_of)
-    kb.__dict__["_cosets"] = (f, cosets)
-    return cosets
+    return _Cosets(frame, ideal, unit_of)
 
 
-def _greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
-    """Greedy blade scan for a right-K basis of Cl(p,q) f, for any f.
+def spinor_basis(
+    f: Multivector | ProductIdempotent, kb: DivisionRingBasis
+) -> SpinorBasis:
+    """Right-K basis s_t = e_{A_t} f of the left ideal Cl(p,q) f, for a
+    product idempotent f; a multivector of any other form raises ValueError.
 
-    e_A f is appended whenever it is R-independent of the right-K span of the
-    elements already chosen; scanning every blade guarantees the final span
-    is the whole ideal, and each chosen element must contribute dim(K) fresh
-    R-dimensions for S to be a free right K-module.
+    The right-K span of e_A f is spanned by the e_B f with B in the coset
+    A + U, so the basis blades are the coset minima: the masks with no pivot
+    bit of U's fully reduced echelon, in ascending order.
     """
-    sig = f.signature
-    span = ExactSpan()
-    blades: list[int] = []
-    elements: list[Multivector] = []
-    for mask in range(sig.dim):
-        v = sig.blade(mask) * f
-        if span.contains(dict(v.terms)):
-            continue
-        t = len(elements)
-        blades.append(mask)
-        elements.append(v)
-        added = 0
-        for j, unit in enumerate(kb.units):
-            if span.add(dict((v * unit).terms), (t, j)):
-                added += 1
-        if added != kb.dim:
-            raise RepresentationError(
-                f"spinor span deficiency at blade {mask}: {added} < {kb.dim}"
-            )
-    return SpinorBasis(
-        f, tuple(blades), (1,) * len(blades), tuple(elements)
-    )
-
-
-def spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
-    """Right-K basis s_t = e_{A_t} f of the left ideal Cl(p,q) f.
-
-    For f in product form the right-K span of e_A f is spanned by the e_B f
-    with B in the coset A + U, so the basis blades are the coset minima:
-    the masks with no pivot bit of U's fully reduced echelon, in ascending
-    order.  These are exactly the blades the greedy scan would choose, which
-    still handles idempotents of any other form.
-    """
-    cosets = _cosets(f, kb)
-    if cosets is None:
-        return _greedy_spinor_basis(f, kb)
+    product = product_form(f)
+    cosets = _cosets(product, kb)
+    f = product.f
     pivots = sum(1 << bit for bit in cosets.ideal)
     blades = tuple(m for m in range(f.signature.dim) if not m & pivots)
     elements = tuple(f.signature.blade(m) * f for m in blades)
-    return SpinorBasis(f, blades, (1,) * len(blades), elements)
+    return SpinorBasis(f, blades, (1,) * len(blades), elements, cosets)
 
 
 def _coset_gammas(
-    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis, cosets: _Cosets
+    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis
 ) -> tuple[KMatrix, ...]:
-    """Generator matrices as signed unit permutations of the spinor basis.
+    """Generator matrices as signed unit permutations of the spinor basis,
+    read off its coset tables.
 
     e_i s_t lies on the W-coset of X = e_i-mask xor A_t; its U-coset minimum
     names the row s and its W-coset inside U names the unit j, so that
@@ -379,6 +351,7 @@ def _coset_gammas(
     their leading terms.  Equal entries are one shared tuple.
     """
     negative = _negative_mask(sig)
+    cosets = sb.cosets
     row_of = {mask: s for s, mask in enumerate(sb.blades)}
     # per spinor: denominator, then mask -> (numerator, sign mask) per term
     spinors = []
@@ -590,10 +563,10 @@ def build_representation(sig: Signature) -> Representation:
     """Full pipeline: frame, idempotent, division ring, basis, matrices."""
     cls = classify(sig)
     frame = find_frame(sig)
-    f = primitive_idempotent(frame, (1,) * frame.k)
-    kb = division_ring_basis(f)
-    sb = spinor_basis(f, kb)
-    gammas = _coset_gammas(sig, kb, sb, _cosets(f, kb))
+    product = product_idempotent(frame, (1,) * frame.k)
+    kb = division_ring_basis(product)
+    sb = spinor_basis(product, kb)
+    gammas = _coset_gammas(sig, kb, sb)
     components = [Component(kb, sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
@@ -601,7 +574,7 @@ def build_representation(sig: Signature) -> Representation:
         # involution is an automorphism sending e_i to -e_i, so each confirmed
         # e_i s_t == s_s u_j * lam maps to e_i hat(s_t) == hat(s_s) hat(u_j)
         # * (-lam): the second gammas are the negated first ones, exactly.
-        fh = f.involute()
+        fh = product.f.involute()
         kb2 = DivisionRingBasis(
             fh,
             tuple(u.involute() for u in kb.units),

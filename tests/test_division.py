@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cliffstruct.division as division
+import search_oracle as oracle
 from cliffstruct import (
     NotPrimitiveError,
     Signature,
@@ -18,17 +19,12 @@ from cliffstruct import (
     primitive_idempotent,
 )
 from cliffstruct.core import blades_commute
-from cliffstruct.division import (
-    _commute_mask,
-    _half_product_form,
-    _projections_general,
-    commutant_candidates,
-)
-from cliffstruct.idempotents import sign_vectors
-from cliffstruct.linalg import ExactSpan, gf2_insert, gf2_reduce
+from cliffstruct.division import _commute_mask, _commuting_cosets
+from cliffstruct.idempotents import MonomialFrame, _half_product_form, sign_vectors
+from cliffstruct.linalg import ExactSpan, gf2_reduce
 
 HALF = Fraction(1, 2)
-# The candidate-sweep oracle runs to n <= 9 with CLIFFSTRUCT_SLOW=1.
+# The search-oracle comparisons run to n <= 9 with CLIFFSTRUCT_SLOW=1.
 ORACLE_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 7
 
 
@@ -127,27 +123,27 @@ def test_quaternion_table_relations():
 
 
 def test_table_matches_solved_coordinates():
-    fs = []
+    kbs = []
     for sig in all_signatures(8):
         frame = find_frame(sig)
-        fs.append(primitive_idempotent(frame, (1,) * frame.k))
-    fs.append(_rotor_conjugate())
-    for f in fs:
-        kb = division_ring_basis(f)
+        kbs.append(division_ring_basis(primitive_idempotent(frame, (1,) * frame.k)))
+    # the search oracle's units for a non-product idempotent
+    kbs.append(oracle.division_ring_basis(_rotor_conjugate()))
+    for kb in kbs:
         assert kb.table == _solved_unit_table(kb.units)
 
 
 def test_broken_unit_relation_raises(monkeypatch):
     # j' = j + f keeps i j' == k' true by construction, but j' i != -k'.
-    search = division._search_unit
+    imaginary_unit = division._imaginary_unit
     found = []
 
-    def shifted_second_unit(f, candidates, imaginary):
-        u = search(f, candidates, imaginary)
+    def shifted_second_unit(f, mask):
+        u = imaginary_unit(f, mask)
         found.append(u)
         return u + f if len(found) == 2 else u
 
-    monkeypatch.setattr(division, "_search_unit", shifted_second_unit)
+    monkeypatch.setattr(division, "_imaginary_unit", shifted_second_unit)
     with pytest.raises(UnitConstructionError, match=r"units\[2\] \* units\[1\]"):
         division_ring_basis(Signature(0, 2).scalar(1))
 
@@ -222,8 +218,8 @@ def test_half_product_form_recognition():
     f = primitive_idempotent(frame, (1, -1))
     form = _half_product_form(f)
     assert form is not None
-    masks, signs = form
-    assert set(masks) == set(frame.monomials)
+    assert set(form.masks) == set(frame.monomials)
+    assert form.f == f
     # a generic non-product element is rejected
     assert _half_product_form(sig.scalar(1) + sig.e(1)) is None
     assert _half_product_form((sig.scalar(1) + sig.e(1)) * HALF + sig.e(2, 3)) is None
@@ -232,8 +228,8 @@ def test_half_product_form_recognition():
 def _all_commuting_projections(f):
     """e_A f for every blade A commuting with the frame of a product-form f,
     in ascending mask order: the candidate sweep before one candidate per
-    frame coset, kept as the oracle for ``commutant_candidates``."""
-    gens, _ = _half_product_form(f)
+    frame coset, kept as the oracle for ``_commuting_cosets``."""
+    gens = _half_product_form(f).masks
     sig = f.signature
     tests = [_commute_mask(g, sig.n) for g in gens]
     out = []
@@ -246,24 +242,17 @@ def _all_commuting_projections(f):
     return out
 
 
-def _frame_echelon(f):
-    gens, _ = _half_product_form(f)
-    echelon = {}
-    for g in gens:
-        gf2_insert(g, echelon)
-    return echelon
-
-
 def test_fast_projections_agree_with_general_sweep():
     for sig in all_signatures(4):
         result = complete_set(find_frame(sig))
         for f in result.idempotents:
-            assert _half_product_form(f) is not None
-            general = _projections_general(f)
+            product = _half_product_form(f)
+            assert product is not None
+            general = oracle._projections_general(f)
             assert _all_commuting_projections(f) == general
             # the candidates are the general projections at the coset minima
-            echelon = _frame_echelon(f)
-            candidates = commutant_candidates(f)
+            echelon = product.echelon
+            candidates = [(m, sig.blade(m) * f) for m in _commuting_cosets(product)]
             assert candidates == [
                 (m, v) for m, v in general if gf2_reduce(m, echelon) == m
             ]
@@ -274,19 +263,35 @@ def test_fast_projections_agree_with_general_sweep():
                 assert v == c or v == -c
 
 
+def _one_short_frames(sig):
+    """The frame of sig with each one of its masks dropped."""
+    masks = find_frame(sig).monomials
+    for drop in range(len(masks)):
+        yield MonomialFrame(sig, masks[:drop] + masks[drop + 1 :])
+
+
 @pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
-def test_division_ring_basis_matches_the_full_candidate_sweep(n, monkeypatch):
-    fs = []
+def test_division_ring_basis_matches_the_full_candidate_sweep(n):
+    """Units from the frame cosets against the search oracle: the same units
+    and table for every full frame's idempotents, and the same
+    NotPrimitiveError message for every one-short frame's."""
     for p in range(n + 1):
-        frame = find_frame(Signature(p, n - p))
-        fs += [primitive_idempotent(frame, sv) for sv in sign_vectors(frame.k)]
-    fast = [division_ring_basis(f) for f in fs]
-    monkeypatch.setattr(division, "commutant_candidates", _all_commuting_projections)
-    for f, kb in zip(fs, fast):
-        oracle = division_ring_basis(f)
-        assert oracle.units == kb.units
-        assert oracle.table == kb.table
-        assert oracle.ktype == kb.ktype
+        sig = Signature(p, n - p)
+        frame = find_frame(sig)
+        for sv in sign_vectors(frame.k):
+            f = primitive_idempotent(frame, sv)
+            kb, expected = division_ring_basis(f), oracle.division_ring_basis(f)
+            assert kb.units == expected.units
+            assert kb.table == expected.table
+            assert kb.ktype == expected.ktype
+        for short in _one_short_frames(sig):
+            for sv in sign_vectors(short.k):
+                f = primitive_idempotent(short, sv)
+                with pytest.raises(NotPrimitiveError) as fast:
+                    division_ring_basis(f)
+                with pytest.raises(NotPrimitiveError) as slow:
+                    oracle.division_ring_basis(f)
+                assert str(fast.value) == str(slow.value)
 
 
 def _not_primitive_product_forms():
@@ -302,14 +307,13 @@ def _not_primitive_product_forms():
 
 
 @pytest.mark.parametrize("f", _not_primitive_product_forms(), ids=str)
-def test_not_primitive_message_matches_the_full_candidate_sweep(f, monkeypatch):
+def test_not_primitive_message_matches_the_full_candidate_sweep(f):
     assert _half_product_form(f) is not None
     with pytest.raises(NotPrimitiveError) as fast:
         division_ring_basis(f)
-    monkeypatch.setattr(division, "commutant_candidates", _all_commuting_projections)
-    with pytest.raises(NotPrimitiveError) as oracle:
-        division_ring_basis(f)
-    assert str(fast.value) == str(oracle.value)
+    with pytest.raises(NotPrimitiveError) as slow:
+        oracle.division_ring_basis(f)
+    assert str(fast.value) == str(slow.value)
 
 
 def test_commute_mask_decides_blades_commute():
@@ -320,22 +324,47 @@ def test_commute_mask_decides_blades_commute():
                 assert blades_commute(a, g) == (not (a & test).bit_count() & 1)
 
 
+PRODUCT_FORM_REQUIRED = "must be a product idempotent"
+
+
 def test_general_path_used_for_non_product_idempotents():
-    # 1 = f+ + f- in Cl(1,0) is GF(2)-closed but recognized and handled;
-    # a conjugated idempotent falls back to the general sweep.
+    # A conjugated idempotent is not a product: division_ring_basis rejects
+    # it by name, and the general sweep of the search oracle handles it.
     g = _conjugated_cl20_idempotent()
     assert g * g == g
     assert _half_product_form(g) is None
-    kb = division_ring_basis(g)
-    assert kb.ktype == "R"
+    with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
+        division_ring_basis(g)
+    assert oracle.division_ring_basis(g).ktype == "R"
+    assert is_primitive(g)
 
 
 def test_unit_search_reaches_integer_combinations():
     # A rational-rotor conjugate of the product idempotent of Cl(1,4): no
-    # single projection normalizes to a unit with square -f, so the units
-    # of K = H come from the integer combinations of the leftovers.
+    # single projection normalizes to a unit with square -f, so the oracle's
+    # units of K = H come from the integer combinations of the leftovers.
     f = _rotor_conjugate()
     assert f * f == f
     assert _half_product_form(f) is None
-    assert division_ring_basis(f).ktype == "H"
-    assert is_primitive(f)
+    with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
+        division_ring_basis(f)
+    kb = oracle.division_ring_basis(f)
+    assert kb.ktype == "H"
+    assert is_primitive(f) and oracle.is_primitive(f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Signature(1, 0).e(1),  # not idempotent
+        Signature(2, 0).scalar(0),
+        Signature(1, 1).scalar(1) + Signature(1, 1).e(1),
+        (Signature(2, 0).scalar(1) + Signature(2, 0).e(1)) * HALF
+        + Signature(2, 0).e(1, 2),
+    ],
+    ids=str,
+)
+def test_non_product_f_raises_a_value_error_naming_the_product_form(f):
+    with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED) as info:
+        division_ring_basis(f)
+    assert type(info.value) is ValueError

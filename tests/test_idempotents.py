@@ -1,9 +1,12 @@
 import dataclasses
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
 import cliffstruct.idempotents as idempotents
+import search_oracle as oracle
 from cliffstruct import (
     IdempotentSetError,
     Signature,
@@ -19,10 +22,24 @@ from cliffstruct import (
     is_primitive,
     primitive_idempotent,
 )
-from cliffstruct.idempotents import FrameSearchError, MonomialFrame, sign_vectors
+from cliffstruct.idempotents import (
+    FrameSearchError,
+    MonomialFrame,
+    _sandwich_trace,
+    sign_vectors,
+)
 from cliffstruct.linalg import gf2_insert
+from test_division import (
+    _conjugated_cl20_idempotent,
+    _one_short_frames,
+    _rotor_conjugate,
+)
+from test_verify_faults import _skew
 
 HALF = Fraction(1, 2)
+# The trace-rule sweep over full and one-short frames runs to n <= 9 with
+# CLIFFSTRUCT_SLOW=1.
+TRACE_SWEEP_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 6
 
 
 def all_signatures(max_n):
@@ -322,3 +339,101 @@ def test_center_dimension_follows_parity():
         for z in basis:
             for i in range(1, sig.n + 1):
                 assert z.commutes_with(sig.e(i))
+
+
+# ---------------------------------------------------------------------------
+# the trace rule against the search oracle
+
+
+def _assert_trace_rule(f):
+    """The trace of x -> f x f is the oracle's rank of the projections
+    f e_A f, and is_primitive agrees with the search oracle."""
+    assert f * f == f
+    assert _sandwich_trace(f) == oracle.projection_rank(f)
+    assert is_primitive(f) == oracle.is_primitive(f)
+
+
+def _invertible(sig, draw):
+    """c + r e_B and its inverse (c - r e_B) / (c^2 - e_B^2 r^2)."""
+    mask = draw(1, sig.dim - 1)
+    c = Fraction(draw(1, 4))
+    r = Fraction(draw(-3, 3), draw(1, 3))
+    den = c * c - blade_square_sign(mask, sig) * r * r
+    if not den:
+        c += 1
+        den = c * c - r * r
+    return sig.scalar(c) + sig.blade(mask, r), (sig.scalar(c) - sig.blade(mask, r)) / den
+
+
+def _trace_case(draw):
+    """An idempotent from integer draws: the product over a random
+    sub-frame with random signs, then one of itself, a rational conjugate
+    a f a^-1, or f + f e_B f' for the product f' with the first sign
+    flipped (which annihilates f on both sides)."""
+    n = draw(0, 5)
+    p = draw(0, n)
+    sig = Signature(p, n - p)
+    masks = tuple(m for m in find_frame(sig).monomials if draw(0, 3))
+    signs = [draw(0, 1) * 2 - 1 for _ in masks]
+    sub = MonomialFrame(sig, masks)
+    f = primitive_idempotent(sub, signs)
+    kind = draw(0, 2)
+    if kind == 1 and n:
+        for _ in range(draw(1, 2)):
+            a, a_inv = _invertible(sig, draw)
+            f = a * f * a_inv
+    elif kind == 2 and masks:
+        flipped = primitive_idempotent(sub, [-signs[0]] + signs[1:])
+        f = f + f * sig.blade(draw(0, sig.dim - 1)) * flipped
+    return f
+
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # fixed draws instead
+    hypothesis = None
+
+if hypothesis is not None:
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def test_trace_rule_matches_the_search_oracle(data):
+        f = _trace_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        _assert_trace_rule(f)
+
+else:
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_trace_rule_matches_the_search_oracle(seed):
+        _assert_trace_rule(_trace_case(random.Random(seed).randint))
+
+
+def _fixed_non_products():
+    yield _rotor_conjugate()
+    yield _conjugated_cl20_idempotent()
+    sig = Signature(2, 0)
+    yield (sig.scalar(1) + (sig.e(1) * 3 + sig.e(2) * 4) * Fraction(1, 5)) * HALF
+    # the fault case of idem.sum_to_unity: primitive, but not a product
+    frame = find_frame(Signature(1, 1))
+    yield _skew(frame, primitive_idempotent(frame, (-1,)))
+
+
+@pytest.mark.parametrize("f", _fixed_non_products(), ids=str)
+def test_trace_rule_on_non_product_idempotents(f):
+    assert idempotents._half_product_form(f) is None
+    _assert_trace_rule(f)
+    assert is_primitive(f)
+
+
+@pytest.mark.parametrize("n", range(TRACE_SWEEP_MAX_N + 1))
+def test_trace_rule_on_full_and_one_short_frames(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        full = find_frame(sig)
+        for frame in [full, *_one_short_frames(sig)]:
+            for sv in sign_vectors(frame.k):
+                f = primitive_idempotent(frame, sv)
+                _assert_trace_rule(f)
+                assert is_primitive(f) == (frame is full)
+        _assert_trace_rule(sig.scalar(1))

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import cliffstruct.idempotents as idempotents
 import cliffstruct.representation as representation
+import cliffstruct.verify as verify
+import search_oracle as oracle
 from cliffstruct import (
     DivisionRingBasis,
     KMatrix,
@@ -27,20 +31,24 @@ from cliffstruct import (
     representation_to_json_dict,
     spinor_basis,
     spinor_coordinates,
+    verify_signature,
 )
+from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
     _coset_gammas,
     _cosets,
-    _greedy_spinor_basis,
     _matrix_of,
     _solver,
 )
-from test_division import _rotor_conjugate
+from test_division import PRODUCT_FORM_REQUIRED, _rotor_conjugate
 
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
 F1 = Fraction(1)
+# The coset kernel runs against the greedy-scan oracle to n <= 9 with
+# CLIFFSTRUCT_SLOW=1.
+ORACLE_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 8
 
 
 def all_signatures(max_n):
@@ -671,13 +679,15 @@ def test_represent_of_multi_term_elements_matches_the_span_solve(pq):
 
 def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
     # A rational-rotor conjugate of the product idempotent of Cl(1,4), with
-    # the greedy spinor basis: its real basis shares leading masks, so the
+    # the search oracle's units and greedy spinor basis (spinor_basis takes
+    # product idempotents only): its real basis shares leading masks, so the
     # index is None and the solve decides every column.
     f = _rotor_conjugate()
     sig = f.signature
-    kb = division_ring_basis(f)
-    sb = spinor_basis(f, kb)
-    assert sb == _greedy_spinor_basis(f, kb)
+    kb = oracle.division_ring_basis(f)
+    with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
+        spinor_basis(f, kb)
+    sb = oracle.greedy_spinor_basis(f, kb)
     assert representation._real_basis_index(kb, sb) is None
     rng = random.Random(909)
     elements = [sig.blade(mask) for mask in range(sig.dim)]
@@ -763,14 +773,14 @@ def _coset_gammas_oracle(sig, kb, sb, cosets):
     return tuple(gammas)
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
 def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
     for p in range(n + 1):
         sig = Signature(p, n - p)
         rep = build_representation(sig)
         for comp in rep.components:
             kb, sb = comp.kbasis, comp.basis
-            greedy = _greedy_spinor_basis(sb.idempotent, kb)
+            greedy = oracle.greedy_spinor_basis(sb.idempotent, kb)
             assert spinor_basis(sb.idempotent, kb) == greedy
             assert sb.blades == greedy.blades
             # the second semisimple component carries grade-involution signs
@@ -782,8 +792,9 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             # the coset kernel on the component's own tables, with its
             # column confirmations (for the second component, the run that
             # the negated first gammas replaced)
-            cosets = _cosets(sb.idempotent, kb)
-            assert comp.gammas == _coset_gammas(sig, kb, sb, cosets)
+            cosets = _cosets(_half_product_form(sb.idempotent), kb)
+            tabled = dataclasses.replace(sb, cosets=cosets)
+            assert comp.gammas == _coset_gammas(sig, kb, tabled)
             assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, cosets)
 
 
@@ -802,37 +813,55 @@ def test_coset_gammas_reject_a_spinor_proportional_but_for_one_term(pq, corrupt)
     sig = Signature(*pq)
     comp = build_representation(sig).components[0]
     kb, sb = comp.kbasis, comp.basis
-    cosets = _cosets(sb.idempotent, kb)
     elements = list(sb.elements)
     elements[1] = corrupt(elements[1])
     bad = dataclasses.replace(sb, elements=tuple(elements))
-    for gammas in (_coset_gammas, _coset_gammas_oracle):
-        with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
-            gammas(sig, kb, bad, cosets)
+    with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
+        _coset_gammas(sig, kb, bad)
+    with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
+        _coset_gammas_oracle(sig, kb, bad, bad.cosets)
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Replace module.name with a wrapper that appends each call's name."""
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_build_representation_runs_the_coset_tables_once(monkeypatch):
+    """Across a whole verify_signature, f is recognized at most once (in
+    fact never: the product comes from the frame and primitivity from the
+    trace), and each build_representation builds K and the coset tables
+    once."""
     calls = []
-    recognize = representation._half_product_form
-
-    def counted(f):
-        calls.append(f)
-        return recognize(f)
-
-    monkeypatch.setattr(representation, "_half_product_form", counted)
-    for pq in ((0, 3), (2, 1), (3, 3)):
+    _counted(monkeypatch, idempotents, "_half_product_form", calls)
+    _counted(monkeypatch, representation, "division_ring_basis", calls)
+    _counted(monkeypatch, representation, "_cosets", calls)
+    _counted(monkeypatch, verify, "build_representation", calls)
+    for pq in ((0, 0), (0, 3), (2, 1), (3, 3), (1, 4)):
         calls.clear()
-        build_representation(Signature(*pq))
-        assert len(calls) == 1, pq
+        assert verify_signature(Signature(*pq)).passed
+        assert calls.count("_half_product_form") <= 1, pq
+        assert calls.count("build_representation") == 1, pq
+        assert calls.count("division_ring_basis") == 1, pq
+        assert calls.count("_cosets") == 1, pq
 
 
 def test_non_product_idempotent_uses_greedy_scan():
+    # spinor_basis takes product idempotents only; the greedy scan of the
+    # search oracle still builds a basis for this rotated one.
     sig = Signature(2, 0)
     f = (sig.scalar(1) + (sig.e(1) * 3 + sig.e(2) * 4) * Fraction(1, 5)) * HALF
     assert f * f == f
-    kb = division_ring_basis(f)
-    sb = spinor_basis(f, kb)
-    assert sb == _greedy_spinor_basis(f, kb)
+    kb = oracle.division_ring_basis(f)
+    with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
+        spinor_basis(f, kb)
+    sb = oracle.greedy_spinor_basis(f, kb)
     assert sb.blades == (0, 1)
     assert sb.size * kb.dim == 2
 
@@ -850,7 +879,7 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
     with pytest.raises(RepresentationError):
         spinor_basis(f, bad)
     with pytest.raises(RepresentationError):
-        _coset_gammas(sig, bad, sb, _cosets(f, bad))
+        _cosets(_half_product_form(f), bad)
 
 
 def test_gf2_reduce_gives_the_coset_minimum():
