@@ -13,8 +13,8 @@ Each e_C f squares to e_C^2 f, so the units are read off the masks C_0 = 0
 A unit whose blade squares to +1 is an exact witness of zero divisors, and
 d > 4 is too large for a division ring; either way f is not primitive.  The
 multiplication table of the units is the fixed table of R, C or H, and
-every product of two units is confirmed against it by exact multivector
-equality, so unit relations such as i**2 == -f hold on the nose.
+every product of two units is solved over the units and confirmed against
+it, so i**2 == -f holds on the nose and the units are independent.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class DivisionRingBasis:
     ``units[0]`` is always f itself (the unit of K); the remaining units
     square to -f and pairwise anticommute.  ``table[a][b]`` holds the
     coordinates of ``units[a] * units[b]`` over the units: the fixed table
-    of R, C or H, which ``division_ring_basis`` confirms by exact products.
+    of R, C or H, which ``division_ring_basis`` confirms by exact solves.
     """
 
     idempotent: Multivector
@@ -131,12 +131,16 @@ class DivisionRingBasis:
                         out[idx] += c * t
         return tuple(out)
 
-    def element_coordinates(self, u: Multivector) -> KElement | None:
-        """Coordinates of u over the units, or None when u is outside K."""
+    @cached_property
+    def _span(self) -> ExactSpan:
         span = ExactSpan()
         for idx, unit in enumerate(self.units):
             span.add(dict(unit.terms), idx)
-        coords = span.coordinates(dict(u.terms))
+        return span
+
+    def element_coordinates(self, u: Multivector) -> KElement | None:
+        """Coordinates of u over the units, or None when u is outside K."""
+        coords = self._span.coordinates(dict(u.terms))
         if coords is None:
             return None
         return tuple(coords.get(i, _ZERO) for i in range(self.dim))
@@ -188,10 +192,10 @@ def _imaginary_unit(f: Multivector, mask: int) -> Multivector:
 def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis:
     """Canonical R-basis of K = f Cl f with exact unit relations.
 
-    Every product of two units is confirmed against ``_UNIT_PRODUCTS``; the
-    relations also make the units independent (i = c f would square to
-    c**2 f, and for H the units are the image of a division algebra under a
-    map that is nonzero on 1), so the table's coordinates are the constant's.
+    Every product of two units is solved over the units; coordinates other
+    than those of ``_UNIT_PRODUCTS`` raise UnitConstructionError.  A unit
+    depending on the others would get coordinates other than its own row's
+    (units[0] * u == u), so this also confirms the units independent.
     Raises NotPrimitiveError when K fails to be a division ring of real
     dimension 1, 2, or 4, which is exactly the primitivity criterion for f,
     and ValueError when f is not a product idempotent.
@@ -211,15 +215,16 @@ def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis
         # commutative, so the form is not zero and C_2 anticommutes with C_1.
         units.append(_imaginary_unit(f, cosets[2]))
         units.append(units[1] * units[2])
-    table = []
+    table = tuple(
+        tuple(tuple(s if t == c else 0 for t in range(d)) for c, s in row[:d])
+        for row in _UNIT_PRODUCTS[:d]
+    )
+    kb = DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], table)
     for a in range(d):
-        row = []
         for b in range(d):
-            c, s = _UNIT_PRODUCTS[a][b]
-            if units[a] * units[b] != (units[c] if s == 1 else -units[c]):
+            if kb.element_coordinates(units[a] * units[b]) != table[a][b]:
+                c, s = _UNIT_PRODUCTS[a][b]
                 raise UnitConstructionError(
                     f"units[{a}] * units[{b}] != {'-' if s < 0 else ''}units[{c}]"
                 )
-            row.append(tuple(s if t == c else 0 for t in range(d)))
-        table.append(tuple(row))
-    return DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], tuple(table))
+    return kb

@@ -4,15 +4,16 @@ A frame of k commuting, independent basis monomials with square +1 expands
 into a complete set of 2^k primitive mutually annihilating idempotents, one
 per sign vector, which add up to the unit of the algebra.
 ``product_idempotent`` gives each as a ``ProductIdempotent``: the frame
-masks, the signs, the echelon of the masks' GF(2) span and the expanded
-product, the one form the division ring and the spinor basis are built from.
+masks, the signs and the expanded product, the one form the division ring
+and the spinor basis are built from.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .classify import K_DIMENSION, classify
 from .core import Multivector, Signature, blade_square_sign, blades_commute
@@ -54,13 +55,19 @@ class IdempotentSet:
 @dataclass(frozen=True)
 class ProductIdempotent:
     """f = prod (1 + s_i e_{m_i}) / 2 over commuting, GF(2)-independent
-    square-one blades: the masks m_i, the signs s_i, the fully reduced
-    echelon of the GF(2) span W of the masks, and the expanded f."""
+    square-one blades: the masks m_i, the signs s_i and the expanded f."""
 
     masks: tuple[int, ...]
     signs: tuple[int, ...]
-    echelon: dict[int, int] = field(compare=False, repr=False)
     f: Multivector
+
+    @cached_property
+    def echelon(self) -> dict[int, int]:
+        """The fully reduced echelon of the GF(2) span W of the masks."""
+        echelon: dict[int, int] = {}
+        for mask in self.masks:
+            gf2_insert(mask, echelon)
+        return echelon
 
 
 def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
@@ -70,11 +77,9 @@ def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
 def _expand_product(sig: Signature, masks, signs) -> ProductIdempotent:
     """The product of the factors (1 + s_i e_{m_i}) / 2, expanded in order."""
     f = sig.scalar(1)
-    echelon: dict[int, int] = {}
     for mask, s in zip(masks, signs):
         f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
-        gf2_insert(mask, echelon)
-    return ProductIdempotent(tuple(masks), tuple(signs), echelon, f)
+    return ProductIdempotent(tuple(masks), tuple(signs), f)
 
 
 def product_idempotent(frame: MonomialFrame, signs) -> ProductIdempotent:

@@ -17,8 +17,8 @@ ValueError).  Then e_A f = +-e_{A xor w} f for every w in the GF(2) span W
 of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per
 coset of U = W + span{m_j}, and each column of a generator matrix has a
 single nonzero entry, a rational multiple of one unit.  Basis and matrices
-are read off these GF(2) coset tables, and each matrix column is confirmed
-by exact equality, compared on integer numerators.
+are read off these GF(2) cosets, and each matrix column is confirmed by
+exact equality, compared on integer numerators.
 
 The matrices and coordinates of other elements (``represent``,
 ``spinor_coordinates``) are read off the real basis s_t u_j.  An index maps
@@ -34,7 +34,7 @@ outside S.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -82,32 +82,13 @@ class RepresentationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Cosets:
-    """GF(2) tables of a product-form f and its units u_j = c_j e_{m_j} f.
-
-    ``frame`` and ``ideal`` are fully reduced echelons of W = span{g_i} and
-    U = W + span{m_j}; ``unit_of`` maps the W-coset minimum of each m_j to j.
-    """
-
-    frame: dict[int, int]
-    ideal: dict[int, int]
-    unit_of: dict[int, int]
-
-
-@dataclass(frozen=True)
 class SpinorBasis:
-    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f.
-
-    ``cosets`` are the tables ``spinor_basis`` read the basis off, from
-    which ``_coset_gammas`` reads the generator matrices; a dumped basis has
-    none, and they take no part in equality.
-    """
+    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f."""
 
     idempotent: Multivector
     blades: tuple[int, ...]
     blade_signs: tuple[int, ...]
     elements: tuple[Multivector, ...]
-    cosets: _Cosets | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -278,8 +259,9 @@ class Representation:
         return self.algebra_class.simple
 
 
-def _cosets(product: ProductIdempotent, kb: DivisionRingBasis) -> _Cosets:
-    """Coset tables of a product idempotent and the units of kb.
+def _cosets(product: ProductIdempotent, kb: DivisionRingBasis) -> dict[int, int]:
+    """Fully reduced echelon of U = W + span{m_j}, for a product idempotent
+    f with frame span W and the units u_j = c_j e_{m_j} f of kb.
 
     Raises RepresentationError when a unit is not c * e_m f for a blade e_m
     commuting with the frame, or when S = Cl f is not a free right K-module,
@@ -290,7 +272,7 @@ def _cosets(product: ProductIdempotent, kb: DivisionRingBasis) -> _Cosets:
     scale = f.terms[0][1]
     frame = product.echelon
     ideal = dict(frame)
-    unit_of: dict[int, int] = {}
+    cosets = set()
     for j, u in enumerate(kb.units):
         if u.is_zero():
             raise RepresentationError(f"unit {j} is zero")
@@ -302,13 +284,13 @@ def _cosets(product: ProductIdempotent, kb: DivisionRingBasis) -> _Cosets:
                 f"unit {j} is not a multiple of e_A f for a blade commuting with f"
             )
         gf2_insert(m, ideal)
-        unit_of[gf2_reduce(m, frame)] = j
-    if len(unit_of) != kb.dim or len(ideal) != len(frame) + kb.dim.bit_length() - 1:
+        cosets.add(gf2_reduce(m, frame))
+    if len(cosets) != kb.dim or len(ideal) != len(frame) + kb.dim.bit_length() - 1:
         raise RepresentationError(
             f"S = Cl f is not a free right K-module: unit masks span rank"
             f" {len(ideal) - len(frame)} over the frame"
         )
-    return _Cosets(frame, ideal, unit_of)
+    return ideal
 
 
 def spinor_basis(
@@ -322,22 +304,24 @@ def spinor_basis(
     bit of U's fully reduced echelon, in ascending order.
     """
     product = product_form(f)
-    cosets = _cosets(product, kb)
+    pivots = sum(1 << bit for bit in _cosets(product, kb))
     f = product.f
-    pivots = sum(1 << bit for bit in cosets.ideal)
     blades = tuple(m for m in range(f.signature.dim) if not m & pivots)
     elements = tuple(f.signature.blade(m) * f for m in blades)
-    return SpinorBasis(f, blades, (1,) * len(blades), elements, cosets)
+    return SpinorBasis(f, blades, (1,) * len(blades), elements)
 
 
 def _coset_gammas(
-    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis
+    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis, product: ProductIdempotent
 ) -> tuple[KMatrix, ...]:
-    """Generator matrices as signed unit permutations of the spinor basis,
-    read off its coset tables.
+    """Generator matrices as signed unit permutations of the spinor basis of
+    a product idempotent, read off its frame cosets.
 
-    e_i s_t lies on the W-coset of X = e_i-mask xor A_t; its U-coset minimum
-    names the row s and its W-coset inside U names the unit j, so that
+    e_i s_t lies on the W-coset of X = e_i-mask xor A_t.  The leading masks
+    m_j of kb's units fill U / W, as ``_cosets`` confirms for the kb that
+    ``spinor_basis`` was given, so X + U is the union of the W-cosets of
+    X xor m_j: the least of their minima is the U-coset minimum, which
+    names the row s, and the j that reaches it names the unit, so that
     e_i s_t == (sign_s e_{A_s} u_j) * lambda for one rational lambda.  Each
     column is confirmed by that exact equality.  With s_s == sign_s e_{A_s} f,
     as ``spinor_basis`` and its involution image build it, and u_j == f u_j,
@@ -351,7 +335,8 @@ def _coset_gammas(
     their leading terms.  Equal entries are one shared tuple.
     """
     negative = _negative_mask(sig)
-    cosets = sb.cosets
+    frame = product.echelon
+    unit_masks = tuple(enumerate(u.terms[0][0] for u in kb.units))
     row_of = {mask: s for s, mask in enumerate(sb.blades)}
     # per spinor: denominator, then mask -> (numerator, sign mask) per term
     spinors = []
@@ -369,9 +354,11 @@ def _coset_gammas(
         x = 1 << i
         rows = [[zero] * sb.size for _ in range(sb.size)]
         for t, (lden, lhs) in enumerate(spinors):
-            a = gf2_reduce(x ^ sb.blades[t], cosets.ideal)
-            s = row_of[a]
-            j = cosets.unit_of[gf2_reduce(x ^ sb.blades[t] ^ a, cosets.frame)]
+            y = x ^ sb.blades[t]
+            a, j = min((gf2_reduce(y ^ m, frame), j) for j, m in unit_masks)
+            s = row_of.get(a)
+            if s is None:
+                raise RepresentationError(f"e{i + 1} s_{t} leaves the spinor basis")
             rhs = real_basis.get((s, j))
             if rhs is None:
                 uden, umasks, unums = kb.units[j]._integer_terms()
@@ -566,7 +553,7 @@ def build_representation(sig: Signature) -> Representation:
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = _coset_gammas(sig, kb, sb)
+    gammas = _coset_gammas(sig, kb, sb, product)
     components = [Component(kb, sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the

@@ -739,10 +739,18 @@ def test_solver_is_built_only_for_a_fallback():
 # the coset kernel against the exact span solves it replaced
 
 
-def _coset_gammas_oracle(sig, kb, sb, cosets):
+def _coset_gammas_oracle(sig, kb, sb, product):
     """The generator matrices with each column confirmed by exact
     multivector equality, as ``_coset_gammas`` did before it compared
-    integer numerators."""
+    integer numerators, and each row and unit read off U's echelon and the
+    W-coset of each unit mask, as it did before it took the least W-coset
+    minimum over the unit masks."""
+    frame = product.echelon
+    ideal = dict(frame)
+    unit_of = {}
+    for j, u in enumerate(kb.units):
+        gf2_insert(u.terms[0][0], ideal)
+        unit_of[gf2_reduce(u.terms[0][0], frame)] = j
     row_of = {mask: s for s, mask in enumerate(sb.blades)}
     gammas = []
     for i in range(sig.n):
@@ -750,9 +758,9 @@ def _coset_gammas_oracle(sig, kb, sb, cosets):
         columns = []
         for t, s_t in enumerate(sb.elements):
             x = (1 << i) ^ sb.blades[t]
-            a = gf2_reduce(x, cosets.ideal)
+            a = gf2_reduce(x, ideal)
             s = row_of[a]
-            j = cosets.unit_of[gf2_reduce(x ^ a, cosets.frame)]
+            j = unit_of[gf2_reduce(x ^ a, frame)]
             lhs = gen * s_t
             rhs = sig.blade(a, sb.blade_signs[s]) * kb.units[j]
             lam = lhs.terms[0][1] / rhs.terms[0][1]
@@ -792,10 +800,9 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             # the coset kernel on the component's own tables, with its
             # column confirmations (for the second component, the run that
             # the negated first gammas replaced)
-            cosets = _cosets(_half_product_form(sb.idempotent), kb)
-            tabled = dataclasses.replace(sb, cosets=cosets)
-            assert comp.gammas == _coset_gammas(sig, kb, tabled)
-            assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, cosets)
+            product = _half_product_form(sb.idempotent)
+            assert comp.gammas == _coset_gammas(sig, kb, sb, product)
+            assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, product)
 
 
 def _scale_last_term(u):
@@ -816,19 +823,20 @@ def test_coset_gammas_reject_a_spinor_proportional_but_for_one_term(pq, corrupt)
     elements = list(sb.elements)
     elements[1] = corrupt(elements[1])
     bad = dataclasses.replace(sb, elements=tuple(elements))
+    product = _half_product_form(sb.idempotent)
     with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
-        _coset_gammas(sig, kb, bad)
+        _coset_gammas(sig, kb, bad, product)
     with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
-        _coset_gammas_oracle(sig, kb, bad, bad.cosets)
+        _coset_gammas_oracle(sig, kb, bad, product)
 
 
 def _counted(monkeypatch, module, name, calls):
     """Replace module.name with a wrapper that appends each call's name."""
     fn = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(name)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
 
@@ -836,12 +844,13 @@ def _counted(monkeypatch, module, name, calls):
 def test_build_representation_runs_the_coset_tables_once(monkeypatch):
     """Across a whole verify_signature, f is recognized at most once (in
     fact never: the product comes from the frame and primitivity from the
-    trace), and each build_representation builds K and the coset tables
-    once."""
+    trace), and each build_representation builds K, the coset tables and
+    the spinor basis once."""
     calls = []
     _counted(monkeypatch, idempotents, "_half_product_form", calls)
     _counted(monkeypatch, representation, "division_ring_basis", calls)
     _counted(monkeypatch, representation, "_cosets", calls)
+    _counted(monkeypatch, representation, "spinor_basis", calls)
     _counted(monkeypatch, verify, "build_representation", calls)
     for pq in ((0, 0), (0, 3), (2, 1), (3, 3), (1, 4)):
         calls.clear()
@@ -850,6 +859,7 @@ def test_build_representation_runs_the_coset_tables_once(monkeypatch):
         assert calls.count("build_representation") == 1, pq
         assert calls.count("division_ring_basis") == 1, pq
         assert calls.count("_cosets") == 1, pq
+        assert calls.count("spinor_basis") == 1, pq
 
 
 def test_non_product_idempotent_uses_greedy_scan():
@@ -873,13 +883,16 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
     kb, sb = comp.kbasis, comp.basis
     f = kb.idempotent
     i_unit = kb.units[1]
-    bad = DivisionRingBasis(
-        f, (f, i_unit + sig.e(2) * f), kb.ktype, kb.table
-    )
-    with pytest.raises(RepresentationError):
-        spinor_basis(f, bad)
-    with pytest.raises(RepresentationError):
-        _cosets(_half_product_form(f), bad)
+    product = _half_product_form(f)
+    for unit in (i_unit + sig.e(2) * f, sig.blade(3) * f):
+        bad = DivisionRingBasis(f, (f, unit), kb.ktype, kb.table)
+        with pytest.raises(RepresentationError):
+            spinor_basis(f, bad)
+        with pytest.raises(RepresentationError):
+            _cosets(product, bad)
+        # the gamma kernel confirms its rows and columns without _cosets
+        with pytest.raises(RepresentationError):
+            _coset_gammas(sig, bad, sb, product)
 
 
 def test_gf2_reduce_gives_the_coset_minimum():
