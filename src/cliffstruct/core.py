@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 MAX_DIMENSION = 12
 
@@ -104,17 +105,35 @@ def _negative_mask(sig: Signature) -> int:
     return (1 << sig.n) - (1 << sig.p)
 
 
+# Work runs one signature at a time, so only the last table is kept.
+@lru_cache(maxsize=1)
+def _sign_masks(sig: Signature) -> Sequence[int]:
+    """``_sign_mask(b, negative)`` for every blade b of sig, cut to its n
+    low bits, built once per signature: e_a e_b = (-1)**popcount(a &
+    table[b]) e_{a ^ b}.  The masks are 16-bit words (n <= 12), so 2^n of
+    them take 2^(n+1) bytes rather than one int object each."""
+    negative = _negative_mask(sig)
+    table = memoryview(bytearray(2 * sig.dim)).cast("H")
+    for b in range(sig.dim):
+        table[b] = _sign_mask(b, negative) & (sig.dim - 1)
+    return table.toreadonly()
+
+
 def _blade_times(
-    a: int, negate: bool, terms: Iterable[tuple[int, Rational]], negative: int
+    a: int,
+    negate: bool,
+    terms: Iterable[tuple[int, Rational]],
+    signs: Sequence[int],
 ) -> dict:
     """The terms of +-e_a x as {mask: coefficient}, minus when ``negate``,
-    for x given by its (mask, coefficient) pairs.
+    for x given by its (mask, coefficient) pairs and ``signs`` the
+    ``_sign_masks`` of its signature.
 
-    e_a e_b = (-1)**popcount(a & q_b) e_{a ^ b} with q_b = _sign_mask(b,
-    negative), so a +-1 blade permutes the terms of x and only flips signs.
+    e_a e_b = (-1)**popcount(a & signs[b]) e_{a ^ b}, so a +-1 blade permutes
+    the terms of x and only flips signs.
     """
     return {
-        a ^ b: -c if ((a & _sign_mask(b, negative)).bit_count() ^ negate) & 1 else c
+        a ^ b: -c if ((a & signs[b]).bit_count() ^ negate) & 1 else c
         for b, c in terms
     }
 
@@ -226,11 +245,11 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        negative = _negative_mask(self.signature)
+        signs = _sign_masks(self.signature)
         if len(self.terms) == 1:
             a, ca = self.terms[0]
             if ca == 1 or ca == -1:
-                moved = _blade_times(a, ca < 0, other.terms, negative)
+                moved = _blade_times(a, ca < 0, other.terms, signs)
                 return Multivector(self.signature, tuple(sorted(moved.items())))
         # Integer numerators over each operand's common denominator; one
         # normalized Fraction per output term.
@@ -239,7 +258,7 @@ class Multivector:
         acc: dict[int, int] = {}
         get = acc.get
         for b, cb in zip(b_masks, b_nums):
-            q = _sign_mask(b, negative)
+            q = signs[b]
             for a, ca in zip(a_masks, a_nums):
                 m = a ^ b
                 if (a & q).bit_count() & 1:

@@ -50,8 +50,7 @@ from .core import (
     _integer_field,
     _list,
     _list_field,
-    _negative_mask,
-    _sign_mask,
+    _sign_masks,
     blades_commute,
     grade,
     multivector_from_json_dict,
@@ -330,11 +329,11 @@ def _coset_gammas(
 
     Both sides are compared on integer numerators over their common
     denominators: e_i permutes the terms of s_t with the signs of
-    ``_sign_mask``, and the equality holds exactly when the two sides have
+    ``_sign_masks``, and the equality holds exactly when the two sides have
     the same masks and proportional numerators, lambda being the ratio of
     their leading terms.  Equal entries are one shared tuple.
     """
-    negative = _negative_mask(sig)
+    signs = _sign_masks(sig)
     frame = product.echelon
     unit_masks = tuple(enumerate(u.terms[0][0] for u in kb.units))
     row_of = {mask: s for s, mask in enumerate(sb.blades)}
@@ -343,7 +342,7 @@ def _coset_gammas(
     for s_t in sb.elements:
         den, masks, nums = s_t._integer_terms()
         spinors.append(
-            (den, {b: (c, _sign_mask(b, negative)) for b, c in zip(masks, nums)})
+            (den, {b: (c, signs[b]) for b, c in zip(masks, nums)})
         )
     # (s, j) -> denominator, mask -> numerator, leading mask and numerator
     real_basis: dict[tuple[int, int], tuple] = {}
@@ -363,7 +362,7 @@ def _coset_gammas(
             if rhs is None:
                 uden, umasks, unums = kb.units[j]._integer_terms()
                 terms = _blade_times(
-                    a, sb.blade_signs[s] < 0, zip(umasks, unums), negative
+                    a, sb.blade_signs[s] < 0, zip(umasks, unums), signs
                 )
                 lead = min(terms)
                 rhs = real_basis[s, j] = (uden, terms, lead, terms[lead])
@@ -474,13 +473,21 @@ def _lookup(
     return t, tuple(lam if jj == j else 0 for jj in range(kb.dim))
 
 
+def _column(
+    kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
+) -> list[tuple[int, KElement]] | None:
+    """The nonzero K-coordinates of psi as (t, entry) pairs, confirmed by
+    the lookup or else solved; None if psi is not in S."""
+    den, masks, nums = psi._integer_terms()
+    hit = _lookup(kb, sb, den, dict(zip(masks, nums)))
+    return [hit] if hit is not None else _solve(kb, sb, psi)
+
+
 def spinor_coordinates(
     kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
 ) -> tuple[KElement, ...] | None:
     """K-coordinates of psi over the spinor basis, or None if psi is not in S."""
-    den, masks, nums = psi._integer_terms()
-    hit = _lookup(kb, sb, den, dict(zip(masks, nums)))
-    column = [hit] if hit is not None else _solve(kb, sb, psi)
+    column = _column(kb, sb, psi)
     if column is None:
         return None
     out = [kb.kzero()] * sb.size
@@ -490,35 +497,12 @@ def spinor_coordinates(
 
 
 def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatrix:
-    """Matrix of u: column t holds the K-coordinates of u s_t.
-
-    A +-1 blade u = +-e_a permutes the terms of s_t with the signs of
-    ``_sign_mask``, so u s_t is read off s_t's integer numerators without
-    forming the product, which only the span solve needs.
-    """
-    negative = _negative_mask(u.signature)
-    blade = None
-    if len(u.terms) == 1 and u.terms[0][1] in (1, -1):
-        blade = u.terms[0]
+    """Matrix of u: column t holds the K-coordinates of u s_t."""
     columns = []
     for s in sb.elements:
-        if blade is None:
-            psi = u * s
-            den, masks, nums = psi._integer_terms()
-            terms = dict(zip(masks, nums))
-        else:
-            u._check_same(s)
-            psi = None
-            a, ca = blade
-            den, masks, nums = s._integer_terms()
-            terms = _blade_times(a, ca < 0, zip(masks, nums), negative)
-        hit = _lookup(kb, sb, den, terms)
-        if hit is not None:
-            column = [hit]
-        else:
-            column = _solve(kb, sb, u * s if psi is None else psi)
-            if column is None:
-                raise RepresentationError("product left the spinor ideal")
+        column = _column(kb, sb, u * s)
+        if column is None:
+            raise RepresentationError("product left the spinor ideal")
         columns.append(tuple(column))
     return KMatrix._from_columns(kb, sb.size, columns)
 

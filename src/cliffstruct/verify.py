@@ -15,6 +15,12 @@ alone gives verdicts of failure and their witnesses.  The same holds for the
 blade matrices and spinor coordinates the representation checks read: a
 lookup in the real spinor basis only confirms a column by exact equality,
 and the exact span solve decides every other one.
+
+The left multiples e_X f of an idempotent f are read once into a table of
+proportionality classes (``multiples``).  A rank modulo a prime that
+reaches the class count proves dim S = dim Cl(p,q) f, and when every s_t
+is +-e_{B_t} f the blade matrices are read off the table.  Certificates
+only confirm; every failure and witness comes from the exact path.
 """
 
 from __future__ import annotations
@@ -26,14 +32,7 @@ from functools import cached_property
 from math import gcd
 
 from .classify import K_DIMENSION, classify
-from .core import (
-    Multivector,
-    Signature,
-    SignatureMismatchError,
-    _blade_times,
-    _negative_mask,
-    _sign_mask,
-)
+from .core import Multivector, Signature, SignatureMismatchError, _sign_masks
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -44,6 +43,13 @@ from .idempotents import (
     sign_vectors,
 )
 from .linalg import ExactSpan, rank_mod_p, span_of
+from .multiples import (
+    _LeftMultiples,
+    _basis_table,
+    _independent,
+    _left_multiples,
+    _table_matrices,
+)
 from .representation import (
     Component,
     KMatrix,
@@ -117,19 +123,16 @@ class RangeSummary:
 
 
 def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
-    """R-dimension of Cl(p,q) f by row reduction over all blade left-multiples.
+    """R-dimension of Cl(p,q) f, the rank of all blade left-multiples e_A f.
 
-    Each row e_A f is read off f's integer numerators as a signed permutation
-    (a common multiple that leaves the rank as it is), with no product formed.
+    They have the rank of their class rows, at most the class count; a rank
+    modulo a prime that reaches the count proves it, and row reduction over
+    Q decides every other case.
     """
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
-    _, masks, nums = f._integer_terms()
-    terms = list(zip(masks, nums))
-    negative = _negative_mask(sig)
-    return span_of(
-        _blade_times(a, False, terms, negative) for a in range(sig.dim)
-    ).rank
+    rows = _left_multiples(f).rows
+    return len(rows) if _independent(rows) else span_of(rows).rank
 
 
 @dataclass
@@ -165,13 +168,26 @@ class _Context:
         return {c.check_id: c.witness for c in results}
 
     @cached_property
+    def tables(self) -> list[_LeftMultiples | None]:
+        """Per component, ``_basis_table`` of its spinor basis."""
+        return [_basis_table(self.sig, comp.basis) for comp in self.rep.components]
+
+    @cached_property
     def solved(self) -> list[list[KMatrix]]:
-        """Per component, every blade's matrix solved in its spinor basis."""
-        blades = [self.sig.blade(mask) for mask in range(self.sig.dim)]
-        return [
-            [_matrix_of(u, comp.kbasis, comp.basis) for u in blades]
-            for comp in self.rep.components
-        ]
+        """Per component, every blade's matrix in its spinor basis: read
+        off the table, or solved blade by blade when there is none."""
+        out = []
+        for comp, table in zip(self.rep.components, self.tables):
+            if table is None:
+                out.append(
+                    [
+                        _matrix_of(self.sig.blade(mask), comp.kbasis, comp.basis)
+                        for mask in range(self.sig.dim)
+                    ]
+                )
+            else:
+                out.append(_table_matrices(self.sig, comp, table))
+        return out
 
     @cached_property
     def rng(self) -> random.Random:
@@ -313,7 +329,7 @@ def _projected_rank_reaches(
         return False
     _, psi_masks, nums = psi._integer_terms()
     coeffs = dict(zip(psi_masks, nums))
-    negative = _negative_mask(sig)
+    signs = _sign_masks(sig)
 
     def rows():
         for a in range(sig.dim):
@@ -322,7 +338,7 @@ def _projected_rank_reaches(
                 b = a ^ m
                 c = coeffs.get(b)
                 if c:
-                    row[m] = -c if (a & _sign_mask(b, negative)).bit_count() & 1 else c
+                    row[m] = -c if (a & signs[b]).bit_count() & 1 else c
             yield row
 
     return rank_mod_p(rows(), rank) == rank
@@ -361,8 +377,10 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
 
 def _irreducible(ctx: _Context) -> dict | None:
     """Every sample psi of S generates all of S: the left multiples e_A psi
-    reach rank dim_R S.  A projected-rank certificate may confirm a sample;
-    the others, and every witness, come from the exact rows."""
+    reach rank dim_R S.  The rows of a basis sample +-e_B f are a signed
+    permutation of f's, so a proved rank of f's table confirms every basis
+    sample, and a projected-rank certificate may confirm any sample; the
+    others, and every witness, come from the exact rows."""
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
         ideal_dim = comp.basis.size * comp.kbasis.dim
@@ -372,7 +390,13 @@ def _irreducible(ctx: _Context) -> dict | None:
         if not any(basis_products):
             return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
         draw = _psi_sampler(sig, basis_products)
-        samples = list(comp.basis.elements)
+        table = ctx.tables[ci]
+        basis_proved = (
+            table is not None
+            and len(table.rows) == ideal_dim
+            and _independent(table.rows)
+        )
+        samples = [] if basis_proved else list(comp.basis.elements)
         samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
         masks = sorted({v.terms[0][0] for v in basis_products if v})
         for psi in samples:
@@ -454,6 +478,11 @@ def _semi_split(ctx: _Context) -> dict | None:
     fh = f.involute()
     if not (fh * f).is_zero():
         return {"fail": "hat(f) f != 0"}
+    # Independent class rows of f and hat(f), as many of each, prove
+    # dim S and rank(S + hat(S)) == 2 dim S.
+    rows, hat_rows = _left_multiples(f).rows, _left_multiples(fh).rows
+    if len(rows) == len(hat_rows) and _independent(rows + hat_rows):
+        return None
     joint = span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))
     dim_s = joint.rank
     for mask in range(sig.dim):

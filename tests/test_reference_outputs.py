@@ -6,7 +6,8 @@ output with p + q <= 12, recorded from the package as first released.  The
 n <= 9 signatures run in every test session; n = 10-12 take several times
 longer and run only with ``CLIFFSTRUCT_SLOW=1`` in the environment.  The
 ``verify`` hashes and those of the ``repr p q`` text for n <= 6 are kept
-inline; ``verify --max-n 8`` is slow-only too.
+inline; ``verify --max-n 8`` is slow-only too, and ``verify --max-n 12``,
+the whole range of p + q, runs only with ``CLIFFSTRUCT_SLOW=2``.
 """
 
 import contextlib
@@ -22,15 +23,18 @@ from cliffstruct.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 FAST_MAX_N = 9
-SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
+LEVEL = os.environ.get("CLIFFSTRUCT_SLOW")
+SLOW = LEVEL == "1"
 
 
 VERIFY_SHA256 = {
     "--max-n 6 --json": "15a72274dadae52996cf475baed70251c2f881559e9c963fcf9d1e03656587ff",
     "--max-n 6": "e2f94e8f65096f2603703b13afe05f6b08020df61fa1d30f5dc4f238cdfc5612",
     "--max-n 8 --json": "96975cb586d765e035deaf417267a0f8bbd4ad8490d0721cfe143576594e2091",
+    "--max-n 12 --json": "a4be6942ed314a4c0032075c9afe0f8bb02220d96ef5cfd80836f1819f32f61d",
 }
-SLOW_VERIFY = {"--max-n 8 --json"}
+# the CLIFFSTRUCT_SLOW value each slow verify hash runs under
+SLOW_VERIFY = {"--max-n 8 --json": "1", "--max-n 12 --json": "2"}
 
 # sha256 of ``repr p q`` stdout (the text form), keyed "p,q"
 REPR_TEXT_SHA256 = {
@@ -103,8 +107,8 @@ def test_repr_json_matches_reference(reference, p, q):
         pytest.param(
             args,
             marks=pytest.mark.skipif(
-                args in SLOW_VERIFY and not SLOW,
-                reason="verify --max-n 8: set CLIFFSTRUCT_SLOW=1",
+                args in SLOW_VERIFY and LEVEL != SLOW_VERIFY[args],
+                reason=f"verify {args}: set CLIFFSTRUCT_SLOW={SLOW_VERIFY.get(args)}",
             ),
             id=args.replace("--", "").replace(" ", "-"),
         )

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cliffstruct.multiples as multiples
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
@@ -24,6 +27,14 @@ from cliffstruct.idempotents import sign_vectors
 from cliffstruct.linalg import ExactSpan, span_of
 
 from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
+from test_idempotents import _fixed_non_products, _trace_case
+from test_representation import _matrix_of_oracle
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # fixed draws instead
+    hypothesis = None
 
 HALF = Fraction(1, 2)
 SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
@@ -96,6 +107,54 @@ def test_ideal_dim_matches_the_multivector_rows_off_the_product_form():
     for u in elements:
         sig = u.signature
         assert brute_force_minimal_ideal_dim(sig, u) == _ideal_dim_oracle(sig, u)
+
+
+def _table_case(draw):
+    """An element from integer draws: zero, a random sum of blades, an
+    idempotent of ``_trace_case`` (a product, a rational conjugate or a
+    skewed sum, some not in product form) or a rational multiple of one,
+    which is not idempotent."""
+    kind = draw(0, 5)
+    if kind < 3:
+        n = draw(0, 5)
+        p = draw(0, n)
+        sig = Signature(p, n - p)
+        u = sig.scalar(0)
+        for _ in range(draw(1, 6) if kind else 0):
+            u = u + sig.blade(draw(0, sig.dim - 1), Fraction(draw(-9, 9), draw(1, 4)))
+        return u
+    f = _trace_case(draw)
+    return f if kind == 3 else f * Fraction(draw(-9, 9) or 1, draw(2, 9))
+
+
+def _assert_table(u):
+    """Every e_X u is its class row with the table's sign and scale, and the
+    ideal oracle ranks u as the Multivector rows do."""
+    sig = u.signature
+    table = multiples._left_multiples(u)
+    for x in range(sig.dim):
+        row = table.multivector(sig, table.of[x] >> 1)
+        assert sig.blade(x) * u == (-row if table.of[x] & 1 else row)
+    assert brute_force_minimal_ideal_dim(sig, u) == _ideal_dim_oracle(sig, u)
+
+
+if hypothesis is not None:
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def test_left_multiple_table_matches_the_products(data):
+        _assert_table(_table_case(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+else:
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_left_multiple_table_matches_the_products(seed):
+        _assert_table(_table_case(random.Random(seed).randint))
+
+
+@pytest.mark.parametrize("f", _fixed_non_products(), ids=str)
+def test_left_multiple_table_on_non_product_idempotents(f):
+    _assert_table(f)
 
 
 def test_verify_signature_trivial():
@@ -221,6 +280,64 @@ def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
     default = verify_range(5).to_json_dict()
     monkeypatch.setattr(verify, "_projected_rank_reaches", lambda *args: False)
     assert verify_range(5).to_json_dict() == default
+
+
+# the checks that certify a rank with ``_independent``
+CERTIFIED = ("brute_force_minimal_ideal_dim", "_semi_split", "_irreducible")
+
+
+@pytest.mark.parametrize("caller", CERTIFIED)
+def test_table_certificates_fall_back_to_exact_rows(monkeypatch, caller):
+    independent = verify._independent
+    decided = []
+
+    def record(rows):
+        got = independent(rows)
+        decided.append((sys._getframe(1).f_code.co_name, got))
+        return got
+
+    monkeypatch.setattr(verify, "_independent", record)
+    default = verify_range(5).to_json_dict()
+    # the certificate decides on the default run
+    assert (caller, True) in decided
+
+    def undecided(rows):
+        return sys._getframe(1).f_code.co_name != caller and independent(rows)
+
+    monkeypatch.setattr(verify, "_independent", undecided)
+    assert verify_range(5).to_json_dict() == default
+
+
+def _context(rep):
+    ctx = verify._Context(rep.signature, verify.DEFAULT_SAMPLE_SEED)
+    ctx.rep = rep
+    return ctx
+
+
+@pytest.mark.parametrize("pq", [(0, 0), (1, 0), (0, 3), (2, 2), (1, 4), (3, 2)])
+def test_table_blade_matrices_match_the_span_solve(pq):
+    sig = Signature(*pq)
+    rep = build_representation(sig)
+    ctx = _context(rep)
+    assert all(table is not None for table in ctx.tables)
+    for comp, mats in zip(rep.components, ctx.solved):
+        for mask, mat in enumerate(mats):
+            assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (2, 2)])
+def test_a_basis_off_the_table_takes_the_per_blade_path(pq):
+    # s_1 + s_0 is not +-e_B f for any blade, but the basis still spans S
+    sig = Signature(*pq)
+    rep = build_representation(sig)
+    comp = rep.components[0]
+    sb = comp.basis
+    elements = (sb.elements[0], sb.elements[1] + sb.elements[0], *sb.elements[2:])
+    comp = dataclasses.replace(comp, basis=dataclasses.replace(sb, elements=elements))
+    ctx = _context(dataclasses.replace(rep, components=(comp, *rep.components[1:])))
+    assert ctx.tables[0] is None
+    for mask, mat in enumerate(ctx.solved[0]):
+        assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)
 
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):

@@ -439,6 +439,26 @@ SIGNATURE_CASES = {
             "semi.split": {"fail": "hat(f) f != 0"},
         },
     ),
+    # A nilpotent f = e1 + e3 has hat(f) = -f, so hat(f) f = -f^2 = 0 while
+    # S and hat(S) are the same left ideal.
+    "semi.split-direct-sum": (
+        (2, 1),
+        {
+            "primitive_idempotent": _replace_idempotents(
+                {(1, 1): lambda fr, f: fr.signature.e(1) + fr.signature.e(3)}
+            )
+        },
+        {
+            "idem.idempotent": {"signs": [1, 1]},
+            "idem.mutually_annihilating": {"i": [1, 1], "j": [1, -1]},
+            "idem.sum_to_unity": {"sum": "3/4 + 3/4*e1 + 1*e3 - 1/4*e23 - 1/4*e123"},
+            "idem.primitive": {"signs": [1, 1]},
+            "ideal.dimension": {"signs": [1, 1], "dim": 4, "expected": 2},
+            "semi.split": {
+                "fail": "S + hat(S) is not a direct sum", "dim_S": 4, "joint": 4,
+            },
+        },
+    ),
     "semi.split-raises": (
         (2, 1),
         {"central_idempotents": _boom},
