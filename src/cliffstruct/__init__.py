@@ -5,7 +5,16 @@ copy of one), constructs the commuting monomial frames and primitive
 idempotents behind that structure, extracts spinor bases of minimal left
 ideals together with faithful matrix images of the generators, and verifies
 the whole decomposition with exact rational arithmetic.
+
+Import rule: only ``classify`` and ``core`` load with the package.  Every
+command needs them, and the function ``classify`` must shadow the submodule
+of the same name.  The names from ``division``, ``idempotents``,
+``representation`` and ``verify`` resolve on first access, so a command
+loads only the layers it runs: with bytecode writing off, each launch
+compiles every module it imports from source.
 """
+
+import importlib
 
 from .classify import (
     AlgebraClass,
@@ -32,57 +41,67 @@ from .core import (
     multivector_to_json_dict,
     parse_multivector,
 )
-from .division import (
-    DivisionRingBasis,
-    KElement,
-    NotPrimitiveError,
-    UnitConstructionError,
-    division_ring_basis,
-)
-from .idempotents import (
-    FrameSearchError,
-    IdempotentSet,
-    IdempotentSetError,
-    MonomialFrame,
-    ProductIdempotent,
-    center_basis,
-    central_idempotents,
-    complete_set,
-    find_frame,
-    is_idempotent,
-    is_primitive,
-    primitive_idempotent,
-    product_idempotent,
-)
-from .representation import (
-    Component,
-    KMatrix,
-    Representation,
-    RepresentationError,
-    SpinorBasis,
-    build_representation,
-    format_kelement,
-    format_kmatrix,
-    kmatrix_add,
-    kmatrix_eq,
-    kmatrix_mul,
-    represent,
-    represent_semisimple,
-    representation_from_json_dict,
-    representation_to_json_dict,
-    spinor_basis,
-    spinor_coordinates,
-)
-from .verify import (
-    CheckResult,
-    DEFAULT_SAMPLE_SEED,
-    RangeSummary,
-    VerificationReport,
-    brute_force_minimal_ideal_dim,
-    verify_range,
-    verify_representation,
-    verify_signature,
-)
+
+# name -> submodule for the names that load on first access (PEP 562)
+_LAZY = {
+    "DivisionRingBasis": "division",
+    "KElement": "division",
+    "NotPrimitiveError": "division",
+    "UnitConstructionError": "division",
+    "division_ring_basis": "division",
+    "FrameSearchError": "idempotents",
+    "IdempotentSet": "idempotents",
+    "IdempotentSetError": "idempotents",
+    "MonomialFrame": "idempotents",
+    "ProductIdempotent": "idempotents",
+    "center_basis": "idempotents",
+    "central_idempotents": "idempotents",
+    "complete_set": "idempotents",
+    "find_frame": "idempotents",
+    "is_idempotent": "idempotents",
+    "is_primitive": "idempotents",
+    "primitive_idempotent": "idempotents",
+    "product_idempotent": "idempotents",
+    "Component": "representation",
+    "KMatrix": "representation",
+    "Representation": "representation",
+    "RepresentationError": "representation",
+    "SpinorBasis": "representation",
+    "build_representation": "representation",
+    "format_kelement": "representation",
+    "format_kmatrix": "representation",
+    "kmatrix_add": "representation",
+    "kmatrix_eq": "representation",
+    "kmatrix_mul": "representation",
+    "represent": "representation",
+    "represent_semisimple": "representation",
+    "representation_from_json_dict": "representation",
+    "representation_to_json_dict": "representation",
+    "spinor_basis": "representation",
+    "spinor_coordinates": "representation",
+    "CheckResult": "verify",
+    "DEFAULT_SAMPLE_SEED": "verify",
+    "RangeSummary": "verify",
+    "VerificationReport": "verify",
+    "brute_force_minimal_ideal_dim": "verify",
+    "verify_range": "verify",
+    "verify_representation": "verify",
+    "verify_signature": "verify",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -32,7 +32,13 @@ from functools import cached_property
 from math import gcd
 
 from .classify import K_DIMENSION, classify
-from .core import Multivector, Signature, SignatureMismatchError, _sign_masks
+from .core import (
+    MAX_DIMENSION,
+    Multivector,
+    Signature,
+    SignatureMismatchError,
+    _sign_masks,
+)
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -547,6 +553,8 @@ def verify_signature(
 
 def verify_range(max_n: int, seed: int = DEFAULT_SAMPLE_SEED) -> RangeSummary:
     """Verify every signature with p + q <= max_n, ordered by (n, p)."""
+    if max_n > MAX_DIMENSION:
+        raise ValueError(f"max_n = {max_n} exceeds the supported cap of {MAX_DIMENSION}")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     reports = []

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cliffstruct
 import cliffstruct.cli as cli
 from cliffstruct import Signature, parse_multivector
 from cliffstruct.cli import main
@@ -153,11 +156,33 @@ def test_verify_usage_errors(capsys):
     assert "max_n must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify"], "verify needs p q or --max-n N"),
+        (["verify", "1"], "verify needs p q or --max-n N"),
+        (["verify", "1", "0", "--max-n", "2"], "verify takes either p q or --max-n, not both"),
+        (["verify", "--max-n", "13"], "max_n = 13 exceeds the supported cap of 12"),
+        (["verify", "--max-n", "-1"], "max_n must be nonnegative"),
+        (["verify", "9", "9"], "p + q = 18 exceeds the supported cap of 12"),
+        (["classify", "9", "9"], "p + q = 18 exceeds the supported cap of 12"),
+        (["table", "--max-n", "13"], "max_n = 13 exceeds the supported cap of 12"),
+        (["repr", "13", "0"], "p + q = 13 exceeds the supported cap of 12"),
+        (["idempotents", "-1", "0"], "signature counts must be nonnegative integers"),
+    ],
+)
+def test_usage_errors_print_one_error_line_and_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = VerificationReport(
         Signature(1, 1), [CheckResult("idem.count", False, {"count": 0})]
     )
-    monkeypatch.setattr("cliffstruct.cli.verify_signature", lambda sig, seed: failing)
+    monkeypatch.setattr("cliffstruct.verify.verify_signature", lambda sig, seed: failing)
     code, out = run_cli(capsys, "verify", "1", "1")
     assert code == 1
     assert "FAIL" in out
@@ -171,6 +196,97 @@ def test_multivector_json_schema_from_repr(capsys):
         jsonschema.validate(comp["idempotent"], schema)
         for unit in comp["units"]:
             jsonschema.validate(unit, schema)
+
+
+# ---------------------------------------------------------------------------
+# what each command and the package load, each in a fresh interpreter
+
+SRC_DIR = Path(cliffstruct.__file__).resolve().parent.parent
+
+
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this package."""
+    env = {"PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"}
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def _loaded_by(argv) -> set[str]:
+    code = (
+        "import contextlib, io, sys\n"
+        "from cliffstruct import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'cliffstruct'))\n"
+    )
+    return set(_fresh(code).split())
+
+
+BASE = {"cliffstruct", "cliffstruct.classify", "cliffstruct.core", "cliffstruct.cli"}
+FRAME = {"cliffstruct.idempotents", "cliffstruct.linalg"}
+REPR = FRAME | {"cliffstruct.division", "cliffstruct.representation"}
+VERIFY = REPR | {"cliffstruct.multiples", "cliffstruct.verify"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["classify", "0", "0"], BASE),
+        (["table", "--max-n", "2"], BASE),
+        (["idempotents", "1", "1"], BASE | FRAME),
+        (["repr", "1", "1", "--json"], BASE | REPR),
+        (["verify", "1", "1"], BASE | VERIFY),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
+    assert _loaded_by(argv) == loaded
+
+
+def _exports(body: str) -> dict:
+    code = "import importlib, json, pkgutil, sys\nimport cliffstruct\n" + body
+    return json.loads(_fresh(code))
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    out = _exports(
+        "exports = {name: getattr(cliffstruct, name) for name in cliffstruct.__all__}\n"
+        "mods = [importlib.import_module(f'cliffstruct.{m.name}')\n"
+        "        for m in pkgutil.iter_modules(cliffstruct.__path__)]\n"
+        "owners = {name: [vars(m)[name] for m in mods if name in vars(m)]\n"
+        "          for name in cliffstruct.__all__}\n"
+        "print(json.dumps({\n"
+        "    'classify': cliffstruct.classify is sys.modules['cliffstruct.classify'].classify,\n"
+        "    'orphans': [n for n, objs in owners.items() if not objs],\n"
+        "    'differ': [n for n, objs in owners.items()\n"
+        "               if any(o is not exports[n] for o in objs)],\n"
+        "    'package': [n for n in exports if getattr(cliffstruct, n) is not exports[n]],\n"
+        "}))\n"
+    )
+    assert out == {"classify": True, "orphans": [], "differ": [], "package": []}
+
+
+def test_lazy_exports_are_listed_and_star_imported():
+    out = _exports(
+        "listed = set(cliffstruct.__all__) <= set(dir(cliffstruct))\n"
+        "namespace = {}\n"
+        "exec('from cliffstruct import *', namespace)\n"
+        "print(json.dumps({\n"
+        "    'listed': listed,\n"
+        "    'missing': sorted(set(cliffstruct.__all__) - set(namespace)),\n"
+        "    'differ': [n for n in cliffstruct.__all__\n"
+        "               if namespace.get(n) is not getattr(cliffstruct, n)],\n"
+        "}))\n"
+    )
+    assert out == {"listed": True, "missing": [], "differ": []}
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cliffstruct.no_such_name
+    assert not hasattr(cliffstruct, "verify_everything")
 
 
 # ---------------------------------------------------------------------------

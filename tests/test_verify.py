@@ -191,6 +191,16 @@ def test_verify_range_small():
     assert sigs == sorted(sigs, key=lambda pq: (pq[0] + pq[1], pq[0]))
 
 
+def test_verify_range_checks_the_cap_before_any_signature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "verify_signature", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=r"^max_n = 13 exceeds the supported cap of 12$"):
+        verify_range(13)
+    with pytest.raises(ValueError, match="max_n must be nonnegative"):
+        verify_range(-1)
+    assert calls == []
+
+
 def test_report_json_shape():
     report = verify_signature(Signature(1, 1))
     data = report.to_json_dict()
