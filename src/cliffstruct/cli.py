@@ -17,15 +17,28 @@ from .classify import classification_table, classify, render_table_text, table_j
 from .core import Signature, blade_name, format_multivector, multivector_to_json_dict
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+# _print_json writes its output in pieces of about this many characters:
+# under PYTHONUNBUFFERED=1 stdout is write-through, and one write per piece
+# would cost a system call each.
+_CHUNK = 1 << 16
+
+
+def _write_json(obj, write) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
+    for byte, to ``write`` in pieces, without building the whole text.
 
     With ``indent`` set, ``json`` encodes in pure Python; here each scalar
-    goes through ``json.dumps`` on its C path, and a list of scalars met
-    again at the same depth reuses its text (``representation_to_json_dict``
-    shares equal K-entries).  Object keys must be strings.
+    goes through ``json.dumps`` on its C path.  Two kinds of list are
+    rendered once and their text reused: a list of scalars, per (object,
+    depth), and a list of such lists, per depth and identities of its items.
+    ``representation_to_json_dict`` shares one list per equal K-entry, so
+    equal matrix rows have items of the same identities and share one text.
+    Every other list or object, whole matrices above all, is written piece
+    by piece: keeping their texts would hold the output a second time.
+    Object keys must be strings.
     """
     lists: dict[tuple[int, int], str] = {}
+    rows: dict[tuple[int, ...], str] = {}
 
     def block(items: list[str], brackets: str, depth: int) -> str:
         if not items:
@@ -36,31 +49,80 @@ def _json_text(obj) -> str:
             + "\n" + "  " * depth + brackets[1]
         )
 
-    def encode(value, depth: int) -> str:
-        if isinstance(value, (list, tuple)):
-            key = (id(value), depth)
-            text = lists.get(key)
-            if text is None:
-                text = block([encode(v, depth + 1) for v in value], "[]", depth)
-                # only lists of scalars are kept: keeping every list would
-                # hold the output again in the texts of its rows and matrices
-                if not any(isinstance(v, (list, tuple, dict)) for v in value):
-                    lists[key] = text
-            return text
+    def scalar_list(value, depth: int) -> str | None:
+        """The text of a list of scalars, or None for any other value."""
+        key = (id(value), depth)
+        text = lists.get(key)
+        if text is None and isinstance(value, (list, tuple)) and not any(
+            isinstance(v, (list, tuple, dict)) for v in value
+        ):
+            text = lists[key] = block(list(map(json.dumps, value)), "[]", depth)
+        return text
+
+    def row(value, depth: int) -> str | None:
+        """The text of a list of lists of scalars, or None for any other list."""
+        key = (depth, *map(id, value))
+        text = rows.get(key)
+        if text is None:
+            items = [scalar_list(v, depth + 1) for v in value]
+            if None not in items:
+                text = rows[key] = block(items, "[]", depth)
+        return text
+
+    def encode(value, depth: int) -> None:
         if isinstance(value, dict):
             if not all(isinstance(k, str) for k in value):
                 raise TypeError("JSON object keys must be strings")
-            items = [
-                f"{json.dumps(k)}: {encode(value[k], depth + 1)}" for k in sorted(value)
-            ]
-            return block(items, "{}", depth)
-        return json.dumps(value)
+            items = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+            brackets = "{}"
+        elif not isinstance(value, (list, tuple)):
+            write(json.dumps(value))
+            return
+        else:
+            text = scalar_list(value, depth) or row(value, depth)
+            if text is not None:
+                write(text)
+                return
+            items = [("", v) for v in value]
+            brackets = "[]"
+        if not items:
+            write(brackets)
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = brackets[0] + inner
+        for label, item in items:
+            write(sep + label)
+            encode(item, depth + 1)
+            sep = "," + inner
+        write("\n" + "  " * depth + brackets[1])
 
-    return encode(obj, 0)
+    encode(obj, 0)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte."""
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
 
 
 def _print_json(obj) -> None:
-    print(_json_text(obj))
+    """Print ``_json_text(obj)`` in writes of about ``_CHUNK`` characters."""
+    pieces: list[str] = []
+    size = 0
+
+    def write(piece: str) -> None:
+        nonlocal size
+        pieces.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    _write_json(obj, write)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
 
 
 def _status_line(report) -> str:

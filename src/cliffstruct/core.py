@@ -469,10 +469,23 @@ def _integer_field(data: Mapping, key: str, prefix: str = "") -> int:
     return _integer(_field(data, key, prefix), prefix + key)
 
 
+# the schema's ``num`` and ``den``: decimal integer strings, ``den`` unsigned
+_NUM = re.compile(r"-?[0-9]+")
+_DEN = re.compile(r"[0-9]+")
+
+
+def _digits_field(data: Mapping, key: str, pattern: re.Pattern, prefix: str) -> int:
+    value = _field(data, key, prefix)
+    if not isinstance(value, str) or not pattern.fullmatch(value):
+        raise ValueError(f"{prefix}{key} is not an integer string: {value!r}")
+    return int(value)
+
+
 def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
     """Inverse of :func:`multivector_to_json_dict`; a missing key, a ``p``,
-    ``q`` or ``mask`` that is not an integer, a dump or term that is not an
-    object, or a zero denominator raises a ValueError naming the field after
+    ``q`` or ``mask`` that is not an integer, a ``num`` or ``den`` that is
+    not the schema's string of digits, a dump or term that is not an object,
+    or a zero denominator raises a ValueError naming the field after
     ``prefix``."""
     sig = Signature(
         _integer_field(data, "p", prefix), _integer_field(data, "q", prefix)
@@ -481,8 +494,8 @@ def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
     for idx, t in enumerate(_list_field(data, "terms", prefix)):
         where = f"{prefix}terms[{idx}]."
         mask = _integer_field(t, "mask", where)
-        num = int(_field(t, "num", where))
-        den = int(_field(t, "den", where))
+        num = _digits_field(t, "num", _NUM, where)
+        den = _digits_field(t, "den", _DEN, where)
         if not den:
             raise ValueError(f"{where}den is zero")
         terms.append((mask, Fraction(num, den)))

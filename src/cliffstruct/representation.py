@@ -587,11 +587,14 @@ def _integer_list(data: Mapping, key: str, prefix: str = "") -> tuple[int, ...]:
     )
 
 
-def _kelement_from_json(data, where: str) -> KElement:
-    """A K-element from its list of rational strings; anything else, and a
-    zero denominator, raises a ValueError naming the coordinate."""
+def _kelement_from_json(data, where: str, d: int) -> KElement:
+    """A K-element from its list of d rational strings; anything else, and a
+    zero denominator, raises a ValueError naming the entry or coordinate."""
+    coords = _list(data, where)
+    if len(coords) != d:
+        raise ValueError(f"{where} has {len(coords)} coordinates, not {d}")
     out = []
-    for k, c in enumerate(_list(data, where)):
+    for k, c in enumerate(coords):
         if not isinstance(c, str) or not _RATIONAL.fullmatch(c):
             raise ValueError(f"{where}[{k}] is not a rational string: {c!r}")
         _, _, den = c.partition("/")
@@ -601,11 +604,14 @@ def _kelement_from_json(data, where: str) -> KElement:
     return tuple(out)
 
 
-def _kentries_from_json(rows, where: str) -> tuple[tuple[KElement, ...], ...]:
-    """Rows of K-elements, each one a list; rows may be ragged."""
+def _kentries_from_json(
+    rows, where: str, d: int
+) -> tuple[tuple[KElement, ...], ...]:
+    """Rows of K-elements of d coordinates, each one a list; rows may be
+    ragged."""
     return tuple(
         tuple(
-            _kelement_from_json(entry, f"{where}[{i}][{t}]")
+            _kelement_from_json(entry, f"{where}[{i}][{t}]", d)
             for t, entry in enumerate(_list(row, f"{where}[{i}]"))
         )
         for i, row in enumerate(_list(rows, where))
@@ -668,15 +674,10 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             raise ValueError(f"{where}units has {len(units)} entries, not 1, 2 or 4")
         d = len(units)
         table = _kentries_from_json(
-            _field(comp, "unit_table", where), f"{where}unit_table"
+            _field(comp, "unit_table", where), f"{where}unit_table", d
         )
-        if len(table) != d or any(
-            len(row) != d or any(len(entry) != d for entry in row) for row in table
-        ):
-            raise ValueError(
-                f"{where}unit_table is not {d} rows of {d} entries"
-                f" with {d} coordinates each"
-            )
+        if len(table) != d or any(len(row) != d for row in table):
+            raise ValueError(f"{where}unit_table is not {d} rows of {d} entries")
         kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
         blades = _integer_list(comp, "spinor_blades", where)
         signs = _list_field(comp, "spinor_blade_signs", where)
@@ -692,14 +693,15 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             sig.blade(mask, s) * f for mask, s in zip(blades, signs)
         )
         sb = SpinorBasis(f, blades, signs, elements)
-        # one matrix per generator; ragged rows are left to the checks
+        # one matrix per generator; ragged rows and matrices of the wrong
+        # shape are left to the checks
         gammas = _list_field(comp, "gammas", where)
         if len(gammas) != sig.n:
             raise ValueError(
                 f"{where}gammas has {len(gammas)} matrices, not n = {sig.n}"
             )
         gammas = tuple(
-            KMatrix(kb, _kentries_from_json(g, f"{where}gammas[{gi}]"))
+            KMatrix(kb, _kentries_from_json(g, f"{where}gammas[{gi}]", d))
             for gi, g in enumerate(gammas)
         )
         components.append(Component(kb, sb, gammas))

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +10,12 @@ import pytest
 
 import cliffstruct
 import cliffstruct.cli as cli
-from cliffstruct import Signature, parse_multivector
+from cliffstruct import (
+    Signature,
+    build_representation,
+    parse_multivector,
+    representation_to_json_dict,
+)
 from cliffstruct.cli import main
 from cliffstruct.verify import CheckResult, VerificationReport
 
@@ -312,27 +319,77 @@ def _oracle(obj) -> str:
 )
 def test_json_writer_matches_json_dumps_on_every_subcommand(monkeypatch, capsys, argv):
     """The objects each subcommand hands the writer, with their shared lists."""
-    written = []
-    encode = cli._json_text
+    handed = []
+    print_json = cli._print_json
 
-    def checked(obj):
-        text = encode(obj)
-        assert text == _oracle(obj)
-        written.append(text)
-        return text
+    def recorded(obj):
+        handed.append(obj)
+        print_json(obj)
 
-    monkeypatch.setattr(cli, "_json_text", checked)
+    monkeypatch.setattr(cli, "_print_json", recorded)
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert out == written[0] + "\n"
+    assert len(handed) == 1
+    assert out == _oracle(handed[0]) + "\n"
 
 
 def test_json_writer_reuses_a_shared_list_only_at_its_own_depth():
     shared = ["0", 1, [2.5, None]]
     obj = {"b": [shared, shared, {"x": shared}], "a": (shared, ()), "e": {}}
     assert cli._json_text(obj) == _oracle(obj)
+    one, two = ["1", "0"], ["-1"]
+    row = [one, two]
+    twin = [one, two]  # a distinct row list holding the same items
+    cases = [
+        [row, twin, {"r": twin}],
+        {"a": row, "b": [row], "c": [[row]]},  # one row at three depths
+        [[one, []], [[], one], [[]]],  # rows that hold an empty list
+        [one, "x", row, 2, [one, 3]],  # lists mixed with scalars
+        (row, twin, [two, one], (one, two)),  # a matrix of rows
+    ]
+    for case in cases:
+        assert cli._json_text(case) == _oracle(case)
+    # a matrix is streamed and each of its rows is written whole
+    matrix = [row, twin, [two, one]]
+    pieces = []
+    cli._write_json(matrix, pieces.append)
+    assert "".join(pieces) == _oracle(matrix)
+    assert len(pieces) == 2 * len(matrix) + 1
     with pytest.raises(TypeError):
         cli._json_text({1: "key is not a string"})
+
+
+class _CountingStdout:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_print_json_streams_a_large_dump_in_chunks(monkeypatch):
+    """Cl(5,5)'s 0.5 MB dump: the writer holds less than the text it writes
+    (building the text whole held three times it), in writes of 64 KB."""
+    data = representation_to_json_dict(build_representation(Signature(5, 5)))
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        cli._print_json(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stdout.chars == len(_oracle(data)) + 1
+    assert peak < stdout.chars
+    assert stdout.writes <= math.ceil(stdout.chars / 65536) + 1
 
 
 def _json_trees():

@@ -521,6 +521,17 @@ def _set(*path):
         ((0, 2), _set("units", 1, None), "units[1] is not an object"),
         ((1, 1), _set("idempotent", None), "idempotent is not an object"),
         ((1, 1), _set("idempotent", "terms", None), "idempotent.terms is not a list"),
+        # num and den take only the schema's strings of digits
+        ((0, 2), _set("units", 1, "terms", 0, "num", 1.5), "units[1].terms[0].num is not an integer string"),
+        ((0, 2), _set("units", 1, "terms", 0, "num", True), "units[1].terms[0].num is not an integer string"),
+        ((1, 1), _set("idempotent", "terms", 1, "den", 2.9), "idempotent.terms[1].den is not an integer string"),
+        ((1, 1), _set("idempotent", "terms", 0, "num", " 3 "), "idempotent.terms[0].num is not an integer string"),
+        ((1, 1), _set("idempotent", "terms", 0, "num", "1_0"), "idempotent.terms[0].num is not an integer string"),
+        ((1, 1), _set("idempotent", "terms", 0, "den", "-2"), "idempotent.terms[0].den is not an integer string"),
+        ((0, 2), _set("units", 2, "terms", 0, "num", "x"), "units[2].terms[0].num is not an integer string"),
+        # every gamma entry has d = dim K coordinates
+        ((0, 2), _set("gammas", 0, 0, 0, ["0", "1", "0"]), "gammas[0][0][0] has 3 coordinates, not 4"),
+        ((0, 2), _set("gammas", 1, 0, 0, ["0", "0", "1", "0", "0"]), "gammas[1][0][0] has 5 coordinates, not 4"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
