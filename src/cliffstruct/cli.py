@@ -28,17 +28,17 @@ def _write_json(obj, write) -> None:
     for byte, to ``write`` in pieces, without building the whole text.
 
     With ``indent`` set, ``json`` encodes in pure Python; here each scalar
-    goes through ``json.dumps`` on its C path.  Two kinds of list are
-    rendered once and their text reused: a list of scalars, per (object,
-    depth), and a list of such lists, per depth and identities of its items.
+    goes through ``json.dumps`` on its C path.  The memory rule: the only
+    texts kept are those of lists of scalars, once per (object, depth).
     ``representation_to_json_dict`` shares one list per equal K-entry, so
-    equal matrix rows have items of the same identities and share one text.
-    Every other list or object, whole matrices above all, is written piece
-    by piece: keeping their texts would hold the output a second time.
-    Object keys must be strings.
+    that is the distinct K-entries, a few KB.  A list of such lists (a
+    matrix row) or an object of scalars is joined into one piece and not
+    kept; every larger list or object, whole matrices above all, is written
+    item by item.  Keeping the text of rows or of anything larger would
+    hold the output a second time wherever it seldom repeats.  Object keys
+    must be strings.
     """
-    lists: dict[tuple[int, int], str] = {}
-    rows: dict[tuple[int, ...], str] = {}
+    lists: dict[int, dict[int, str]] = {}  # depth -> id -> text
 
     def block(items: list[str], brackets: str, depth: int) -> str:
         if not items:
@@ -50,53 +50,69 @@ def _write_json(obj, write) -> None:
         )
 
     def scalar_list(value, depth: int) -> str | None:
-        """The text of a list of scalars, or None for any other value."""
-        key = (id(value), depth)
-        text = lists.get(key)
-        if text is None and isinstance(value, (list, tuple)) and not any(
+        """The text of a list of scalars, or None for any other list."""
+        known = lists.setdefault(depth, {})
+        text = known.get(id(value))
+        if text is None and not any(
             isinstance(v, (list, tuple, dict)) for v in value
         ):
-            text = lists[key] = block(list(map(json.dumps, value)), "[]", depth)
+            text = block(list(map(json.dumps, value)), "[]", depth)
+            known[id(value)] = text
         return text
 
     def row(value, depth: int) -> str | None:
         """The text of a list of lists of scalars, or None for any other list."""
-        key = (depth, *map(id, value))
-        text = rows.get(key)
-        if text is None:
-            items = [scalar_list(v, depth + 1) for v in value]
-            if None not in items:
-                text = rows[key] = block(items, "[]", depth)
-        return text
+        items = list(map(lists.get(depth + 1, {}).get, map(id, value)))
+        if None in items:  # some item is new or not a list of scalars
+            items = []
+            for v in value:
+                text = isinstance(v, (list, tuple)) and scalar_list(v, depth + 1)
+                if not text:
+                    return None
+                items.append(text)
+        return block(items, "[]", depth)
 
-    def encode(value, depth: int) -> None:
+    def whole(value, depth: int) -> str | None:
+        """The text of a value written as one piece: a scalar, a list or
+        object of scalars, or a list of lists of scalars; None otherwise."""
         if isinstance(value, dict):
             if not all(isinstance(k, str) for k in value):
                 raise TypeError("JSON object keys must be strings")
+            if any(isinstance(v, (list, tuple, dict)) for v in value.values()):
+                return None
+            items = [json.dumps(k) + ": " + json.dumps(value[k])
+                     for k in sorted(value)]
+            return block(items, "{}", depth)
+        if isinstance(value, (list, tuple)):
+            return scalar_list(value, depth) or row(value, depth)
+        return json.dumps(value)
+
+    def encode(value, depth: int) -> None:
+        """Write a value that ``whole`` does not render, item by item, each
+        item's text in one piece with the separator before it."""
+        if isinstance(value, dict):
             items = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
             brackets = "{}"
-        elif not isinstance(value, (list, tuple)):
-            write(json.dumps(value))
-            return
         else:
-            text = scalar_list(value, depth) or row(value, depth)
-            if text is not None:
-                write(text)
-                return
             items = [("", v) for v in value]
             brackets = "[]"
-        if not items:
-            write(brackets)
-            return
         inner = "\n" + "  " * (depth + 1)
         sep = brackets[0] + inner
         for label, item in items:
-            write(sep + label)
-            encode(item, depth + 1)
+            text = whole(item, depth + 1)
+            if text is None:
+                write(sep + label)
+                encode(item, depth + 1)
+            else:
+                write(sep + label + text)
             sep = "," + inner
         write("\n" + "  " * depth + brackets[1])
 
-    encode(obj, 0)
+    text = whole(obj, 0)
+    if text is None:
+        encode(obj, 0)
+    else:
+        write(text)
 
 
 def _json_text(obj) -> str:

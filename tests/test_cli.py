@@ -346,17 +346,19 @@ def test_json_writer_reuses_a_shared_list_only_at_its_own_depth():
         [[one, []], [[], one], [[]]],  # rows that hold an empty list
         [one, "x", row, 2, [one, 3]],  # lists mixed with scalars
         (row, twin, [two, one], (one, two)),  # a matrix of rows
+        [{"a b": 1, "a": [2], "a\"": None}, {"a b": 1, "a": 2, "a\"": None}],
     ]
     for case in cases:
         assert cli._json_text(case) == _oracle(case)
-    # a matrix is streamed and each of its rows is written whole
+    # a matrix is streamed, each row written whole after its separator
     matrix = [row, twin, [two, one]]
     pieces = []
     cli._write_json(matrix, pieces.append)
     assert "".join(pieces) == _oracle(matrix)
-    assert len(pieces) == 2 * len(matrix) + 1
-    with pytest.raises(TypeError):
-        cli._json_text({1: "key is not a string"})
+    assert len(pieces) == len(matrix) + 1
+    for bad in ({1: "key is not a string"}, [{"x": 1}, {2: [3]}]):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
 
 
 class _CountingStdout:
@@ -375,10 +377,14 @@ class _CountingStdout:
         pass
 
 
-def test_print_json_streams_a_large_dump_in_chunks(monkeypatch):
-    """Cl(5,5)'s 0.5 MB dump: the writer holds less than the text it writes
-    (building the text whole held three times it), in writes of 64 KB."""
-    data = representation_to_json_dict(build_representation(Signature(5, 5)))
+@pytest.mark.parametrize("p, q", [(4, 4), (5, 5), (4, 7)])
+def test_print_json_streams_a_large_dump_in_chunks(monkeypatch, p, q):
+    """The writer holds the distinct K-entries and about two 64 KB chunks,
+    however long the dump and however seldom its rows repeat: Cl(4,4) 104 KB,
+    Cl(5,5) 497 KB, Cl(4,7) 634 KB with 72% of its rows distinct.  Building
+    the text whole held three times the output; keeping each distinct row's
+    text held 1.2 times it for Cl(4,4) and Cl(4,7)."""
+    data = representation_to_json_dict(build_representation(Signature(p, q)))
     stdout = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     tracemalloc.start()
@@ -388,8 +394,8 @@ def test_print_json_streams_a_large_dump_in_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert stdout.chars == len(_oracle(data)) + 1
-    assert peak < stdout.chars
-    assert stdout.writes <= math.ceil(stdout.chars / 65536) + 1
+    assert peak < 3 * cli._CHUNK
+    assert stdout.writes <= math.ceil(stdout.chars / cli._CHUNK) + 1
 
 
 def _json_trees():
