@@ -6,9 +6,7 @@ negative indices, which the classification formula needs whenever p > q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import MAX_DIMENSION, Signature
+from .core import MAX_DIMENSION, FrozenRecord, Signature
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -20,17 +18,17 @@ def radon_hurwitz(i: int) -> int:
     return _RH_BASE[i % 8] + 4 * (i // 8)
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
-    """Verdict for one signature: Mat(N, K) or Mat(N, K) + Mat(N, K)."""
+class AlgebraClass(FrozenRecord):
+    """Verdict for one signature: Mat(N, K) or Mat(N, K) + Mat(N, K).
 
-    signature: Signature
-    simple: bool
-    ktype: str
-    k: int
-    matrix_size: int
-    components: int
-    pq_mod8: int
+    ``signature``, whether the algebra is ``simple``, ``ktype`` (R, C or H),
+    the frame size ``k``, ``matrix_size`` N, the number of ``components``
+    and ``pq_mod8`` = (p - q) mod 8.
+    """
+
+    _fields = (
+        "signature", "simple", "ktype", "k", "matrix_size", "components", "pq_mod8"
+    )
 
     def matrix_algebra(self) -> str:
         base = f"Mat({self.matrix_size},{self.ktype})"

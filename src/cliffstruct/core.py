@@ -9,19 +9,17 @@ rational coefficients; nothing in this module touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from operator import attrgetter
 
 MAX_DIMENSION = 12
 
 # Generator index i is printed as the single character _INDEX_CHARS[i - 1],
 # which keeps the text grammar unambiguous up to n = 12.
 _INDEX_CHARS = "123456789abc"
-
-Rational = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -30,14 +28,82 @@ class SignatureMismatchError(ValueError):
     """Raised when two operands live in different Clifford algebras."""
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
-    """Counts of generators squaring to +1 (p) and to -1 (q)."""
+class Record:
+    """A record of the fields named, in order, by the class tuple ``_fields``.
 
-    p: int
-    q: int
+    Built by position or keyword, equal only to a record of its own class
+    with equal fields, shown as ``Name(field=value, ...)``; mutable and so
+    unhashable (see ``FrozenRecord``).  Instances keep a ``__dict__``, so
+    ``cached_property`` works on them.
+    """
 
-    def __post_init__(self) -> None:
+    _fields: tuple[str, ...] = ()
+
+    @staticmethod
+    def _values(record) -> tuple:
+        """The tuple of the record's field values."""
+        return tuple(getattr(record, name) for name in record._fields)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) > 1:  # the same tuple, read in C
+            cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(names, args))
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call that names fields or gives too few or
+        too many of them, in field order."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, not {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unknown or repeated {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing {', '.join(missing)}")
+        return tuple(values[name] for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment and hashes as its tuple of fields."""
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Signature(FrozenRecord):
+    """Counts of generators squaring to +1 (p) and to -1 (q), ordered by
+    (p, q)."""
+
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        super().__init__(p, q)
         if self.p < 0 or self.q < 0:
             raise ValueError("signature counts must be nonnegative integers")
         if self.p + self.q > MAX_DIMENSION:
@@ -60,10 +126,10 @@ class Signature:
             raise ValueError(f"generator index {i} out of range for {self}")
         return 1 if i <= self.p else -1
 
-    def scalar(self, value: Rational) -> "Multivector":
+    def scalar(self, value: int | Fraction) -> "Multivector":
         return Multivector.from_terms(self, {0: value})
 
-    def blade(self, mask: int, coeff: Rational = 1) -> "Multivector":
+    def blade(self, mask: int, coeff: int | Fraction = 1) -> "Multivector":
         return Multivector.from_terms(self, {mask: coeff})
 
     def e(self, *indices: int) -> "Multivector":
@@ -77,6 +143,11 @@ class Signature:
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) < (other.p, other.q)
+        return NotImplemented
 
 
 def grade(mask: int) -> int:
@@ -122,7 +193,7 @@ def _sign_masks(sig: Signature) -> Sequence[int]:
 def _blade_times(
     a: int,
     negate: bool,
-    terms: Iterable[tuple[int, Rational]],
+    terms: Iterable[tuple[int, int | Fraction]],
     signs: Sequence[int],
 ) -> dict:
     """The terms of +-e_a x as {mask: coefficient}, minus when ``negate``,
@@ -168,17 +239,16 @@ def blades_commute(a: int, b: int) -> bool:
     return not swaps & 1
 
 
-@dataclass(frozen=True)
-class Multivector:
-    """Sparse element of Cl(p,q): sorted, zero-free (mask, coefficient) pairs."""
+class Multivector(FrozenRecord):
+    """Sparse element of Cl(p,q): sorted, zero-free (mask, coefficient) pairs,
+    ``signature`` and ``terms: tuple[tuple[int, Fraction], ...]``."""
 
-    signature: Signature
-    terms: tuple[tuple[int, Fraction], ...]
+    _fields = ("signature", "terms")
 
     @staticmethod
     def from_terms(
         sig: Signature,
-        terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]],
+        terms: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]],
     ) -> "Multivector":
         acc: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms

@@ -19,12 +19,11 @@ it, so i**2 == -f holds on the nose and the units are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION
-from .core import Multivector, blade_square_sign, grade
+from .core import FrozenRecord, Multivector, blade_square_sign, grade
 from .idempotents import ProductIdempotent, product_form
 from .linalg import ExactSpan
 
@@ -64,8 +63,7 @@ class UnitConstructionError(RuntimeError):
     """A product of two units differs from the table of R, C or H."""
 
 
-@dataclass(frozen=True)
-class DivisionRingBasis:
+class DivisionRingBasis(FrozenRecord):
     """Canonical units of K = f Cl f and their exact multiplication table.
 
     ``units[0]`` is always f itself (the unit of K); the remaining units
@@ -74,10 +72,7 @@ class DivisionRingBasis:
     of R, C or H, which ``division_ring_basis`` confirms by exact solves.
     """
 
-    idempotent: Multivector
-    units: tuple[Multivector, ...]
-    ktype: str
-    table: tuple[tuple[KElement, ...], ...]
+    _fields = ("idempotent", "units", "ktype", "table")
 
     @property
     def dim(self) -> int:

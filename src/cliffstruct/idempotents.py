@@ -11,12 +11,17 @@ and the spinor basis are built from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION, classify
-from .core import Multivector, Signature, blade_square_sign, blades_commute
+from .core import (
+    FrozenRecord,
+    Multivector,
+    Signature,
+    blade_square_sign,
+    blades_commute,
+)
 from .linalg import gf2_insert
 
 _HALF = Fraction(1, 2)
@@ -30,36 +35,28 @@ class IdempotentSetError(RuntimeError):
     """A constructed idempotent set violated one of its defining invariants."""
 
 
-@dataclass(frozen=True)
-class MonomialFrame:
+class MonomialFrame(FrozenRecord):
     """Ordered blade masks of the k commuting square-one monomials."""
 
-    signature: Signature
-    monomials: tuple[int, ...]
+    _fields = ("signature", "monomials")
 
     @property
     def k(self) -> int:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class IdempotentSet:
+class IdempotentSet(FrozenRecord):
     """All 2^k sign vectors with their idempotents, in lexicographic order
     (+1 before -1)."""
 
-    frame: MonomialFrame
-    signs: tuple[tuple[int, ...], ...]
-    idempotents: tuple[Multivector, ...]
+    _fields = ("frame", "signs", "idempotents")
 
 
-@dataclass(frozen=True)
-class ProductIdempotent:
+class ProductIdempotent(FrozenRecord):
     """f = prod (1 + s_i e_{m_i}) / 2 over commuting, GF(2)-independent
     square-one blades: the masks m_i, the signs s_i and the expanded f."""
 
-    masks: tuple[int, ...]
-    signs: tuple[int, ...]
-    f: Multivector
+    _fields = ("masks", "signs", "f")
 
     @cached_property
     def echelon(self) -> dict[int, int]:

@@ -19,9 +19,9 @@ bit is its pivot and no other row has that bit set (fully reduced).
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Mapping
 
 PRIME = (1 << 61) - 1  # a Mersenne prime
 

@@ -18,11 +18,10 @@ column is +- the coordinates of one class row (``_table_matrices``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import Multivector, Signature, _blade_times, _sign_masks
+from .core import FrozenRecord, Multivector, Signature, _blade_times, _sign_masks
 from .linalg import rank_mod_p
 from .representation import (
     Component,
@@ -33,8 +32,7 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
-class _LeftMultiples:
+class _LeftMultiples(FrozenRecord):
     """The 2^n left multiples e_X f of one element f by class.
 
     ``rows`` holds one content-free integer row per class, its leading
@@ -43,9 +41,7 @@ class _LeftMultiples:
     e_X f == (-1)**s * scale * rows[c].
     """
 
-    scale: Fraction
-    rows: tuple[dict[int, int], ...]
-    of: tuple[int, ...]
+    _fields = ("scale", "rows", "of")
 
     def multivector(self, sig: Signature, c: int) -> Multivector:
         """scale * rows[c] as an element of Cl(sig)."""

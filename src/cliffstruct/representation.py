@@ -34,13 +34,13 @@ outside S.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
-from .classify import AlgebraClass, classify
+from .classify import classify
 from .core import (
+    FrozenRecord,
     Multivector,
     Signature,
     SignatureMismatchError,
@@ -80,30 +80,25 @@ class RepresentationError(RuntimeError):
     """A structural defect while building or applying a representation."""
 
 
-@dataclass(frozen=True)
-class SpinorBasis:
+class SpinorBasis(FrozenRecord):
     """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f."""
 
-    idempotent: Multivector
-    blades: tuple[int, ...]
-    blade_signs: tuple[int, ...]
-    elements: tuple[Multivector, ...]
+    _fields = ("idempotent", "blades", "blade_signs", "elements")
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class KMatrix:
-    """Matrix with entries in K, stored as coordinate tuples over the units.
+class KMatrix(FrozenRecord):
+    """Matrix with entries in K, stored as coordinate tuples over the units:
+    ``basis``, the DivisionRingBasis, and ``entries``, its rows.
 
     Entries multiply in order (left factor's entries stay on the left), which
     matters for quaternionic K.
     """
 
-    basis: DivisionRingBasis
-    entries: tuple[tuple[KElement, ...], ...]
+    _fields = ("basis", "entries")
 
     @property
     def rows(self) -> int:
@@ -143,7 +138,7 @@ class KMatrix:
     def _columns(self) -> tuple[tuple[tuple[int, KElement], ...], ...]:
         """Per column, the (row, entry) pairs of its nonzero entries; an
         entry missing from a short row reads as zero.  Built once, outside
-        the dataclass fields, so equality still compares entries."""
+        the record's fields, so equality still compares entries."""
         columns: list[list] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
             for t, entry in enumerate(row):
@@ -237,21 +232,17 @@ def kmatrix_eq(a: KMatrix, b: KMatrix) -> bool:
     return a.entries == b.entries
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(FrozenRecord):
     """One simple block: division ring, spinor basis, generator matrices."""
 
-    kbasis: DivisionRingBasis
-    basis: SpinorBasis
-    gammas: tuple[KMatrix, ...]
+    _fields = ("kbasis", "basis", "gammas")
 
 
-@dataclass(frozen=True)
-class Representation:
-    signature: Signature
-    algebra_class: AlgebraClass
-    frame: MonomialFrame
-    components: tuple[Component, ...]
+class Representation(FrozenRecord):
+    """The signature, its AlgebraClass, the MonomialFrame and one Component
+    per simple block."""
+
+    _fields = ("signature", "algebra_class", "frame", "components")
 
     @property
     def simple(self) -> bool:

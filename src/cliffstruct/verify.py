@@ -26,7 +26,6 @@ only confirm; every failure and witness comes from the exact path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -35,6 +34,7 @@ from .classify import K_DIMENSION, classify
 from .core import (
     MAX_DIMENSION,
     Multivector,
+    Record,
     Signature,
     SignatureMismatchError,
     _sign_masks,
@@ -69,17 +69,22 @@ DEFAULT_SAMPLE_SEED = 1729
 _RANDOM_PSI_COUNT = 10
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    passed: bool
-    witness: dict | None = None
+class CheckResult(Record):
+    """One check's verdict: ``witness`` is None when it passed."""
+
+    _fields = ("check_id", "passed", "witness")
+
+    def __init__(self, check_id: str, passed: bool, witness: dict | None = None):
+        super().__init__(check_id, passed, witness)
 
 
-@dataclass
-class VerificationReport:
-    signature: Signature
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationReport(Record):
+    """The CheckResults of one signature, in check order."""
+
+    _fields = ("signature", "checks")
+
+    def __init__(self, signature: Signature, checks: list | None = None) -> None:
+        super().__init__(signature, [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:
@@ -98,10 +103,10 @@ class VerificationReport:
         return {"p": self.signature.p, "q": self.signature.q, "checks": out}
 
 
-@dataclass
-class RangeSummary:
-    max_n: int
-    reports: list[VerificationReport]
+class RangeSummary(Record):
+    """The VerificationReports of every signature with p + q <= max_n."""
+
+    _fields = ("max_n", "reports")
 
     @property
     def signatures(self) -> int:
@@ -141,16 +146,14 @@ def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
     return len(rows) if _independent(rows) else span_of(rows).rank
 
 
-@dataclass
-class _Context:
+class _Context(Record):
     """What the checks of one signature share, each value built on first use.
 
     A value whose construction raises is not cached, so every check that
     needs it fails with the same error.
     """
 
-    sig: Signature
-    seed: int
+    _fields = ("sig", "seed")
 
     @cached_property
     def cls(self):

@@ -212,22 +212,30 @@ SRC_DIR = Path(cliffstruct.__file__).resolve().parent.parent
 
 
 def _fresh(code: str) -> str:
-    """Stdout of ``code`` run by a new interpreter that imports this package."""
+    """Stdout of ``code`` run by a new interpreter that imports this package.
+
+    ``-S`` keeps ``site`` and its ``.pth`` files from importing modules that
+    would hide an import the package makes itself."""
     env = {"PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"}
     res = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert res.returncode == 0, res.stderr
     return res.stdout
 
 
 def _loaded_by(argv) -> set[str]:
+    """Every module loaded once ``cli.main(argv)`` has run."""
     code = (
         "import contextlib, io, sys\n"
         "from cliffstruct import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({list(argv)!r}) == 0\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'cliffstruct'))\n"
+        "print(' '.join(sys.modules))\n"
     )
     return set(_fresh(code).split())
 
@@ -238,18 +246,25 @@ REPR = FRAME | {"cliffstruct.division", "cliffstruct.representation"}
 VERIFY = REPR | {"cliffstruct.multiples", "cliffstruct.verify"}
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["classify", "0", "0"], BASE),
-        (["table", "--max-n", "2"], BASE),
-        (["idempotents", "1", "1"], BASE | FRAME),
-        (["repr", "1", "1", "--json"], BASE | REPR),
-        (["verify", "1", "1"], BASE | VERIFY),
-    ],
-)
+COMMAND_LAYERS = [
+    (["classify", "0", "0"], BASE),
+    (["table", "--max-n", "2"], BASE),
+    (["idempotents", "1", "1"], BASE | FRAME),
+    (["repr", "1", "1", "--json"], BASE | REPR),
+    (["verify", "1", "1"], BASE | VERIFY),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_LAYERS)
 def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
-    assert _loaded_by(argv) == loaded
+    assert {m for m in _loaded_by(argv) if m.split(".")[0] == "cliffstruct"} == loaded
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_LAYERS], ids=" ".join)
+def test_no_command_loads_dataclasses_inspect_or_typing(argv):
+    # inspect alone costs about 10 ms per launch (it imports dis, ast,
+    # tokenize and linecache); nothing the package runs needs any of the three
+    assert not _loaded_by(argv) & {"dataclasses", "inspect", "typing"}
 
 
 def _exports(body: str) -> dict:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ import pytest
 import cliffstruct.division as division
 import search_oracle as oracle
 from cliffstruct import (
+    DivisionRingBasis,
     NotPrimitiveError,
     Signature,
     UnitConstructionError,
@@ -171,7 +171,7 @@ def test_kmul_follows_table():
         tuple(tuple(t * Fraction(3, 2) for t in entry) for entry in row)
         for row in c.table
     )
-    kb = dataclasses.replace(c, table=scaled)
+    kb = DivisionRingBasis(c.idempotent, c.units, c.ktype, scaled)
     for x, y in [
         ((Fraction(1), Fraction(2)), (Fraction(-1, 3), Fraction(5))),
         ((Fraction(0), Fraction(-7, 2)), (Fraction(4), Fraction(0))),

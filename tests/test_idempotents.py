@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -8,6 +7,7 @@ import pytest
 import cliffstruct.idempotents as idempotents
 import search_oracle as oracle
 from cliffstruct import (
+    AlgebraClass,
     IdempotentSetError,
     Signature,
     blade_square_sign,
@@ -141,7 +141,10 @@ def test_every_semisimple_frame_has_an_odd_monomial_and_splits():
 
 def test_scan_that_ends_short_raises(monkeypatch):
     sig = Signature(1, 1)
-    short = dataclasses.replace(classify(sig), k=3)
+    c = classify(sig)
+    short = AlgebraClass(
+        c.signature, c.simple, c.ktype, 3, c.matrix_size, c.components, c.pq_mod8
+    )
     monkeypatch.setattr(idempotents, "classify", lambda s: short)
     with pytest.raises(FrameSearchError, match="size 3"):
         find_frame(sig)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -15,6 +14,7 @@ from cliffstruct import (
     DivisionRingBasis,
     KMatrix,
     RepresentationError,
+    SpinorBasis,
     Signature,
     SignatureMismatchError,
     build_representation,
@@ -833,7 +833,7 @@ def test_coset_gammas_reject_a_spinor_proportional_but_for_one_term(pq, corrupt)
     kb, sb = comp.kbasis, comp.basis
     elements = list(sb.elements)
     elements[1] = corrupt(elements[1])
-    bad = dataclasses.replace(sb, elements=tuple(elements))
+    bad = SpinorBasis(sb.idempotent, sb.blades, sb.blade_signs, tuple(elements))
     product = _half_product_form(sb.idempotent)
     with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
         _coset_gammas(sig, kb, bad, product)

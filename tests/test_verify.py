@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -11,8 +10,11 @@ import cliffstruct.multiples as multiples
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
+    Component,
+    Representation,
     Signature,
     SignatureMismatchError,
+    SpinorBasis,
     brute_force_minimal_ideal_dim,
     build_representation,
     find_frame,
@@ -343,8 +345,12 @@ def test_a_basis_off_the_table_takes_the_per_blade_path(pq):
     comp = rep.components[0]
     sb = comp.basis
     elements = (sb.elements[0], sb.elements[1] + sb.elements[0], *sb.elements[2:])
-    comp = dataclasses.replace(comp, basis=dataclasses.replace(sb, elements=elements))
-    ctx = _context(dataclasses.replace(rep, components=(comp, *rep.components[1:])))
+    basis = SpinorBasis(sb.idempotent, sb.blades, sb.blade_signs, elements)
+    comp = Component(comp.kbasis, basis, comp.gammas)
+    rep = Representation(
+        rep.signature, rep.algebra_class, rep.frame, (comp, *rep.components[1:])
+    )
+    ctx = _context(rep)
     assert ctx.tables[0] is None
     for mask, mat in enumerate(ctx.solved[0]):
         assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)

@@ -8,7 +8,6 @@ to how checks share their inputs shows up as a changed set.
 """
 
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ import pytest
 
 import cliffstruct.verify as verify
 from cliffstruct import (
+    AlgebraClass,
     Signature,
     build_representation,
     representation_from_json_dict,
@@ -60,6 +60,21 @@ def _assert_json_writer_matches(report) -> None:
 
 def _boom(*args):
     raise RuntimeError("boom")
+
+
+def _classify_with(sig, **changed):
+    """classify(sig) with the given fields of its AlgebraClass changed."""
+    c = _classify(sig)
+    fields = {
+        "signature": c.signature,
+        "simple": c.simple,
+        "ktype": c.ktype,
+        "k": c.k,
+        "matrix_size": c.matrix_size,
+        "components": c.components,
+        "pq_mod8": c.pq_mod8,
+    }
+    return AlgebraClass(**{**fields, **changed})
 
 
 def _replace_idempotents(replacements):
@@ -279,7 +294,7 @@ BOOM = {"error": "RuntimeError: boom"}
 SIGNATURE_CASES = {
     "class.dimension_identity": (
         (1, 1),
-        {"classify": lambda sig: dataclasses.replace(_classify(sig), matrix_size=3)},
+        {"classify": lambda sig: _classify_with(sig, matrix_size=3)},
         {
             "class.dimension_identity": {
                 "class": {
@@ -291,7 +306,7 @@ SIGNATURE_CASES = {
     ),
     "class.simplicity_mod4": (
         (1, 0),
-        {"classify": lambda sig: dataclasses.replace(_classify(sig), simple=True)},
+        {"classify": lambda sig: _classify_with(sig, simple=True)},
         {"class.simplicity_mod4": {"simple": True, "p_minus_q_mod4": 1}},
     ),
     "idem.count": (
