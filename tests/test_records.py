@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cliffstruct.classify import AlgebraClass
-from cliffstruct.core import Multivector, Signature
+from cliffstruct.core import FrozenRecord, Multivector, Record, Signature
 from cliffstruct.division import DivisionRingBasis
 from cliffstruct.idempotents import IdempotentSet, MonomialFrame, ProductIdempotent
 from cliffstruct.multiples import _LeftMultiples
@@ -219,7 +219,21 @@ def test_frozen_records_keep_cached_properties():
     assert echelon == {1: 3, 2: 5}
     assert product.echelon is echelon
     assert product == ProductIdempotent((3, 5), (1, -1), "f")
-    assert hash(product) == hash(((3, 5), (1, -1), "f"))
     matrix = KMatrix("kb", (((1,), (0,)), ((0,), (2,))))
     assert matrix._columns == (((0, (1,)),), ((1, (2,)),))
     assert matrix._columns is matrix._columns
+
+
+def test_one_field_records_use_the_same_rules():
+    class Frozen(FrozenRecord):
+        _fields = ("x",)
+
+    class Mutable(Record):
+        _fields = ("x",)
+
+    assert Frozen(1) == Frozen(x=1) and Frozen(1) != Frozen(2)
+    assert hash(Frozen(1)) == hash((1,))
+    assert repr(Mutable([1])) == f"{Mutable.__qualname__}(x=[1])"
+    assert Mutable([1]) == Mutable([1]) != Frozen([1])
+    with pytest.raises(TypeError):
+        hash(Mutable(1))
