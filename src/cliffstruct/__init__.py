@@ -70,9 +70,6 @@ _LAZY = {
     "build_representation": "representation",
     "format_kelement": "representation",
     "format_kmatrix": "representation",
-    "kmatrix_add": "representation",
-    "kmatrix_eq": "representation",
-    "kmatrix_mul": "representation",
     "represent": "representation",
     "represent_semisimple": "representation",
     "representation_from_json_dict": "representation",
@@ -150,9 +147,6 @@ __all__ = [
     "grade_involution",
     "is_idempotent",
     "is_primitive",
-    "kmatrix_add",
-    "kmatrix_eq",
-    "kmatrix_mul",
     "multivector_from_json_dict",
     "multivector_to_json_dict",
     "parse_multivector",

@@ -383,9 +383,6 @@ class Multivector(FrozenRecord):
             tuple((m, -c if grade(m) & 1 else c) for m, c in self.terms),
         )
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.terms)
-
     def __str__(self) -> str:
         return format_multivector(self)
 

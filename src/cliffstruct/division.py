@@ -79,6 +79,12 @@ class DivisionRingBasis(FrozenRecord):
         return len(self.units)
 
     def kzero(self) -> KElement:
+        """The zero of K, one tuple per basis: the zeros of
+        ``KMatrix.entries`` all share it."""
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> KElement:
         return (0,) * self.dim
 
     def kone(self) -> KElement:

@@ -134,5 +134,5 @@ def _table_matrices(
             column(table.of[a ^ b] ^ ((a & signs[b]).bit_count() & 1) ^ flip)
             for b, flip in zip(sb.blades, flips)
         ]
-        out.append(KMatrix._from_columns(kb, sb.size, columns))
+        out.append(KMatrix(kb, sb.size, tuple(columns)))
     return out

@@ -36,7 +36,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 
 from .classify import classify
 from .core import (
@@ -91,22 +90,46 @@ class SpinorBasis(FrozenRecord):
 
 
 class KMatrix(FrozenRecord):
-    """Matrix with entries in K, stored as coordinate tuples over the units:
-    ``basis``, the DivisionRingBasis, and ``entries``, its rows.
+    """Matrix with entries in K, stored by columns: ``basis``, the
+    DivisionRingBasis; ``rows``, the row count; and ``columns``, per column
+    the (row, entry) pairs of its nonzero entries in ascending row order.
+    An entry is a coordinate tuple over the units.  In a monomial spinor
+    basis every blade matrix has one entry per column; the dense
+    ``entries`` are derived.
 
     Entries multiply in order (left factor's entries stay on the left), which
     matters for quaternionic K.
     """
 
-    _fields = ("basis", "entries")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
+    _fields = ("basis", "rows", "columns")
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.columns)
+
+    @property
+    def entries(self) -> tuple[tuple[KElement, ...], ...]:
+        """The dense rows, built on each access; every zero is the basis's
+        one ``kzero()`` tuple."""
+        zero = self.basis.kzero()
+        dense = [[zero] * self.cols for _ in range(self.rows)]
+        for t, column in enumerate(self.columns):
+            for i, entry in column:
+                dense[i][t] = entry
+        return tuple(map(tuple, dense))
+
+    @staticmethod
+    def from_rows(kb: DivisionRingBasis, rows) -> "KMatrix":
+        """The matrix of dense rows, each as long as the first."""
+        cols = len(rows[0]) if rows else 0
+        return KMatrix(
+            kb,
+            len(rows),
+            tuple(
+                tuple((i, row[t]) for i, row in enumerate(rows) if any(row[t]))
+                for t in range(cols)
+            ),
+        )
 
     @staticmethod
     def identity(kb: DivisionRingBasis, size: int) -> "KMatrix":
@@ -117,16 +140,11 @@ class KMatrix(FrozenRecord):
         kb: DivisionRingBasis, size: int, value: int | Fraction
     ) -> "KMatrix":
         value = Fraction(value)
+        if not value:
+            return KMatrix(kb, size, ((),) * size)
         diag = (_kcoordinate(value.numerator, value.denominator),)
         diag += (0,) * (kb.dim - 1)
-        zero = kb.kzero()
-        return KMatrix(
-            kb,
-            tuple(
-                tuple(diag if i == t else zero for t in range(size))
-                for i in range(size)
-            ),
-        )
+        return KMatrix(kb, size, tuple(((t, diag),) for t in range(size)))
 
     def _check_compatible(self, other: "KMatrix", need_square: bool = False) -> None:
         if self.basis != other.basis:
@@ -134,55 +152,26 @@ class KMatrix(FrozenRecord):
         if need_square and self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} columns vs {other.rows} rows")
 
-    @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, KElement], ...], ...]:
-        """Per column, the (row, entry) pairs of its nonzero entries; an
-        entry missing from a short row reads as zero.  Built once, outside
-        the record's fields, so equality still compares entries."""
-        columns: list[list] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.entries):
-            for t, entry in enumerate(row):
-                if any(entry):
-                    columns[t].append((i, entry))
-        return tuple(map(tuple, columns))
-
-    @staticmethod
-    def _from_columns(
-        kb: DivisionRingBasis, rows: int, columns: list[tuple]
-    ) -> "KMatrix":
-        """The matrix with the given nonzero (row, entry) pairs per column,
-        its column view set from them."""
-        zero = kb.kzero()
-        dense = [[zero] * len(columns) for _ in range(rows)]
-        for t, column in enumerate(columns):
-            for i, entry in column:
-                dense[i][t] = entry
-        mat = KMatrix(kb, tuple(map(tuple, dense)))
-        mat.__dict__["_columns"] = tuple(columns)
-        return mat
-
     def __matmul__(self, other):
         if not isinstance(other, KMatrix):
             return NotImplemented
         self._check_compatible(other, need_square=True)
         kb = self.basis
         kmul = kb.kmul
-        left = self._columns
+        left = self.columns
         # Column t of the product meets each nonzero (m, y) of other's column
         # t with the nonzero entries of self's column m: generator images
         # have one entry per column, so a product visits about N pairs.
         columns = []
-        for column in other._columns:
+        for column in other.columns:
             acc: dict[int, KElement] = {}
             for m, y in column:
                 for i, x in left[m]:
                     prod = kmul(x, y)
                     cur = acc.get(i)
                     acc[i] = prod if cur is None else kb.kadd(cur, prod)
-            columns.append(
-                tuple((i, acc[i]) for i in sorted(acc) if any(acc[i]))
-            )
-        return KMatrix._from_columns(kb, self.rows, columns)
+            columns.append(_nonzero(acc))
+        return KMatrix(kb, self.rows, tuple(columns))
 
     def __add__(self, other):
         if not isinstance(other, KMatrix):
@@ -191,45 +180,48 @@ class KMatrix(FrozenRecord):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix addition")
         kb = self.basis
-        rows = [list(row) for row in self.entries]
-        for t, column in enumerate(other._columns):
-            for i, y in column:
-                rows[i][t] = kb.kadd(rows[i][t], y)
-        return KMatrix(kb, tuple(map(tuple, rows)))
+        columns = []
+        for left, right in zip(self.columns, other.columns):
+            acc = dict(left)
+            for i, y in right:
+                cur = acc.get(i)
+                acc[i] = y if cur is None else kb.kadd(cur, y)
+            columns.append(_nonzero(acc))
+        return KMatrix(kb, self.rows, tuple(columns))
 
     def __neg__(self):
         kb = self.basis
         # each entry object is negated once, so shared entries stay shared
         negated: dict[int, KElement] = {}
-        for row in self.entries:
-            for e in row:
+        for column in self.columns:
+            for _, e in column:
                 if id(e) not in negated:
                     negated[id(e)] = kb.kneg(e)
         return KMatrix(
-            kb, tuple(tuple(negated[id(e)] for e in row) for row in self.entries)
+            kb,
+            self.rows,
+            tuple(
+                tuple((i, negated[id(e)]) for i, e in column)
+                for column in self.columns
+            ),
         )
 
     def scale_right(self, mu: KElement) -> "KMatrix":
         """Entrywise right multiplication by mu (the right K-action)."""
         kb = self.basis
         return KMatrix(
-            kb, tuple(tuple(kb.kmul(e, mu) for e in row) for row in self.entries)
+            kb,
+            self.rows,
+            tuple(
+                _nonzero({i: kb.kmul(e, mu) for i, e in column})
+                for column in self.columns
+            ),
         )
 
 
-def kmatrix_mul(a: KMatrix, b: KMatrix) -> KMatrix:
-    return a @ b
-
-
-def kmatrix_add(a: KMatrix, b: KMatrix) -> KMatrix:
-    return a + b
-
-
-def kmatrix_eq(a: KMatrix, b: KMatrix) -> bool:
-    a._check_compatible(b)
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ValueError("shape mismatch in matrix comparison")
-    return a.entries == b.entries
+def _nonzero(acc: dict[int, KElement]) -> tuple[tuple[int, KElement], ...]:
+    """The nonzero entries of a column given by row, in ascending row order."""
+    return tuple((i, acc[i]) for i in sorted(acc) if any(acc[i]))
 
 
 class Component(FrozenRecord):
@@ -338,11 +330,10 @@ def _coset_gammas(
     # (s, j) -> denominator, mask -> numerator, leading mask and numerator
     real_basis: dict[tuple[int, int], tuple] = {}
     entries: dict[tuple[int, int, int], KElement] = {}
-    zero = kb.kzero()
     gammas = []
     for i in range(sig.n):
         x = 1 << i
-        rows = [[zero] * sb.size for _ in range(sb.size)]
+        columns = []
         for t, (lden, lhs) in enumerate(spinors):
             y = x ^ sb.blades[t]
             a, j = min((gf2_reduce(y ^ m, frame), j) for j, m in unit_masks)
@@ -375,8 +366,8 @@ def _coset_gammas(
                 entry = entries[key] = tuple(
                     lam if jj == j else 0 for jj in range(kb.dim)
                 )
-            rows[s][t] = entry
-        gammas.append(KMatrix(kb, tuple(map(tuple, rows))))
+            columns.append(((s, entry),))
+        gammas.append(KMatrix(kb, sb.size, tuple(columns)))
     return tuple(gammas)
 
 
@@ -495,7 +486,7 @@ def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatri
         if column is None:
             raise RepresentationError("product left the spinor ideal")
         columns.append(tuple(column))
-    return KMatrix._from_columns(kb, sb.size, columns)
+    return KMatrix(kb, sb.size, tuple(columns))
 
 
 def represent(u: Multivector, rep: Representation) -> KMatrix:
@@ -550,7 +541,9 @@ def build_representation(sig: Signature) -> Representation:
             tuple(s.involute() for s in sb.elements),
         )
         components.append(
-            Component(kb2, sb2, tuple(KMatrix(kb2, (-g).entries) for g in gammas))
+            Component(
+                kb2, sb2, tuple(KMatrix(kb2, g.rows, (-g).columns) for g in gammas)
+            )
         )
     if (
         len(components) != cls.components
@@ -599,7 +592,7 @@ def _kentries_from_json(
     rows, where: str, d: int
 ) -> tuple[tuple[KElement, ...], ...]:
     """Rows of K-elements of d coordinates, each one a list; rows may be
-    ragged."""
+    ragged, and the caller checks their lengths."""
     return tuple(
         tuple(
             _kelement_from_json(entry, f"{where}[{i}][{t}]", d)
@@ -684,18 +677,24 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             sig.blade(mask, s) * f for mask, s in zip(blades, signs)
         )
         sb = SpinorBasis(f, blades, signs, elements)
-        # one matrix per generator; ragged rows and matrices of the wrong
-        # shape are left to the checks
+        # one matrix per generator, its rows as long as its first; matrices
+        # of the wrong shape are left to the checks
         gammas = _list_field(comp, "gammas", where)
         if len(gammas) != sig.n:
             raise ValueError(
                 f"{where}gammas has {len(gammas)} matrices, not n = {sig.n}"
             )
-        gammas = tuple(
-            KMatrix(kb, _kentries_from_json(g, f"{where}gammas[{gi}]", d))
-            for gi, g in enumerate(gammas)
-        )
-        components.append(Component(kb, sb, gammas))
+        matrices = []
+        for gi, g in enumerate(gammas):
+            rows = _kentries_from_json(g, f"{where}gammas[{gi}]", d)
+            for i, row in enumerate(rows):
+                if len(row) != len(rows[0]):
+                    raise ValueError(
+                        f"{where}gammas[{gi}][{i}] has {len(row)} entries,"
+                        f" not {len(rows[0])}"
+                    )
+            matrices.append(KMatrix.from_rows(kb, rows))
+        components.append(Component(kb, sb, tuple(matrices)))
     return Representation(sig, cls, frame, tuple(components))
 
 

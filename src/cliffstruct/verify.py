@@ -61,8 +61,8 @@ from .representation import (
     KMatrix,
     Representation,
     build_representation,
+    _column,
     _matrix_of,
-    spinor_coordinates,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -219,7 +219,7 @@ def _flatten(*mats: KMatrix) -> dict:
     """The nonzero entries of the matrices, keyed by (matrix, row, col, unit)."""
     out = {}
     for m, mat in enumerate(mats):
-        for t, column in enumerate(mat._columns):
+        for t, column in enumerate(mat.columns):
             for i, entry in column:
                 for j, c in enumerate(entry):
                     if c:
@@ -437,7 +437,7 @@ def _right_module(ctx: _Context) -> dict | None:
         mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
         spinors = []
         for s in sb.elements[:3]:
-            col = KMatrix(kb, tuple((e,) for e in spinor_coordinates(kb, sb, s)))
+            col = KMatrix(kb, sb.size, (tuple(_column(kb, sb, s)),))
             scaled = [col.scale_right(mu) for mu in mus]
             spinors.append((col, scaled, [s * unit for unit in kb.units]))
         for mask in masks:
@@ -448,8 +448,8 @@ def _right_module(ctx: _Context) -> dict | None:
                 for j, mu in enumerate(mus):
                     left = gamma_col.scale_right(mu)
                     right = gamma_u @ scaled[j]
-                    direct = spinor_coordinates(kb, sb, u * products[j])
-                    if left != right or tuple(e for (e,) in left.entries) != direct:
+                    direct = _column(kb, sb, u * products[j])
+                    if left != right or direct is None or left.columns[0] != tuple(direct):
                         return {"component": ci, "mask": mask, "unit": j}
     return None
 

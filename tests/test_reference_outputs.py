@@ -7,11 +7,13 @@ n <= 9 signatures run in every test session; n = 10-12 take several times
 longer and run only with ``CLIFFSTRUCT_SLOW=1`` in the environment.  The
 ``verify`` hashes and those of the ``repr p q`` text for n <= 6 are kept
 inline; ``verify --max-n 8`` is slow-only too, and ``verify --max-n 12``,
-the whole range of p + q, runs only with ``CLIFFSTRUCT_SLOW=2``.
+the whole range of p + q, runs only with ``CLIFFSTRUCT_SLOW=2``, as does a
+bound on the peak memory of ``verify 6 6 --json``.
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -35,6 +37,9 @@ VERIFY_SHA256 = {
 }
 # the CLIFFSTRUCT_SLOW value each slow verify hash runs under
 SLOW_VERIFY = {"--max-n 8 --json": "1", "--max-n 12 --json": "2"}
+# peak RSS bound in MB for ``verify 6 6 --json``, the signature that sets the
+# peak of ``verify --max-n 12``
+VERIFY_6_6_PEAK_MB = 200
 
 # sha256 of ``repr p q`` stdout (the text form), keyed "p,q"
 REPR_TEXT_SHA256 = {
@@ -126,3 +131,12 @@ def test_verify_output_matches_reference(args):
 def test_repr_text_matches_reference(pq):
     data = _stdout(["repr", *pq.split(",")])
     assert hashlib.sha256(data).hexdigest() == REPR_TEXT_SHA256[pq]
+
+
+@pytest.mark.skipif(LEVEL != "2", reason="verify 6 6 peak RSS: set CLIFFSTRUCT_SLOW=2")
+def test_verify_6_6_peak_rss(monkeypatch):
+    monkeypatch.syspath_prepend(str(REFERENCE.parent))
+    child = importlib.import_module("child")  # perfbench's measured CLI run
+    result = child.run_child(("verify", "6", "6", "--json"))
+    assert result.exit_code == 0 and not result.timed_out
+    assert result.peak_rss_mb < VERIFY_6_6_PEAK_MB

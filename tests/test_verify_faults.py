@@ -137,16 +137,10 @@ def _copy_component(d):
     d["components"][1] = copy.deepcopy(d["components"][0])
 
 
-def _ragged_gamma(d):
-    gamma = d["components"][0]["gammas"][0]
-    gamma[0] = gamma[0][:1]
-
-
 def _repeat_spinor_blade(d):
     d["components"][0]["spinor_blades"] = [0, 0]
 
 
-SHAPE_ERROR = {"error": "ValueError: shape mismatch: 1 columns vs 2 rows"}
 LEFT_IDEAL = {"error": "RepresentationError: product left the spinor ideal"}
 
 DUMP_CASES = {
@@ -246,16 +240,6 @@ DUMP_CASES = {
             "repr.homomorphism": LEFT_IDEAL,
             "repr.faithful_rank": LEFT_IDEAL,
             "repr.right_module": LEFT_IDEAL,
-        },
-    ),
-    # A check that raises fails under its own id; the checks that never
-    # touch the ragged gamma matrix still run and pass.
-    "ragged-gamma": (
-        (1, 1),
-        _ragged_gamma,
-        {
-            "repr.generator_relations": SHAPE_ERROR,
-            "repr.homomorphism": SHAPE_ERROR,
         },
     ),
 }
