@@ -11,9 +11,9 @@ representation was built.
 Every row is a nonzero multiple of its class row, so the rows span what the
 class rows span, and the class count bounds their rank from above: a rank
 modulo a prime that reaches it proves the rank (``_independent``), and
-anything short of it decides nothing.  For a spinor basis whose every s_t
-is exactly +-e_{B_t} f, e_a s_t = +-e_{a xor B_t} f, so each blade matrix
-column is +- the coordinates of one class row (``_table_matrices``).
+anything short of it decides nothing.  Every spinor s_t is +-e_{B_t} f, so
+e_a s_t = +-e_{a xor B_t} f, and each blade matrix column is +- the
+coordinates of one class row (``_table_matrices``).
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .core import FrozenRecord, Multivector, Signature, _blade_times, _sign_masks
+from .core import FrozenRecord, Multivector, Signature, _sign_masks
 from .linalg import rank_mod_p
-from .representation import (
-    Component,
-    KMatrix,
-    RepresentationError,
-    SpinorBasis,
-    _column,
-)
+from .representation import Component, KMatrix, RepresentationError, _column
 
 
 class _LeftMultiples(FrozenRecord):
@@ -76,26 +70,6 @@ def _independent(rows) -> bool:
     """Whether a rank modulo a prime proves the integer rows linearly
     independent over Q; False decides nothing."""
     return rank_mod_p(rows, len(rows)) == len(rows)
-
-
-def _basis_table(sig: Signature, sb: SpinorBasis) -> _LeftMultiples | None:
-    """The table of f = sb.idempotent when f is in Cl(sig) and every s_t is
-    exactly blade_signs[t] e_{B_t} f (minus when the sign is negative), else
-    None."""
-    f = sb.idempotent
-    if f.signature != sig or not len(sb.blades) == len(sb.blade_signs) == sb.size:
-        return None
-    den, masks, nums = f._integer_terms()
-    signs = _sign_masks(sig)
-    for b, sign, s_t in zip(sb.blades, sb.blade_signs, sb.elements):
-        if s_t.signature != sig or not 0 <= b < sig.dim:
-            return None
-        s_den, s_masks, s_nums = s_t._integer_terms()
-        if s_den != den or dict(zip(s_masks, s_nums)) != _blade_times(
-            b, sign < 0, zip(masks, nums), signs
-        ):
-            return None
-    return _left_multiples(f)
 
 
 def _table_matrices(

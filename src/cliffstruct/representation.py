@@ -14,21 +14,20 @@ The spinor basis is built for a product idempotent
 f = prod (1 + s_i e_{g_i}) / 2 over commuting square-one monomials (a
 ``ProductIdempotent``; a multivector of any other form is rejected with a
 ValueError).  Then e_A f = +-e_{A xor w} f for every w in the GF(2) span W
-of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor per
-coset of U = W + span{m_j}, and each column of a generator matrix has a
-single nonzero entry, a rational multiple of one unit.  Basis and matrices
-are read off these GF(2) cosets, and each matrix column is confirmed by
-exact equality, compared on integer numerators.
+of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor
+s_t = +-e_{B_t} f per coset of U = W + span{m_j}, its blade B_t the coset
+minimum, and a ``SpinorBasis`` stores only f, the blades and the signs.
 
-The matrices and coordinates of other elements (``represent``,
-``spinor_coordinates``) are read off the real basis s_t u_j.  An index maps
+Every matrix column, of a generator or of any other element (``represent``,
+``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
 the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
 exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
-vectors with distinct leading masks are independent.  The lookup only
-confirms: an exact span solve decides every psi it cannot confirm, such as
-an element that is not a multiple of one basis element or a dumped basis
-whose real basis repeats a leading mask, and it alone reports a product
-outside S.
+vectors with distinct leading masks are independent.  In the monomial basis
+above, e_i s_t is one such multiple, so each generator column has a single
+nonzero entry.  The lookup only confirms: an exact span solve decides every
+psi it cannot confirm, such as an element that is not a multiple of one
+basis element or a dumped basis whose real basis repeats a leading mask,
+and it alone reports a product outside S.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 
 from .classify import classify
 from .core import (
@@ -80,13 +80,23 @@ class RepresentationError(RuntimeError):
 
 
 class SpinorBasis(FrozenRecord):
-    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] * e_A f."""
+    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] e_{B_t} f,
+    B_t = blades[t] and f the idempotent."""
 
-    _fields = ("idempotent", "blades", "blade_signs", "elements")
+    _fields = ("idempotent", "blades", "blade_signs")
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.blades)
+
+    @cached_property
+    def elements(self) -> tuple[Multivector, ...]:
+        """The spinors s_t, built on first use."""
+        f = self.idempotent
+        return tuple(
+            f.signature.blade(mask, sign) * f
+            for mask, sign in zip(self.blades, self.blade_signs)
+        )
 
 
 class KMatrix(FrozenRecord):
@@ -289,86 +299,7 @@ def spinor_basis(
     pivots = sum(1 << bit for bit in _cosets(product, kb))
     f = product.f
     blades = tuple(m for m in range(f.signature.dim) if not m & pivots)
-    elements = tuple(f.signature.blade(m) * f for m in blades)
-    return SpinorBasis(f, blades, (1,) * len(blades), elements)
-
-
-def _coset_gammas(
-    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis, product: ProductIdempotent
-) -> tuple[KMatrix, ...]:
-    """Generator matrices as signed unit permutations of the spinor basis of
-    a product idempotent, read off its frame cosets.
-
-    e_i s_t lies on the W-coset of X = e_i-mask xor A_t.  The leading masks
-    m_j of kb's units fill U / W, as ``_cosets`` confirms for the kb that
-    ``spinor_basis`` was given, so X + U is the union of the W-cosets of
-    X xor m_j: the least of their minima is the U-coset minimum, which
-    names the row s, and the j that reaches it names the unit, so that
-    e_i s_t == (sign_s e_{A_s} u_j) * lambda for one rational lambda.  Each
-    column is confirmed by that exact equality.  With s_s == sign_s e_{A_s} f,
-    as ``spinor_basis`` and its involution image build it, and u_j == f u_j,
-    as ``_cosets`` confirms, sign_s e_{A_s} u_j is the real basis element
-    s_s u_j; each is built once and shared by the generators.
-
-    Both sides are compared on integer numerators over their common
-    denominators: e_i permutes the terms of s_t with the signs of
-    ``_sign_masks``, and the equality holds exactly when the two sides have
-    the same masks and proportional numerators, lambda being the ratio of
-    their leading terms.  Equal entries are one shared tuple.
-    """
-    signs = _sign_masks(sig)
-    frame = product.echelon
-    unit_masks = tuple(enumerate(u.terms[0][0] for u in kb.units))
-    row_of = {mask: s for s, mask in enumerate(sb.blades)}
-    # per spinor: denominator, then mask -> (numerator, sign mask) per term
-    spinors = []
-    for s_t in sb.elements:
-        den, masks, nums = s_t._integer_terms()
-        spinors.append(
-            (den, {b: (c, signs[b]) for b, c in zip(masks, nums)})
-        )
-    # (s, j) -> denominator, mask -> numerator, leading mask and numerator
-    real_basis: dict[tuple[int, int], tuple] = {}
-    entries: dict[tuple[int, int, int], KElement] = {}
-    gammas = []
-    for i in range(sig.n):
-        x = 1 << i
-        columns = []
-        for t, (lden, lhs) in enumerate(spinors):
-            y = x ^ sb.blades[t]
-            a, j = min((gf2_reduce(y ^ m, frame), j) for j, m in unit_masks)
-            s = row_of.get(a)
-            if s is None:
-                raise RepresentationError(f"e{i + 1} s_{t} leaves the spinor basis")
-            rhs = real_basis.get((s, j))
-            if rhs is None:
-                uden, umasks, unums = kb.units[j]._integer_terms()
-                terms = _blade_times(
-                    a, sb.blade_signs[s] < 0, zip(umasks, unums), signs
-                )
-                lead = min(terms)
-                rhs = real_basis[s, j] = (uden, terms, lead, terms[lead])
-            rden, rterms, lead, r0 = rhs
-            lead_c, lead_q = lhs.get(lead ^ x, (0, 0))
-            l0 = -lead_c if lead_q >> i & 1 else lead_c
-            # the same masks, and numerators proportional to the leading pair
-            if not l0 or len(lhs) != len(rterms) or any(
-                (-c if q >> i & 1 else c) * r0 != rterms.get(b ^ x, 0) * l0
-                for b, (c, q) in lhs.items()
-            ):
-                raise RepresentationError(
-                    f"e{i + 1} s_{t} is not a multiple of s_{s} u_{j}"
-                )
-            lam = _kcoordinate(l0 * rden, r0 * lden)
-            key = (j, lam)
-            entry = entries.get(key)
-            if entry is None:
-                entry = entries[key] = tuple(
-                    lam if jj == j else 0 for jj in range(kb.dim)
-                )
-            columns.append(((s, entry),))
-        gammas.append(KMatrix(kb, sb.size, tuple(columns)))
-    return tuple(gammas)
+    return SpinorBasis(f, blades, (1,) * len(blades))
 
 
 def _solver(kb: DivisionRingBasis, sb: SpinorBasis) -> ExactSpan:
@@ -403,22 +334,32 @@ def _solve(
 
 def _real_basis_index(kb: DivisionRingBasis, sb: SpinorBasis) -> dict | None:
     """The leading (smallest) mask of each real basis element s_t u_j mapped
-    to (t, j, denominator, numerator by mask), from the exact products.
+    to (t, j, denominator, numerator by mask).
 
-    None when some s_t u_j is zero or two share a leading mask.  Kept on sb
-    with the kb it was built for, matched by identity, like ``_solver``.
+    s_t u_j == blade_signs[t] e_{B_t} (f u_j) exactly, by associativity, so
+    each is read off the terms of one exact product f u_j by
+    ``_blade_times``.  None when some s_t u_j is zero or two share a leading
+    mask.  Kept on sb with the kb it was built for, matched by identity,
+    like ``_solver``.
     """
     cached = sb.__dict__.get("_index")
     if cached is not None and cached[0] is kb:
         return cached[1]
+    f = sb.idempotent
+    signs = _sign_masks(f.signature)
+    products = []
+    for unit in kb.units:
+        den, masks, nums = (f * unit)._integer_terms()
+        products.append((den, tuple(zip(masks, nums))))
     index: dict | None = {}
-    for t, s in enumerate(sb.elements):
-        for j, unit in enumerate(kb.units):
-            den, masks, nums = (s * unit)._integer_terms()
-            if not masks or masks[0] in index:
+    for t, (mask, sign) in enumerate(zip(sb.blades, sb.blade_signs)):
+        for j, (den, terms) in enumerate(products):
+            nums = _blade_times(mask, sign < 0, terms, signs)
+            lead = min(nums, default=None)
+            if lead is None or lead in index:
                 index = None
                 break
-            index[masks[0]] = (t, j, den, dict(zip(masks, nums)))
+            index[lead] = (t, j, den, nums)
         if index is None:
             break
     sb.__dict__["_index"] = (kb, index)
@@ -433,9 +374,9 @@ def _lookup(
 
     The s_t u_j have pairwise distinct leading masks, so they are linearly
     independent and the confirmed lambda at (t, j) are the unique
-    coordinates of psi, the ones the span solve would return.  Confirmed as
-    ``_coset_gammas`` confirms a column: the same masks as s_t u_j, and
-    numerators proportional to the leading pair.
+    coordinates of psi, the ones the span solve would return.  Confirmed on
+    integer numerators: the same masks as s_t u_j, and numerators
+    proportional to the leading pair.
     """
     index = _real_basis_index(kb, sb)
     if index is None or not nums:
@@ -489,6 +430,42 @@ def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatri
     return KMatrix(kb, sb.size, tuple(columns))
 
 
+def _generator_matrices(
+    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis
+) -> tuple[KMatrix, ...]:
+    """gamma(e_i) for each generator, column t by column t as ``_matrix_of``
+    reads it: e_i s_t confirmed by the lookup, or else solved.
+
+    With x the mask of e_i, e_i s_t == +-e_{x xor B_t} f is read off f's
+    integer numerators by ``_blade_times``, with no product formed.  Equal
+    entries are one shared tuple, which the JSON writer renders once.
+    """
+    signs = _sign_masks(sig)
+    den, masks, nums = sb.idempotent._integer_terms()
+    f_terms = tuple(zip(masks, nums))
+    spinors = [
+        tuple(_blade_times(mask, sign < 0, f_terms, signs).items())
+        for mask, sign in zip(sb.blades, sb.blade_signs)
+    ]
+    entries: dict[KElement, KElement] = {}
+    gammas = []
+    for i in range(sig.n):
+        x = 1 << i
+        columns = []
+        for t, terms in enumerate(spinors):
+            hit = _lookup(kb, sb, den, _blade_times(x, False, terms, signs))
+            if hit is None:
+                column = _solve(kb, sb, sig.blade(x) * sb.elements[t])
+                if column is None:
+                    raise RepresentationError("product left the spinor ideal")
+                columns.append(tuple(column))
+            else:
+                s, entry = hit
+                columns.append(((s, entries.setdefault(entry, entry)),))
+        gammas.append(KMatrix(kb, sb.size, tuple(columns)))
+    return tuple(gammas)
+
+
 def represent(u: Multivector, rep: Representation) -> KMatrix:
     """Matrix of u on the spinor basis: u s_t = sum_i s_i * entry[i][t]."""
     if u.signature != rep.signature:
@@ -519,12 +496,12 @@ def build_representation(sig: Signature) -> Representation:
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = _coset_gammas(sig, kb, sb, product)
+    gammas = _generator_matrices(sig, kb, sb)
     components = [Component(kb, sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
         # first, over the images of f, the units and the spinors.  The
-        # involution is an automorphism sending e_i to -e_i, so each confirmed
+        # involution is an automorphism sending e_i to -e_i, so each exact
         # e_i s_t == s_s u_j * lam maps to e_i hat(s_t) == hat(s_s) hat(u_j)
         # * (-lam): the second gammas are the negated first ones, exactly.
         fh = product.f.involute()
@@ -535,10 +512,7 @@ def build_representation(sig: Signature) -> Representation:
             kb.table,
         )
         sb2 = SpinorBasis(
-            fh,
-            sb.blades,
-            tuple(-1 if grade(m) & 1 else 1 for m in sb.blades),
-            tuple(s.involute() for s in sb.elements),
+            fh, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
         )
         components.append(
             Component(
@@ -638,6 +612,14 @@ def representation_to_json_dict(rep: Representation) -> dict:
     }
 
 
+def _multivector_in(sig: Signature, data, where: str) -> Multivector:
+    """The dumped multivector at ``where``, which must lie in Cl(sig)."""
+    x = multivector_from_json_dict(data, f"{where}.")
+    if x.signature != sig:
+        raise ValueError(f"{where} is in {x.signature}, not {sig}")
+    return x
+
+
 def representation_from_json_dict(data: Mapping) -> Representation:
     """Rebuild a representation from its dump without recomputing anything
     that the dump pins down, so re-verification sees exactly the dumped data."""
@@ -647,11 +629,11 @@ def representation_from_json_dict(data: Mapping) -> Representation:
     components = []
     for ci, comp in enumerate(_list_field(data, "components")):
         where = f"components[{ci}]."
-        f = multivector_from_json_dict(
-            _field(comp, "idempotent", where), f"{where}idempotent."
+        f = _multivector_in(
+            sig, _field(comp, "idempotent", where), f"{where}idempotent"
         )
         units = tuple(
-            multivector_from_json_dict(u, f"{where}units[{j}].")
+            _multivector_in(sig, u, f"{where}units[{j}]")
             for j, u in enumerate(_list_field(comp, "units", where))
         )
         if len(units) not in KTYPE_BY_DIM:
@@ -664,6 +646,11 @@ def representation_from_json_dict(data: Mapping) -> Representation:
             raise ValueError(f"{where}unit_table is not {d} rows of {d} entries")
         kb = DivisionRingBasis(f, units, KTYPE_BY_DIM[d], table)
         blades = _integer_list(comp, "spinor_blades", where)
+        for t, mask in enumerate(blades):
+            if not 0 <= mask < sig.dim:
+                raise ValueError(
+                    f"{where}spinor_blades[{t}] is out of range for {sig}: {mask}"
+                )
         signs = _list_field(comp, "spinor_blade_signs", where)
         if len(signs) != len(blades) or any(
             s not in (1, -1) or isinstance(s, bool) for s in signs
@@ -672,11 +659,7 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                 f"{where}spinor_blade_signs must hold one sign of"
                 f" +1 or -1 per spinor blade ({len(blades)})"
             )
-        signs = tuple(int(s) for s in signs)
-        elements = tuple(
-            sig.blade(mask, s) * f for mask, s in zip(blades, signs)
-        )
-        sb = SpinorBasis(f, blades, signs, elements)
+        sb = SpinorBasis(f, blades, tuple(int(s) for s in signs))
         # one matrix per generator, its rows as long as its first; matrices
         # of the wrong shape are left to the checks
         gammas = _list_field(comp, "gammas", where)

@@ -18,7 +18,7 @@ and the exact span solve decides every other one.
 
 The left multiples e_X f of an idempotent f are read once into a table of
 proportionality classes (``multiples``).  A rank modulo a prime that
-reaches the class count proves dim S = dim Cl(p,q) f, and when every s_t
+reaches the class count proves dim S = dim Cl(p,q) f, and since every s_t
 is +-e_{B_t} f the blade matrices are read off the table.  Certificates
 only confirm; every failure and witness comes from the exact path.
 """
@@ -49,20 +49,13 @@ from .idempotents import (
     sign_vectors,
 )
 from .linalg import ExactSpan, rank_mod_p, span_of
-from .multiples import (
-    _LeftMultiples,
-    _basis_table,
-    _independent,
-    _left_multiples,
-    _table_matrices,
-)
+from .multiples import _LeftMultiples, _independent, _left_multiples, _table_matrices
 from .representation import (
     Component,
     KMatrix,
     Representation,
     build_representation,
     _column,
-    _matrix_of,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -177,26 +170,18 @@ class _Context(Record):
         return {c.check_id: c.witness for c in results}
 
     @cached_property
-    def tables(self) -> list[_LeftMultiples | None]:
-        """Per component, ``_basis_table`` of its spinor basis."""
-        return [_basis_table(self.sig, comp.basis) for comp in self.rep.components]
+    def tables(self) -> list[_LeftMultiples]:
+        """Per component, the table of its idempotent's left multiples."""
+        return [_left_multiples(comp.basis.idempotent) for comp in self.rep.components]
 
     @cached_property
     def solved(self) -> list[list[KMatrix]]:
-        """Per component, every blade's matrix in its spinor basis: read
-        off the table, or solved blade by blade when there is none."""
-        out = []
-        for comp, table in zip(self.rep.components, self.tables):
-            if table is None:
-                out.append(
-                    [
-                        _matrix_of(self.sig.blade(mask), comp.kbasis, comp.basis)
-                        for mask in range(self.sig.dim)
-                    ]
-                )
-            else:
-                out.append(_table_matrices(self.sig, comp, table))
-        return out
+        """Per component, every blade's matrix in its spinor basis, read off
+        the table."""
+        return [
+            _table_matrices(self.sig, comp, table)
+            for comp, table in zip(self.rep.components, self.tables)
+        ]
 
     @cached_property
     def rng(self) -> random.Random:
@@ -400,11 +385,7 @@ def _irreducible(ctx: _Context) -> dict | None:
             return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
         draw = _psi_sampler(sig, basis_products)
         table = ctx.tables[ci]
-        basis_proved = (
-            table is not None
-            and len(table.rows) == ideal_dim
-            and _independent(table.rows)
-        )
+        basis_proved = len(table.rows) == ideal_dim and _independent(table.rows)
         samples = [] if basis_proved else list(comp.basis.elements)
         samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
         masks = sorted({v.terms[0][0] for v in basis_products if v})

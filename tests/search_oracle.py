@@ -226,14 +226,12 @@ def greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
     sig = f.signature
     span = ExactSpan()
     blades: list[int] = []
-    elements: list[Multivector] = []
     for mask in range(sig.dim):
         v = sig.blade(mask) * f
         if span.contains(dict(v.terms)):
             continue
-        t = len(elements)
+        t = len(blades)
         blades.append(mask)
-        elements.append(v)
         added = 0
         for j, unit in enumerate(kb.units):
             if span.add(dict((v * unit).terms), (t, j)):
@@ -242,6 +240,4 @@ def greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
             raise RepresentationError(
                 f"spinor span deficiency at blade {mask}: {added} < {kb.dim}"
             )
-    return SpinorBasis(
-        f, tuple(blades), (1,) * len(blades), tuple(elements)
-    )
+    return SpinorBasis(f, tuple(blades), (1,) * len(blades))

@@ -70,9 +70,8 @@ FROZEN = [
     ),
     (
         SpinorBasis,
-        {"idempotent": "f", "blades": (0, 1), "blade_signs": (1, -1), "elements": ("s1", "s2")},
-        "SpinorBasis(idempotent='f', blades=(0, 1), blade_signs=(1, -1), "
-        "elements=('s1', 's2'))",
+        {"idempotent": "f", "blades": (0, 1), "blade_signs": (1, -1)},
+        "SpinorBasis(idempotent='f', blades=(0, 1), blade_signs=(1, -1))",
     ),
     (
         KMatrix,
@@ -219,6 +218,12 @@ def test_frozen_records_keep_cached_properties():
     assert echelon == {1: 3, 2: 5}
     assert product.echelon is echelon
     assert product == ProductIdempotent((3, 5), (1, -1), "f")
+    basis = SpinorBasis(SIG.scalar(1), (0, 3), (1, -1))
+    elements = basis.elements
+    assert elements == (SIG.scalar(1), SIG.blade(3, -1))
+    assert basis.elements is elements
+    assert basis == SpinorBasis(SIG.scalar(1), (0, 3), (1, -1))
+    assert hash(basis) == hash((SIG.scalar(1), (0, 3), (1, -1)))
 
 
 def test_one_field_records_use_the_same_rules():

@@ -14,7 +14,6 @@ from cliffstruct import (
     DivisionRingBasis,
     KMatrix,
     RepresentationError,
-    SpinorBasis,
     Signature,
     SignatureMismatchError,
     build_representation,
@@ -33,9 +32,10 @@ from cliffstruct import (
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
-    _coset_gammas,
     _cosets,
+    _generator_matrices,
     _matrix_of,
+    _real_basis_index,
     _solver,
 )
 from test_division import PRODUCT_FORM_REQUIRED, _rotor_conjugate
@@ -43,8 +43,8 @@ from test_division import PRODUCT_FORM_REQUIRED, _rotor_conjugate
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
 F1 = Fraction(1)
-# The coset kernel runs against the greedy-scan oracle to n <= 9 with
-# CLIFFSTRUCT_SLOW=1.
+# The spinor basis, generator matrices and real-basis index run against
+# their oracles to n <= 9 with CLIFFSTRUCT_SLOW=1.
 ORACLE_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 8
 
 
@@ -557,6 +557,11 @@ def _set(*path):
         ((1, 1), _set("gammas", 0, 0, [["1"]]), "gammas[0][1] has 2 entries, not 1"),
         ((1, 1), _set("gammas", 1, 1, [["1"]]), "gammas[1][1] has 1 entries, not 2"),
         ((1, 1), _set("gammas", 0, 1, [["0"], ["-1"], ["1"]]), "gammas[0][1] has 3 entries, not 2"),
+        # the idempotent, every unit and every spinor blade lie in Cl(p,q)
+        ((1, 1), _set("idempotent", "p", 2), "idempotent is in Cl(2,1), not Cl(1,1)"),
+        ((0, 2), _set("units", 1, "p", 1), "units[1] is in Cl(1,2), not Cl(0,2)"),
+        ((1, 1), _set("spinor_blades", [0, 99]), "spinor_blades[1] is out of range for Cl(1,1): 99"),
+        ((1, 1), _set("spinor_blades", [-1, 2]), "spinor_blades[0] is out of range for Cl(1,1): -1"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
@@ -679,9 +684,12 @@ def test_blade_matrices_match_the_span_solve(n, monkeypatch):
     )
     for p in range(n + 1):
         sig = Signature(p, n - p)
-        for comp in build_representation(sig).components:
+        rep = build_representation(sig)
+        # the lookup confirmed every generator column
+        assert solves == [], sig
+        for comp in rep.components:
             kb, sb = comp.kbasis, comp.basis
-            assert representation._real_basis_index(kb, sb) is not None
+            assert _real_basis_index(kb, sb) is not None
             coeffs = (1, -1) if n <= 6 else (1,)
             blades = [sig.blade(mask, c) for mask in range(sig.dim) for c in coeffs]
             mats = [_matrix_of(u, kb, sb) for u in blades]
@@ -722,7 +730,7 @@ def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
     with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
         spinor_basis(f, kb)
     sb = oracle.greedy_spinor_basis(f, kb)
-    assert representation._real_basis_index(kb, sb) is None
+    assert _real_basis_index(kb, sb) is None
     rng = random.Random(909)
     elements = [sig.blade(mask) for mask in range(sig.dim)]
     elements += [_random_element(sig, rng, 3) for _ in range(8)]
@@ -751,7 +759,7 @@ def test_repeated_spinor_blade_leaves_the_solve_to_decide():
     data["components"][0]["spinor_blades"] = [0, 0]
     comp = representation_from_json_dict(data).components[0]
     kb, sb = comp.kbasis, comp.basis
-    assert representation._real_basis_index(kb, sb) is None
+    assert _real_basis_index(kb, sb) is None
     assert _matrix_of(sig.scalar(1), kb, sb) == _matrix_of_oracle(sig.scalar(1), kb, sb)
     with pytest.raises(RepresentationError, match="product left the spinor ideal"):
         _matrix_of(sig.e(2), kb, sb)
@@ -769,16 +777,71 @@ def test_solver_is_built_only_for_a_fallback():
     assert "_solver" in sb.__dict__
 
 
+def _real_basis_index_oracle(kb, sb):
+    """The real-basis index from the exact products s_t u_j, as
+    ``_real_basis_index`` built it before it read each s_t u_j off f u_j."""
+    index = {}
+    for t, s in enumerate(sb.elements):
+        for j, unit in enumerate(kb.units):
+            den, masks, nums = (s * unit)._integer_terms()
+            if not masks or masks[0] in index:
+                return None
+            index[masks[0]] = (t, j, den, dict(zip(masks, nums)))
+    return index
+
+
+@pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
+def test_real_basis_index_matches_the_exact_products(n):
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            kb, sb = comp.kbasis, comp.basis
+            index = _real_basis_index(kb, sb)
+            assert index is not None
+            assert index == _real_basis_index_oracle(kb, sb)
+
+
+def _negate_unit(comp):
+    for term in comp["units"][1]["terms"]:
+        num = term["num"]
+        term["num"] = num[1:] if num.startswith("-") else "-" + num
+
+
+def _negate_unit_table_row(comp):
+    row = comp["unit_table"][1]
+    comp["unit_table"][1] = [[str(-Fraction(c)) for c in entry] for entry in row]
+
+
+@pytest.mark.parametrize(
+    "pq, corrupt",
+    [
+        ((3, 0), _set("spinor_blade_signs", 1, -1)),
+        ((2, 2), _set("spinor_blade_signs", 2, -1)),
+        ((3, 0), _negate_unit),
+        ((0, 3), _negate_unit),
+        ((0, 2), _negate_unit_table_row),
+        ((1, 1), _set("spinor_blades", [0, 0])),
+        ((2, 1), _set("spinor_blades", [3, 3])),
+    ],
+)
+def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, corrupt):
+    data = representation_to_json_dict(build_representation(Signature(*pq)))
+    corrupt(data["components"][0])
+    for comp in representation_from_json_dict(data).components:
+        kb, sb = comp.kbasis, comp.basis
+        index = _real_basis_index(kb, sb)
+        assert index == _real_basis_index_oracle(kb, sb)
+        # a repeated blade repeats every leading mask of its real basis
+        assert (index is None) == (len(set(sb.blades)) < sb.size)
+
+
 # ---------------------------------------------------------------------------
-# the coset kernel against the exact span solves it replaced
+# the generator matrices against the exact span solves they replaced
 
 
 def _coset_gammas_oracle(sig, kb, sb, product):
-    """The generator matrices with each column confirmed by exact
-    multivector equality, as ``_coset_gammas`` did before it compared
-    integer numerators, and each row and unit read off U's echelon and the
-    W-coset of each unit mask, as it did before it took the least W-coset
-    minimum over the unit masks."""
+    """The generator matrices as signed unit permutations, each row and unit
+    read off U's echelon and the W-coset of each unit mask, and each column
+    confirmed by exact multivector equality."""
     frame = product.echelon
     ideal = dict(frame)
     unit_of = {}
@@ -831,37 +894,11 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             )
             for i, gamma in enumerate(comp.gammas):
                 assert gamma == _matrix_of_oracle(sig.blade(1 << i), kb, sb)
-            # the coset kernel on the component's own tables, with its
-            # column confirmations (for the second component, the run that
-            # the negated first gammas replaced)
+            # the builder on the component's own bases (for the second
+            # component, the run that the negated first gammas replaced)
             product = _half_product_form(sb.idempotent)
-            assert comp.gammas == _coset_gammas(sig, kb, sb, product)
+            assert comp.gammas == _generator_matrices(sig, kb, sb)
             assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, product)
-
-
-def _scale_last_term(u):
-    (m, c), *_ = reversed(u.terms)
-    return u + u.signature.blade(m, c)
-
-
-def _drop_last_term(u):
-    return type(u)(u.signature, u.terms[:-1])
-
-
-@pytest.mark.parametrize("pq", [(2, 2), (1, 3), (3, 1)])
-@pytest.mark.parametrize("corrupt", [_scale_last_term, _drop_last_term])
-def test_coset_gammas_reject_a_spinor_proportional_but_for_one_term(pq, corrupt):
-    sig = Signature(*pq)
-    comp = build_representation(sig).components[0]
-    kb, sb = comp.kbasis, comp.basis
-    elements = list(sb.elements)
-    elements[1] = corrupt(elements[1])
-    bad = SpinorBasis(sb.idempotent, sb.blades, sb.blade_signs, tuple(elements))
-    product = _half_product_form(sb.idempotent)
-    with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
-        _coset_gammas(sig, kb, bad, product)
-    with pytest.raises(RepresentationError, match="s_1 is not a multiple"):
-        _coset_gammas_oracle(sig, kb, bad, product)
 
 
 def _counted(monkeypatch, module, name, calls):
@@ -918,15 +955,31 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
     f = kb.idempotent
     i_unit = kb.units[1]
     product = _half_product_form(f)
-    for unit in (i_unit + sig.e(2) * f, sig.blade(3) * f):
+    # the span solve gives i + e2 f matrices and finds e3 s_t outside S
+    # over e12 f
+    for unit, left in ((i_unit + sig.e(2) * f, False), (sig.blade(3) * f, True)):
         bad = DivisionRingBasis(f, (f, unit), kb.ktype, kb.table)
         with pytest.raises(RepresentationError):
             spinor_basis(f, bad)
         with pytest.raises(RepresentationError):
             _cosets(product, bad)
-        # the gamma kernel confirms its rows and columns without _cosets
-        with pytest.raises(RepresentationError):
-            _coset_gammas(sig, bad, sb, product)
+        # without _cosets, each generator column is still confirmed or
+        # solved exactly: the matrices are the span solve's, or both raise
+        expected = _outcome(
+            lambda: tuple(
+                _matrix_of_oracle(sig.blade(1 << i), bad, sb) for i in range(sig.n)
+            )
+        )
+        assert (expected is RepresentationError) == left
+        assert _outcome(lambda: _generator_matrices(sig, bad, sb)) == expected
+
+
+def _outcome(build):
+    """What build returns, or RepresentationError if it raises one."""
+    try:
+        return build()
+    except RepresentationError:
+        return RepresentationError
 
 
 def test_gf2_reduce_gives_the_coset_minimum():

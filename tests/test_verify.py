@@ -10,11 +10,8 @@ import cliffstruct.multiples as multiples
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
-    Component,
-    Representation,
     Signature,
     SignatureMismatchError,
-    SpinorBasis,
     brute_force_minimal_ideal_dim,
     build_representation,
     find_frame,
@@ -335,25 +332,6 @@ def test_table_blade_matrices_match_the_span_solve(pq):
     for comp, mats in zip(rep.components, ctx.solved):
         for mask, mat in enumerate(mats):
             assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)
-
-
-@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (2, 2)])
-def test_a_basis_off_the_table_takes_the_per_blade_path(pq):
-    # s_1 + s_0 is not +-e_B f for any blade, but the basis still spans S
-    sig = Signature(*pq)
-    rep = build_representation(sig)
-    comp = rep.components[0]
-    sb = comp.basis
-    elements = (sb.elements[0], sb.elements[1] + sb.elements[0], *sb.elements[2:])
-    basis = SpinorBasis(sb.idempotent, sb.blades, sb.blade_signs, elements)
-    comp = Component(comp.kbasis, basis, comp.gammas)
-    rep = Representation(
-        rep.signature, rep.algebra_class, rep.frame, (comp, *rep.components[1:])
-    )
-    ctx = _context(rep)
-    assert ctx.tables[0] is None
-    for mask, mat in enumerate(ctx.solved[0]):
-        assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)
 
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):
