@@ -36,7 +36,6 @@ from .core import (
     blades_commute,
     format_multivector,
     grade,
-    grade_involution,
     multivector_from_json_dict,
     multivector_to_json_dict,
     parse_multivector,
@@ -144,7 +143,6 @@ __all__ = [
     "format_kmatrix",
     "format_multivector",
     "grade",
-    "grade_involution",
     "is_idempotent",
     "is_primitive",
     "multivector_from_json_dict",

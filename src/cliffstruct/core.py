@@ -370,12 +370,6 @@ class Multivector(FrozenRecord):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def square(self) -> "Multivector":
-        return self * self
-
-    def commutes_with(self, other: "Multivector") -> bool:
-        return self * other == other * self
-
     def involute(self) -> "Multivector":
         """Grade involution: each grade-g term is scaled by (-1)**g."""
         return Multivector(
@@ -385,10 +379,6 @@ class Multivector(FrozenRecord):
 
     def __str__(self) -> str:
         return format_multivector(self)
-
-
-def grade_involution(u: Multivector) -> Multivector:
-    return u.involute()
 
 
 # ---------------------------------------------------------------------------

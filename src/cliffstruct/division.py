@@ -23,7 +23,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classify import K_DIMENSION
-from .core import FrozenRecord, Multivector, blade_square_sign, grade
+from .core import (
+    FrozenRecord,
+    Multivector,
+    SignatureMismatchError,
+    blade_square_sign,
+    grade,
+)
 from .idempotents import ProductIdempotent, product_form
 from .linalg import ExactSpan
 
@@ -141,6 +147,9 @@ class DivisionRingBasis(FrozenRecord):
 
     def element_coordinates(self, u: Multivector) -> KElement | None:
         """Coordinates of u over the units, or None when u is outside K."""
+        sig = self.idempotent.signature
+        if u.signature != sig:
+            raise SignatureMismatchError(f"{u.signature} vs {sig}")
         coords = self._span.coordinates(dict(u.terms))
         if coords is None:
             return None

@@ -18,16 +18,18 @@ of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor
 s_t = +-e_{B_t} f per coset of U = W + span{m_j}, its blade B_t the coset
 minimum, and a ``SpinorBasis`` stores only f, the blades and the signs.
 
-Every matrix column, of a generator or of any other element (``represent``,
+Every matrix column, of a blade or of any other element (``represent``,
 ``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
 the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
 exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
 vectors with distinct leading masks are independent.  In the monomial basis
-above, e_i s_t is one such multiple, so each generator column has a single
-nonzero entry.  The lookup only confirms: an exact span solve decides every
-psi it cannot confirm, such as an element that is not a multiple of one
-basis element or a dumped basis whose real basis repeats a leading mask,
-and it alone reports a product outside S.
+above, e_a s_t = +-e_{a xor B_t} f is one such multiple, so each blade
+column has a single nonzero entry.  One function, ``_blade_matrices``,
+reads those columns off f's numerators for the generators of ``repr`` and
+for every blade that verify checks.  The lookup only confirms: an exact span
+solve decides every psi it cannot confirm, such as an element that is not a
+multiple of one basis element or a dumped basis whose real basis repeats a
+leading mask, and it alone reports a product outside S.
 """
 
 from __future__ import annotations
@@ -200,21 +202,7 @@ class KMatrix(FrozenRecord):
         return KMatrix(kb, self.rows, tuple(columns))
 
     def __neg__(self):
-        kb = self.basis
-        # each entry object is negated once, so shared entries stay shared
-        negated: dict[int, KElement] = {}
-        for column in self.columns:
-            for _, e in column:
-                if id(e) not in negated:
-                    negated[id(e)] = kb.kneg(e)
-        return KMatrix(
-            kb,
-            self.rows,
-            tuple(
-                tuple((i, negated[id(e)]) for i, e in column)
-                for column in self.columns
-            ),
-        )
+        return _negated(self.basis, (self,))[0]
 
     def scale_right(self, mu: KElement) -> "KMatrix":
         """Entrywise right multiplication by mu (the right K-action)."""
@@ -227,6 +215,27 @@ class KMatrix(FrozenRecord):
                 for column in self.columns
             ),
         )
+
+
+def _negated(kb: DivisionRingBasis, mats) -> tuple[KMatrix, ...]:
+    """-m over kb for each matrix m; each distinct entry is negated once, so
+    equal entries stay one shared tuple across all the matrices."""
+    negated: dict[KElement, KElement] = {}
+    for mat in mats:
+        for column in mat.columns:
+            for _, e in column:
+                if e not in negated:
+                    negated[e] = kb.kneg(e)
+    return tuple(
+        KMatrix(
+            kb,
+            mat.rows,
+            tuple(
+                tuple((i, negated[e]) for i, e in column) for column in mat.columns
+            ),
+        )
+        for mat in mats
+    )
 
 
 def _nonzero(acc: dict[int, KElement]) -> tuple[tuple[int, KElement], ...]:
@@ -410,6 +419,8 @@ def spinor_coordinates(
     kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
 ) -> tuple[KElement, ...] | None:
     """K-coordinates of psi over the spinor basis, or None if psi is not in S."""
+    if psi.signature != sb.idempotent.signature:
+        raise SignatureMismatchError(f"{psi.signature} vs {sb.idempotent.signature}")
     column = _column(kb, sb, psi)
     if column is None:
         return None
@@ -430,40 +441,53 @@ def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatri
     return KMatrix(kb, sb.size, tuple(columns))
 
 
-def _generator_matrices(
-    sig: Signature, kb: DivisionRingBasis, sb: SpinorBasis
-) -> tuple[KMatrix, ...]:
-    """gamma(e_i) for each generator, column t by column t as ``_matrix_of``
-    reads it: e_i s_t confirmed by the lookup, or else solved.
+def _blade_matrices(
+    kb: DivisionRingBasis, sb: SpinorBasis, masks
+) -> list[KMatrix]:
+    """gamma(e_a) for each a in masks, column t by column t as ``_matrix_of``
+    reads it, so a product outside S fails at the same column.
 
-    With x the mask of e_i, e_i s_t == +-e_{x xor B_t} f is read off f's
-    integer numerators by ``_blade_times``, with no product formed.  Equal
-    entries are one shared tuple, which the JSON writer renders once.
+    With s_t = +-e_{B_t} f, e_a s_t == +-e_X f for X = a xor B_t, read off
+    f's integer numerators by ``_blade_times`` with no product formed.  Each
+    (X, sign) is resolved once: confirmed by the lookup, or else solved,
+    raising RepresentationError when it is outside S.  Equal entries are one
+    shared tuple, which the JSON writer renders once.
     """
-    signs = _sign_masks(sig)
-    den, masks, nums = sb.idempotent._integer_terms()
-    f_terms = tuple(zip(masks, nums))
-    spinors = [
-        tuple(_blade_times(mask, sign < 0, f_terms, signs).items())
-        for mask, sign in zip(sb.blades, sb.blade_signs)
-    ]
+    f = sb.idempotent
+    signs = _sign_masks(f.signature)
+    den, f_masks, nums = f._integer_terms()
+    f_terms = tuple(zip(f_masks, nums))
+    spinors = [(b, sign < 0) for b, sign in zip(sb.blades, sb.blade_signs)]
     entries: dict[KElement, KElement] = {}
-    gammas = []
-    for i in range(sig.n):
-        x = 1 << i
-        columns = []
-        for t, terms in enumerate(spinors):
-            hit = _lookup(kb, sb, den, _blade_times(x, False, terms, signs))
-            if hit is None:
-                column = _solve(kb, sb, sig.blade(x) * sb.elements[t])
-                if column is None:
-                    raise RepresentationError("product left the spinor ideal")
-                columns.append(tuple(column))
+    resolved: dict[int, tuple] = {}
+
+    def column(code: int) -> tuple:
+        col = resolved.get(code)
+        if col is None:
+            x, negate = code >> 1, code & 1
+            hit = _lookup(kb, sb, den, _blade_times(x, negate, f_terms, signs))
+            if hit is not None:
+                pairs = [hit]
             else:
-                s, entry = hit
-                columns.append(((s, entries.setdefault(entry, entry)),))
-        gammas.append(KMatrix(kb, sb.size, tuple(columns)))
-    return tuple(gammas)
+                pairs = _solve(kb, sb, f.signature.blade(x, -1 if negate else 1) * f)
+                if pairs is None:
+                    raise RepresentationError("product left the spinor ideal")
+            col = resolved[code] = tuple(
+                (t, entries.setdefault(e, e)) for t, e in pairs
+            )
+        return col
+
+    return [
+        KMatrix(
+            kb,
+            sb.size,
+            tuple(
+                column((a ^ b) << 1 | (((a & signs[b]).bit_count() ^ flip) & 1))
+                for b, flip in spinors
+            ),
+        )
+        for a in masks
+    ]
 
 
 def represent(u: Multivector, rep: Representation) -> KMatrix:
@@ -496,7 +520,7 @@ def build_representation(sig: Signature) -> Representation:
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = _generator_matrices(sig, kb, sb)
+    gammas = tuple(_blade_matrices(kb, sb, [1 << i for i in range(sig.n)]))
     components = [Component(kb, sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
@@ -514,11 +538,7 @@ def build_representation(sig: Signature) -> Representation:
         sb2 = SpinorBasis(
             fh, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
         )
-        components.append(
-            Component(
-                kb2, sb2, tuple(KMatrix(kb2, g.rows, (-g).columns) for g in gammas)
-            )
-        )
+        components.append(Component(kb2, sb2, _negated(kb2, gammas)))
     if (
         len(components) != cls.components
         or sb.size != cls.matrix_size

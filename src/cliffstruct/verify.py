@@ -12,14 +12,14 @@ A check may confirm a pass with a cheaper certificate, such as
 ``repr.irreducible``'s rank over a projection of its rows; when the
 certificate cannot decide, the check falls back to exact arithmetic, which
 alone gives verdicts of failure and their witnesses.  The same holds for the
-blade matrices and spinor coordinates the representation checks read: a
-lookup in the real spinor basis only confirms a column by exact equality,
+blade matrices and spinor coordinates the representation checks read: they
+come from the function that gives ``repr`` its generator matrices, in which
+a lookup in the real spinor basis only confirms a column by exact equality,
 and the exact span solve decides every other one.
 
-The left multiples e_X f of an idempotent f are read once into a table of
-proportionality classes (``multiples``).  A rank modulo a prime that
-reaches the class count proves dim S = dim Cl(p,q) f, and since every s_t
-is +-e_{B_t} f the blade matrices are read off the table.  Certificates
+The left multiples e_X f of an idempotent f are read into their classes of
+proportional rows (``_class_rows``), with no product formed.  A rank modulo
+a prime that reaches the class count proves dim Cl(p,q) f.  Certificates
 only confirm; every failure and witness comes from the exact path.
 """
 
@@ -49,12 +49,12 @@ from .idempotents import (
     sign_vectors,
 )
 from .linalg import ExactSpan, rank_mod_p, span_of
-from .multiples import _LeftMultiples, _independent, _left_multiples, _table_matrices
 from .representation import (
     Component,
     KMatrix,
     Representation,
     build_representation,
+    _blade_matrices,
     _column,
 )
 
@@ -126,6 +126,36 @@ class RangeSummary(Record):
         }
 
 
+def _class_rows(f: Multivector) -> tuple[dict[int, int], ...]:
+    """One content-free integer row per class of left multiples e_X f equal
+    up to a rational factor, its leading (smallest-mask) entry positive, in
+    order of first appearance (f == 0 has the one row {}).
+
+    Each e_X f is a signed permutation of f's integer numerators, read off
+    them with no product formed, and a class is keyed by its exact row, so
+    it only holds proportional rows.  Every e_X f is a nonzero multiple of
+    its class row, so the rows span Cl(p,q) f.
+    """
+    _, masks, nums = f._integer_terms()
+    content = gcd(*nums)
+    signs = _sign_masks(f.signature)
+    terms = [(b, c // content, signs[b]) for b, c in zip(masks, nums)]
+
+    def key(x: int) -> tuple:
+        row = sorted(
+            (x ^ b, -c if (x & q).bit_count() & 1 else c) for b, c, q in terms
+        )
+        return tuple((m, -c) for m, c in row) if row and row[0][1] < 0 else tuple(row)
+
+    return tuple(map(dict, dict.fromkeys(map(key, range(f.signature.dim)))))
+
+
+def _independent(rows) -> bool:
+    """Whether a rank modulo a prime proves the integer rows linearly
+    independent over Q; False decides nothing."""
+    return rank_mod_p(rows, len(rows)) == len(rows)
+
+
 def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
     """R-dimension of Cl(p,q) f, the rank of all blade left-multiples e_A f.
 
@@ -135,7 +165,7 @@ def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
     """
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
-    rows = _left_multiples(f).rows
+    rows = _class_rows(f)
     return len(rows) if _independent(rows) else span_of(rows).rank
 
 
@@ -170,17 +200,11 @@ class _Context(Record):
         return {c.check_id: c.witness for c in results}
 
     @cached_property
-    def tables(self) -> list[_LeftMultiples]:
-        """Per component, the table of its idempotent's left multiples."""
-        return [_left_multiples(comp.basis.idempotent) for comp in self.rep.components]
-
-    @cached_property
     def solved(self) -> list[list[KMatrix]]:
-        """Per component, every blade's matrix in its spinor basis, read off
-        the table."""
+        """Per component, every blade's matrix in its spinor basis."""
         return [
-            _table_matrices(self.sig, comp, table)
-            for comp, table in zip(self.rep.components, self.tables)
+            _blade_matrices(comp.kbasis, comp.basis, range(self.sig.dim))
+            for comp in self.rep.components
         ]
 
     @cached_property
@@ -371,10 +395,10 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
 
 def _irreducible(ctx: _Context) -> dict | None:
     """Every sample psi of S generates all of S: the left multiples e_A psi
-    reach rank dim_R S.  The rows of a basis sample +-e_B f are a signed
-    permutation of f's, so a proved rank of f's table confirms every basis
-    sample, and a projected-rank certificate may confirm any sample; the
-    others, and every witness, come from the exact rows."""
+    reach rank dim_R S.  The left multiples of a basis sample +-e_B f are
+    the +-e_X f, so dim Cl(p,q) f == dim_R S confirms every basis sample,
+    and a projected-rank certificate may confirm any sample; the others,
+    and every witness, come from the exact rows."""
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
         ideal_dim = comp.basis.size * comp.kbasis.dim
@@ -384,8 +408,8 @@ def _irreducible(ctx: _Context) -> dict | None:
         if not any(basis_products):
             return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
         draw = _psi_sampler(sig, basis_products)
-        table = ctx.tables[ci]
-        basis_proved = len(table.rows) == ideal_dim and _independent(table.rows)
+        f = comp.basis.idempotent
+        basis_proved = brute_force_minimal_ideal_dim(sig, f) == ideal_dim
         samples = [] if basis_proved else list(comp.basis.elements)
         samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
         masks = sorted({v.terms[0][0] for v in basis_products if v})
@@ -470,7 +494,7 @@ def _semi_split(ctx: _Context) -> dict | None:
         return {"fail": "hat(f) f != 0"}
     # Independent class rows of f and hat(f), as many of each, prove
     # dim S and rank(S + hat(S)) == 2 dim S.
-    rows, hat_rows = _left_multiples(f).rows, _left_multiples(fh).rows
+    rows, hat_rows = _class_rows(f), _class_rows(fh)
     if len(rows) == len(hat_rows) and _independent(rows + hat_rows):
         return None
     joint = span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))

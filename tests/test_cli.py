@@ -1,5 +1,6 @@
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -243,7 +244,7 @@ def _loaded_by(argv) -> set[str]:
 BASE = {"cliffstruct", "cliffstruct.classify", "cliffstruct.core", "cliffstruct.cli"}
 FRAME = {"cliffstruct.idempotents", "cliffstruct.linalg"}
 REPR = FRAME | {"cliffstruct.division", "cliffstruct.representation"}
-VERIFY = REPR | {"cliffstruct.multiples", "cliffstruct.verify"}
+VERIFY = REPR | {"cliffstruct.verify"}
 
 
 COMMAND_LAYERS = [
@@ -258,6 +259,15 @@ COMMAND_LAYERS = [
 @pytest.mark.parametrize("argv, loaded", COMMAND_LAYERS)
 def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
     assert {m for m in _loaded_by(argv) if m.split(".")[0] == "cliffstruct"} == loaded
+
+
+def test_every_module_is_loaded_by_some_command():
+    # each command's set is pinned above, so a module that none of them
+    # loads is one that nothing runs
+    modules = {
+        f"cliffstruct.{m.name}" for m in pkgutil.iter_modules(cliffstruct.__path__)
+    }
+    assert modules <= set().union(*(loaded for _, loaded in COMMAND_LAYERS))
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_LAYERS], ids=" ".join)

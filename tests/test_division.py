@@ -9,6 +9,7 @@ from cliffstruct import (
     DivisionRingBasis,
     NotPrimitiveError,
     Signature,
+    SignatureMismatchError,
     UnitConstructionError,
     classify,
     complete_set,
@@ -192,6 +193,14 @@ def test_element_coordinates_roundtrip():
     u = kb.element_from_coordinates(x)
     assert kb.element_coordinates(u) == x
     assert kb.element_coordinates(sig.e(2)) is None
+
+
+def test_element_coordinates_reject_an_element_of_another_algebra():
+    kb = division_ring_basis(Signature(0, 2).scalar(1))
+    assert kb.element_coordinates(kb.units[1]) == (0, 1, 0, 0)
+    # e1 of Cl(2,0) has the terms of the unit i of Cl(0,2)
+    with pytest.raises(SignatureMismatchError, match=r"^Cl\(2,0\) vs Cl\(0,2\)$"):
+        kb.element_coordinates(Signature(2, 0).e(1))
 
 
 def test_not_primitive_detection():

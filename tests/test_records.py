@@ -11,7 +11,6 @@ from cliffstruct.classify import AlgebraClass
 from cliffstruct.core import FrozenRecord, Multivector, Record, Signature
 from cliffstruct.division import DivisionRingBasis
 from cliffstruct.idempotents import IdempotentSet, MonomialFrame, ProductIdempotent
-from cliffstruct.multiples import _LeftMultiples
 from cliffstruct.representation import Component, KMatrix, Representation, SpinorBasis
 from cliffstruct.verify import CheckResult, RangeSummary, VerificationReport, _Context
 
@@ -62,11 +61,6 @@ FROZEN = [
         ProductIdempotent,
         {"masks": (3, 5), "signs": (1, -1), "f": "f"},
         "ProductIdempotent(masks=(3, 5), signs=(1, -1), f='f')",
-    ),
-    (
-        _LeftMultiples,
-        {"scale": Fraction(1, 4), "rows": ((0, 1),), "of": (0, 1)},
-        "_LeftMultiples(scale=Fraction(1, 4), rows=((0, 1),), of=(0, 1))",
     ),
     (
         SpinorBasis,

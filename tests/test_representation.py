@@ -13,6 +13,7 @@ import search_oracle as oracle
 from cliffstruct import (
     DivisionRingBasis,
     KMatrix,
+    Multivector,
     RepresentationError,
     Signature,
     SignatureMismatchError,
@@ -32,8 +33,8 @@ from cliffstruct import (
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
+    _blade_matrices,
     _cosets,
-    _generator_matrices,
     _matrix_of,
     _real_basis_index,
     _solver,
@@ -385,6 +386,19 @@ def test_spinor_coordinates_and_right_action():
         kb.kmul(x, (F0, F1)) for x in spinor_coordinates(kb, sb, psi)
     )
     assert coords_psi_i == expected
+
+
+@pytest.mark.parametrize("pq", [(2, 0), (0, 3)])
+def test_spinor_coordinates_reject_an_element_of_another_algebra(pq):
+    comp = build_representation(Signature(1, 1)).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    s1 = sb.elements[1]
+    psi = Multivector(Signature(*pq), s1.terms)
+    # the terms of s_1, which has coordinates (0, 1) in Cl(1,1)
+    match = rf"^Cl\({pq[0]},{pq[1]}\) vs Cl\(1,1\)$"
+    with pytest.raises(SignatureMismatchError, match=match):
+        spinor_coordinates(kb, sb, psi)
+    assert spinor_coordinates(kb, sb, s1) == (kb.kzero(), kb.kone())
 
 
 def test_solver_is_built_once_per_basis_pair():
@@ -897,8 +911,12 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
             # the builder on the component's own bases (for the second
             # component, the run that the negated first gammas replaced)
             product = _half_product_form(sb.idempotent)
-            assert comp.gammas == _generator_matrices(sig, kb, sb)
+            assert comp.gammas == _generator_gammas(sig, kb, sb)
             assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, product)
+
+
+def _generator_gammas(sig, kb, sb):
+    return tuple(_blade_matrices(kb, sb, [1 << i for i in range(sig.n)]))
 
 
 def _counted(monkeypatch, module, name, calls):
@@ -971,7 +989,7 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
             )
         )
         assert (expected is RepresentationError) == left
-        assert _outcome(lambda: _generator_matrices(sig, bad, sb)) == expected
+        assert _outcome(lambda: _generator_gammas(sig, bad, sb)) == expected
 
 
 def _outcome(build):

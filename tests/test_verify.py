@@ -3,13 +3,14 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-import cliffstruct.multiples as multiples
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
+    RepresentationError,
     Signature,
     SignatureMismatchError,
     brute_force_minimal_ideal_dim,
@@ -24,10 +25,11 @@ from cliffstruct import (
 )
 from cliffstruct.idempotents import sign_vectors
 from cliffstruct.linalg import ExactSpan, span_of
+from cliffstruct.representation import _blade_matrices, _real_basis_index
 
 from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
 from test_idempotents import _fixed_non_products, _trace_case
-from test_representation import _matrix_of_oracle
+from test_representation import _matrix_of_oracle, _outcome, _set
 
 try:
     import hypothesis
@@ -126,14 +128,30 @@ def _table_case(draw):
     return f if kind == 3 else f * Fraction(draw(-9, 9) or 1, draw(2, 9))
 
 
+def _proportional(terms, row):
+    """Whether the nonzero terms are a rational multiple of the row: the same
+    masks, and coefficients proportional to the leading pair."""
+    if terms.keys() != row.keys():
+        return False
+    lead = min(row, default=None)
+    return all(c * row[lead] == row[m] * terms[lead] for m, c in terms.items())
+
+
 def _assert_table(u):
-    """Every e_X u is its class row with the table's sign and scale, and the
-    ideal oracle ranks u as the Multivector rows do."""
+    """Every e_X u is a rational multiple of exactly one class row; the rows
+    are content-free, lead with a positive entry and come in order of first
+    appearance; and the ideal oracle ranks u as the Multivector rows do."""
     sig = u.signature
-    table = multiples._left_multiples(u)
+    rows = verify._class_rows(u)
+    seen = []
     for x in range(sig.dim):
-        row = table.multivector(sig, table.of[x] >> 1)
-        assert sig.blade(x) * u == (-row if table.of[x] & 1 else row)
+        terms = dict((sig.blade(x) * u).terms)
+        (c,) = [c for c, row in enumerate(rows) if _proportional(terms, row)]
+        if c not in seen:
+            seen.append(c)
+    assert seen == list(range(len(rows)))
+    for row in rows:
+        assert not row or (gcd(*row.values()) == 1 and row[min(row)] > 0)
     assert brute_force_minimal_ideal_dim(sig, u) == _ideal_dim_oracle(sig, u)
 
 
@@ -292,7 +310,7 @@ def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
 
 
 # the checks that certify a rank with ``_independent``
-CERTIFIED = ("brute_force_minimal_ideal_dim", "_semi_split", "_irreducible")
+CERTIFIED = ("brute_force_minimal_ideal_dim", "_semi_split")
 
 
 @pytest.mark.parametrize("caller", CERTIFIED)
@@ -323,15 +341,68 @@ def _context(rep):
     return ctx
 
 
+def _oracle_blade_matrices(sig, kb, sb):
+    return [_matrix_of_oracle(sig.blade(mask), kb, sb) for mask in range(sig.dim)]
+
+
 @pytest.mark.parametrize("pq", [(0, 0), (1, 0), (0, 3), (2, 2), (1, 4), (3, 2)])
 def test_table_blade_matrices_match_the_span_solve(pq):
     sig = Signature(*pq)
-    rep = build_representation(sig)
-    ctx = _context(rep)
-    assert all(table is not None for table in ctx.tables)
-    for comp, mats in zip(rep.components, ctx.solved):
-        for mask, mat in enumerate(mats):
-            assert mat == _matrix_of_oracle(sig.blade(mask), comp.kbasis, comp.basis)
+    for comp in build_representation(sig).components:
+        kb, sb = comp.kbasis, comp.basis
+        mats = _blade_matrices(kb, sb, range(sig.dim))
+        assert mats == _oracle_blade_matrices(sig, kb, sb)
+
+
+def _assert_entries_shared(mats):
+    """Each distinct entry value of the matrices is one object."""
+    objects = {}
+    for mat in mats:
+        for column in mat.columns:
+            for _, e in column:
+                assert objects.setdefault(e, e) is e
+
+
+def _append_repeated_blade(comp):
+    comp["spinor_blades"].append(comp["spinor_blades"][-1])
+    comp["spinor_blade_signs"].append(1)
+
+
+@pytest.mark.parametrize(
+    "pq, corrupt",
+    [
+        ((1, 1), _set("spinor_blade_signs", 1, -1)),
+        ((2, 2), _set("spinor_blade_signs", 2, -1)),
+        ((2, 1), _set("spinor_blade_signs", 1, -1)),
+        ((1, 1), _append_repeated_blade),
+        ((3, 0), _append_repeated_blade),
+        ((1, 2), _append_repeated_blade),
+        ((1, 1), _set("spinor_blades", [0, 0])),
+    ],
+)
+def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
+    sig = Signature(*pq)
+    data = representation_to_json_dict(build_representation(sig))
+    corrupt(data["components"][0])
+    comp = representation_from_json_dict(data).components[0]
+    kb, sb = comp.kbasis, comp.basis
+    # a repeated blade leaves the lookup no index, so the solve decides
+    # every column
+    assert (_real_basis_index(kb, sb) is None) == (len(set(sb.blades)) < sb.size)
+    got = _outcome(lambda: _blade_matrices(kb, sb, range(sig.dim)))
+    assert got == _outcome(lambda: _oracle_blade_matrices(sig, kb, sb))
+    if got is not RepresentationError:
+        _assert_entries_shared(got)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_equal_blade_matrix_entries_are_one_object(n):
+    # the JSON writer keeps the text of each K-entry object it meets
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        for comp, solved in zip(rep.components, _context(rep).solved):
+            _assert_entries_shared(comp.gammas)
+            _assert_entries_shared(solved)
 
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):
