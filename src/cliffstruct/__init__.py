@@ -101,65 +101,26 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
+__all__ = sorted([
     "AlgebraClass",
-    "CheckResult",
-    "Component",
-    "DEFAULT_SAMPLE_SEED",
-    "DivisionRingBasis",
-    "FrameSearchError",
-    "IdempotentSet",
-    "IdempotentSetError",
-    "KElement",
-    "KMatrix",
     "K_DIMENSION",
+    "classification_table",
+    "classify",
+    "radon_hurwitz",
+    "render_table_text",
+    "table_json",
     "MAX_DIMENSION",
-    "MonomialFrame",
     "Multivector",
-    "NotPrimitiveError",
-    "ProductIdempotent",
-    "RangeSummary",
-    "Representation",
-    "RepresentationError",
     "Signature",
     "SignatureMismatchError",
-    "SpinorBasis",
-    "UnitConstructionError",
-    "VerificationReport",
     "blade_mul",
     "blade_name",
     "blade_square_sign",
     "blades_commute",
-    "brute_force_minimal_ideal_dim",
-    "build_representation",
-    "center_basis",
-    "central_idempotents",
-    "classification_table",
-    "classify",
-    "complete_set",
-    "division_ring_basis",
-    "find_frame",
-    "format_kelement",
-    "format_kmatrix",
     "format_multivector",
     "grade",
-    "is_idempotent",
-    "is_primitive",
     "multivector_from_json_dict",
     "multivector_to_json_dict",
     "parse_multivector",
-    "primitive_idempotent",
-    "product_idempotent",
-    "radon_hurwitz",
-    "render_table_text",
-    "represent",
-    "represent_semisimple",
-    "representation_from_json_dict",
-    "representation_to_json_dict",
-    "spinor_basis",
-    "spinor_coordinates",
-    "table_json",
-    "verify_range",
-    "verify_representation",
-    "verify_signature",
-]
+    *_LAZY,
+])

@@ -3,6 +3,8 @@
 A frame of k commuting, independent basis monomials with square +1 expands
 into a complete set of 2^k primitive mutually annihilating idempotents, one
 per sign vector, which add up to the unit of the algebra.
+``idempotent_set`` builds that set unchecked, for verify to check, and
+``complete_set`` is the same set with its invariants verified.
 ``product_idempotent`` gives each as a ``ProductIdempotent``: the frame
 masks, the signs and the expanded product, the one form the division ring
 and the spinor basis are built from.
@@ -227,16 +229,23 @@ IDEMPOTENT_INVARIANTS = (
 )
 
 
+def idempotent_set(frame: MonomialFrame) -> IdempotentSet:
+    """The 2^k sign vectors of the frame and their idempotents, unchecked."""
+    svs = sign_vectors(frame.k)
+    idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
+    return IdempotentSet(frame, svs, idems)
+
+
 def complete_set(frame: MonomialFrame) -> IdempotentSet:
-    """All 2^k idempotents of the frame, with every invariant verified.
+    """``idempotent_set(frame)`` with every invariant verified.
 
     Checks the expansion shape, then ``IDEMPOTENT_INVARIANTS`` (idempotency,
     mutual annihilation, the decomposition of unity, primitivity); raises
     :class:`IdempotentSetError` with the witness of the first violation.
     """
     sig = frame.signature
-    svs = sign_vectors(frame.k)
-    idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
+    idem_set = idempotent_set(frame)
+    svs, idems = idem_set.signs, idem_set.idempotents
     expected_terms = 1 << frame.k
     coeff = Fraction(1, expected_terms)
     for sv, f in zip(svs, idems):
@@ -246,7 +255,7 @@ def complete_set(frame: MonomialFrame) -> IdempotentSet:
         witness = witness_of(svs, idems)
         if witness is not None:
             raise IdempotentSetError(f"{sig}: {check_id} fails: {witness}")
-    return IdempotentSet(frame, svs, idems)
+    return idem_set
 
 
 def is_idempotent(u: Multivector) -> bool:

@@ -18,18 +18,19 @@ of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor
 s_t = +-e_{B_t} f per coset of U = W + span{m_j}, its blade B_t the coset
 minimum, and a ``SpinorBasis`` stores only f, the blades and the signs.
 
-Every matrix column, of a blade or of any other element (``represent``,
-``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
+Every coordinate column, of a blade image or of an element of S
+(``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
 the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
 exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
 vectors with distinct leading masks are independent.  In the monomial basis
 above, e_a s_t = +-e_{a xor B_t} f is one such multiple, so each blade
 column has a single nonzero entry.  One function, ``_blade_matrices``,
-reads those columns off f's numerators for the generators of ``repr`` and
-for every blade that verify checks.  The lookup only confirms: an exact span
-solve decides every psi it cannot confirm, such as an element that is not a
-multiple of one basis element or a dumped basis whose real basis repeats a
-leading mask, and it alone reports a product outside S.
+reads those columns off f's numerators for the generators of ``repr``, for
+every blade that verify checks, and for the blades that ``represent`` sums
+into the matrix of an element.  The lookup only confirms: an exact span
+solve decides every psi it cannot confirm, such as a sum of basis elements
+or a column of a dumped basis whose real basis repeats a leading mask, and
+it alone reports a product outside S.
 """
 
 from __future__ import annotations
@@ -431,21 +432,20 @@ def spinor_coordinates(
 
 
 def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatrix:
-    """Matrix of u: column t holds the K-coordinates of u s_t."""
-    columns = []
-    for s in sb.elements:
-        column = _column(kb, sb, u * s)
-        if column is None:
-            raise RepresentationError("product left the spinor ideal")
-        columns.append(tuple(column))
-    return KMatrix(kb, sb.size, tuple(columns))
+    """Matrix of u: the sum of c gamma(e_a) over the terms c e_a of u, each
+    scalar c acting on the right as c times the unit 1 of K."""
+    zeros = (0,) * (kb.dim - 1)
+    mats = _blade_matrices(kb, sb, [mask for mask, _ in u.terms])
+    return sum(
+        (mat.scale_right((c, *zeros)) for mat, (_, c) in zip(mats, u.terms)),
+        KMatrix.scalar_matrix(kb, sb.size, 0),
+    )
 
 
 def _blade_matrices(
     kb: DivisionRingBasis, sb: SpinorBasis, masks
 ) -> list[KMatrix]:
-    """gamma(e_a) for each a in masks, column t by column t as ``_matrix_of``
-    reads it, so a product outside S fails at the same column.
+    """gamma(e_a) for each a in masks, column t the coordinates of e_a s_t.
 
     With s_t = +-e_{B_t} f, e_a s_t == +-e_X f for X = a xor B_t, read off
     f's integer numerators by ``_blade_times`` with no product formed.  Each

@@ -11,16 +11,17 @@ it, each under its own id with an ``{"error": "Type: message"}`` witness.
 A check may confirm a pass with a cheaper certificate, such as
 ``repr.irreducible``'s rank over a projection of its rows; when the
 certificate cannot decide, the check falls back to exact arithmetic, which
-alone gives verdicts of failure and their witnesses.  The same holds for the
-blade matrices and spinor coordinates the representation checks read: they
-come from the function that gives ``repr`` its generator matrices, in which
-a lookup in the real spinor basis only confirms a column by exact equality,
-and the exact span solve decides every other one.
+alone gives verdicts of failure and their witnesses.  The blade matrices and
+spinor coordinates the representation checks read come from the function
+that gives ``repr`` its generator matrices (``_blade_matrices``), each blade
+solved once; ``repr.homomorphism`` compares each with a generator matrix
+times an earlier blade's, so no second set of 2^n products is built.
 
-The left multiples e_X f of an idempotent f are read into their classes of
-proportional rows (``_class_rows``), with no product formed.  A rank modulo
-a prime that reaches the class count proves dim Cl(p,q) f.  Certificates
-only confirm; every failure and witness comes from the exact path.
+The left multiples e_X f of an idempotent f are read into classes of
+proportional rows (``_class_rows``), with no product formed, which
+``ideal.dimension``, ``repr.irreducible`` and ``semi.split`` rank.  A rank
+modulo a prime that reaches the class count proves dim Cl(p,q) f.
+Certificates only confirm; every failure and witness comes from the exact path.
 """
 
 from __future__ import annotations
@@ -45,12 +46,10 @@ from .idempotents import (
     center_basis,
     central_idempotents,
     find_frame,
-    primitive_idempotent,
-    sign_vectors,
+    idempotent_set,
 )
 from .linalg import ExactSpan, rank_mod_p, span_of
 from .representation import (
-    Component,
     KMatrix,
     Representation,
     build_representation,
@@ -184,10 +183,7 @@ class _Context(Record):
 
     @cached_property
     def idems(self) -> IdempotentSet:
-        frame = find_frame(self.sig)
-        svs = sign_vectors(frame.k)
-        idems = tuple(primitive_idempotent(frame, sv) for sv in svs)
-        return IdempotentSet(frame, svs, idems)
+        return idempotent_set(find_frame(self.sig))
 
     @cached_property
     def rep(self) -> Representation:
@@ -233,21 +229,6 @@ def _flatten(*mats: KMatrix) -> dict:
                 for j, c in enumerate(entry):
                     if c:
                         out[m, i, t, j] = c
-    return out
-
-
-def _ordered_products(comp: Component, sig: Signature) -> list[KMatrix]:
-    """gamma of every blade as the ordered product of generator matrices.
-
-    e_mask factors as e_lowest * e_rest with no sign, so the ordered product
-    folds one cached matrix product per blade.
-    """
-    out: list[KMatrix] = [KMatrix.identity(comp.kbasis, comp.basis.size)]
-    for mask in range(1, sig.dim):
-        low = mask & -mask
-        rest = mask ^ low
-        g = comp.gammas[low.bit_length() - 1]
-        out.append(g if rest == 0 else g @ out[rest])
     return out
 
 
@@ -310,10 +291,20 @@ def _generator_relations(ctx: _Context) -> dict | None:
 
 
 def _homomorphism(ctx: _Context) -> dict | None:
-    for ci, comp in enumerate(ctx.rep.components):
-        products = _ordered_products(comp, ctx.sig)
-        for mask, mat in enumerate(ctx.solved[ci]):
-            if mat != products[mask]:
+    """gamma(1) is the identity and gamma(e_mask) == gamma(e_i) gamma(e_rest),
+    i the lowest bit of mask (e_mask = e_i e_rest with no sign).  In
+    ascending order every rest < mask already equals its ordered product of
+    generator matrices, so the witness is the first mask whose solved matrix
+    differs from it; a generator of the wrong shape fails at its own mask."""
+    for ci, (comp, solved) in enumerate(zip(ctx.rep.components, ctx.solved)):
+        for mask, mat in enumerate(solved):
+            if mask == 0:
+                expected = KMatrix.identity(comp.kbasis, comp.basis.size)
+            else:
+                low = mask & -mask
+                g = comp.gammas[low.bit_length() - 1]
+                expected = g if mask == low else g @ solved[mask ^ low]
+            if mat != expected:
                 return {"component": ci, "mask": mask}
     return None
 
@@ -497,15 +488,15 @@ def _semi_split(ctx: _Context) -> dict | None:
     rows, hat_rows = _class_rows(f), _class_rows(fh)
     if len(rows) == len(hat_rows) and _independent(rows + hat_rows):
         return None
-    joint = span_of(dict((sig.blade(mask) * f).terms) for mask in range(sig.dim))
-    dim_s = joint.rank
-    for mask in range(sig.dim):
-        joint.add(dict((sig.blade(mask) * fh).terms), ("Sh", mask))
-    if joint.rank != 2 * dim_s:
+    # every e_X f is a nonzero multiple of one of its class rows, so the
+    # rows have the ranks of the products e_X f and e_X hat(f)
+    dim_s = span_of(rows).rank
+    joint = span_of(rows + hat_rows).rank
+    if joint != 2 * dim_s:
         return {
             "fail": "S + hat(S) is not a direct sum",
             "dim_S": dim_s,
-            "joint": joint.rank,
+            "joint": joint,
         }
     return None
 

@@ -39,7 +39,7 @@ VERIFY_SHA256 = {
 SLOW_VERIFY = {"--max-n 8 --json": "1", "--max-n 12 --json": "2"}
 # peak RSS bound in MB for ``verify 6 6 --json``, the signature that sets the
 # peak of ``verify --max-n 12``
-VERIFY_6_6_PEAK_MB = 200
+VERIFY_6_6_PEAK_MB = 45
 
 # sha256 of ``repr p q`` stdout (the text form), keyed "p,q"
 REPR_TEXT_SHA256 = {

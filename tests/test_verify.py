@@ -10,6 +10,7 @@ import pytest
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
+    KMatrix,
     RepresentationError,
     Signature,
     SignatureMismatchError,
@@ -368,23 +369,28 @@ def _append_repeated_blade(comp):
     comp["spinor_blade_signs"].append(1)
 
 
-@pytest.mark.parametrize(
-    "pq, corrupt",
-    [
-        ((1, 1), _set("spinor_blade_signs", 1, -1)),
-        ((2, 2), _set("spinor_blade_signs", 2, -1)),
-        ((2, 1), _set("spinor_blade_signs", 1, -1)),
-        ((1, 1), _append_repeated_blade),
-        ((3, 0), _append_repeated_blade),
-        ((1, 2), _append_repeated_blade),
-        ((1, 1), _set("spinor_blades", [0, 0])),
-    ],
-)
+# (signature, corruption of the first dumped component)
+CORRUPTED_DUMPS = [
+    ((1, 1), _set("spinor_blade_signs", 1, -1)),
+    ((2, 2), _set("spinor_blade_signs", 2, -1)),
+    ((2, 1), _set("spinor_blade_signs", 1, -1)),
+    ((1, 1), _append_repeated_blade),
+    ((3, 0), _append_repeated_blade),
+    ((1, 2), _append_repeated_blade),
+    ((1, 1), _set("spinor_blades", [0, 0])),
+]
+
+
+def _corrupted(pq, corrupt):
+    data = representation_to_json_dict(build_representation(Signature(*pq)))
+    corrupt(data["components"][0])
+    return representation_from_json_dict(data)
+
+
+@pytest.mark.parametrize("pq, corrupt", CORRUPTED_DUMPS)
 def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
     sig = Signature(*pq)
-    data = representation_to_json_dict(build_representation(sig))
-    corrupt(data["components"][0])
-    comp = representation_from_json_dict(data).components[0]
+    comp = _corrupted(pq, corrupt).components[0]
     kb, sb = comp.kbasis, comp.basis
     # a repeated blade leaves the lookup no index, so the solve decides
     # every column
@@ -393,6 +399,51 @@ def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
     assert got == _outcome(lambda: _oracle_blade_matrices(sig, kb, sb))
     if got is not RepresentationError:
         _assert_entries_shared(got)
+
+
+def _ordered_products(comp, sig):
+    """gamma of every blade as the ordered product of generator matrices, in
+    ascending mask order: e_mask = e_lowest e_rest with no sign, so each is
+    one product with an earlier one.  Yielded one by one, so a product of
+    matrices of the wrong shape raises only when it is reached."""
+    out = [KMatrix.identity(comp.kbasis, comp.basis.size)]
+    yield out[0]
+    for mask in range(1, sig.dim):
+        low = mask & -mask
+        rest = mask ^ low
+        g = comp.gammas[low.bit_length() - 1]
+        out.append(g if rest == 0 else g @ out[rest])
+        yield out[-1]
+
+
+def _first_unordered_product(rep):
+    """The witness of the first mask where a solved blade matrix differs
+    from the ordered product of generator matrices, or None."""
+    for ci, (comp, solved) in enumerate(zip(rep.components, _context(rep).solved)):
+        for mask, (mat, product) in enumerate(
+            zip(solved, _ordered_products(comp, rep.signature))
+        ):
+            if mat != product:
+                return {"component": ci, "mask": mask}
+    return None
+
+
+def _homomorphism_matches_the_ordered_products(rep):
+    got = _outcome(lambda: verify._homomorphism(_context(rep)))
+    assert got == _outcome(lambda: _first_unordered_product(rep))
+    return got
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_homomorphism_matches_the_ordered_products(n):
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        assert _homomorphism_matches_the_ordered_products(rep) is None
+
+
+@pytest.mark.parametrize("pq, corrupt", CORRUPTED_DUMPS)
+def test_homomorphism_of_a_corrupted_dump_matches_the_ordered_products(pq, corrupt):
+    _homomorphism_matches_the_ordered_products(_corrupted(pq, corrupt))
 
 
 @pytest.mark.parametrize("n", range(9))

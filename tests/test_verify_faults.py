@@ -3,8 +3,10 @@
 Representation checks get a minimally corrupted JSON dump.  The class,
 idempotent, ideal, center and semisimple-split checks get a defect injected
 into what ``verify_signature`` calls, through ``cliffstruct.verify``'s
-module globals.  Each case pins the exact set of failing ids, so a change
-to how checks share their inputs shows up as a changed set.
+module globals, or, for the sign vectors and idempotents that
+``idempotents.idempotent_set`` builds, through ``cliffstruct.idempotents``'.
+Each case pins the exact set of failing ids, so a change to how checks
+share their inputs shows up as a changed set.
 """
 
 import copy
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import cliffstruct.idempotents as idempotents
 import cliffstruct.verify as verify
 from cliffstruct import (
     AlgebraClass,
@@ -29,8 +32,8 @@ from cliffstruct.verify import VerificationReport
 HALF = Fraction(1, 2)
 _classify = verify.classify
 _central_idempotents = verify.central_idempotents
-_primitive_idempotent = verify.primitive_idempotent
-_sign_vectors = verify.sign_vectors
+_primitive_idempotent = idempotents.primitive_idempotent
+_sign_vectors = idempotents.sign_vectors
 
 
 def _failures(results) -> dict:
@@ -141,6 +144,10 @@ def _repeat_spinor_blade(d):
     d["components"][0]["spinor_blades"] = [0, 0]
 
 
+def _drop_last_gamma_row(d):
+    del d["components"][0]["gammas"][1][-1]
+
+
 LEFT_IDEAL = {"error": "RepresentationError: product left the spinor ideal"}
 
 DUMP_CASES = {
@@ -242,6 +249,19 @@ DUMP_CASES = {
             "repr.right_module": LEFT_IDEAL,
         },
     ),
+    # gamma(e2) loses its last row: its products with gamma(e1) raise, but
+    # repr.homomorphism compares it with the solved matrix before any
+    # product with it is formed, so the witness names its own mask.
+    "repr.homomorphism-gamma-shape": (
+        (1, 1),
+        _drop_last_gamma_row,
+        {
+            "repr.generator_relations": {
+                "error": "ValueError: shape mismatch: 2 columns vs 1 rows",
+            },
+            "repr.homomorphism": {"component": 0, "mask": 2},
+        },
+    ),
 }
 
 
@@ -274,6 +294,8 @@ REPR_IDS = (
     "repr.right_module",
 )
 BOOM = {"error": "RuntimeError: boom"}
+# what idempotents.idempotent_set reads from its own module's globals
+IDEMPOTENT_SET_GLOBALS = ("sign_vectors", "primitive_idempotent")
 
 SIGNATURE_CASES = {
     "class.dimension_identity": (
@@ -472,7 +494,8 @@ def test_injected_defect_fails_its_check(monkeypatch, case):
     sig = Signature(*pq)
     assert verify_signature(sig).passed
     for name, fake in patches.items():
-        monkeypatch.setattr(verify, name, fake)
+        module = idempotents if name in IDEMPOTENT_SET_GLOBALS else verify
+        monkeypatch.setattr(module, name, fake)
     report = verify_signature(sig)
     _assert_json_writer_matches(report)
     assert _failures(report.checks) == expected
