@@ -93,9 +93,6 @@ class DivisionRingBasis(FrozenRecord):
     def _zero(self) -> KElement:
         return (0,) * self.dim
 
-    def kone(self) -> KElement:
-        return (1,) + (0,) * (self.dim - 1)
-
     def kadd(self, x: KElement, y: KElement) -> KElement:
         return tuple(a + b for a, b in zip(x, y))
 
@@ -118,7 +115,19 @@ class DivisionRingBasis(FrozenRecord):
             for row in self.table
         )
 
+    @cached_property
+    def _products(self) -> dict:
+        """kmul's results by (x, y).  Equal keys of ints and Fractions share
+        a result, so its coordinates may be either type, with equal values."""
+        return {}
+
     def kmul(self, x: KElement, y: KElement) -> KElement:
+        out = self._products.get((x, y))
+        if out is None:
+            out = self._products[x, y] = self._kmul(x, y)
+        return out
+
+    def _kmul(self, x: KElement, y: KElement) -> KElement:
         out = [0] * self.dim
         table = self._sparse_table
         for a, xa in enumerate(x):
@@ -154,13 +163,6 @@ class DivisionRingBasis(FrozenRecord):
         if coords is None:
             return None
         return tuple(coords.get(i, _ZERO) for i in range(self.dim))
-
-    def element_from_coordinates(self, coords: KElement) -> Multivector:
-        out = self.idempotent.signature.scalar(0)
-        for c, unit in zip(coords, self.units):
-            if c:
-                out = out + unit * c
-        return out
 
 
 def _commute_mask(g: int, n: int) -> int:

@@ -8,20 +8,29 @@ the checks share from a lazily built per-signature context and returns a
 witness, or None on a pass.  An exception fails only the checks that meet
 it, each under its own id with an ``{"error": "Type: message"}`` witness.
 
-A check may confirm a pass with a cheaper certificate, such as
-``repr.irreducible``'s rank over a projection of its rows; when the
-certificate cannot decide, the check falls back to exact arithmetic, which
-alone gives verdicts of failure and their witnesses.  The blade matrices and
-spinor coordinates the representation checks read come from the function
-that gives ``repr`` its generator matrices (``_blade_matrices``), each blade
+A check may confirm a pass with a cheaper certificate or proof; when it
+cannot decide, the check falls back to exact arithmetic, which alone gives
+verdicts of failure and their witnesses.  The blade matrices and spinor
+coordinates the representation checks read come from the function that
+gives ``repr`` its generator matrices (``_blade_matrices``), each blade
 solved once; ``repr.homomorphism`` compares each with a generator matrix
 times an earlier blade's, so no second set of 2^n products is built.
 
+``repr.irreducible`` rests on Schur's lemma (P. Lounesto, *Clifford
+Algebras and Spinors*, 2nd ed., Ch. 17).  In the real basis s_t u_j each
+generator acts as a signed permutation, from the Salingaros vee group
+{+-e_A}.  So the real matrices commuting with the generators are counted
+over orbits of index pairs, with no linear algebra.  When that commutant is
+the right action of the units, a division algebra of dimension dim K, the
+span of the s_t u_j is a simple left ideal (``_simple_ideal``) and every
+nonzero sample generates it.
+
 The left multiples e_X f of an idempotent f are read into classes of
 proportional rows (``_class_rows``), with no product formed, which
-``ideal.dimension``, ``repr.irreducible`` and ``semi.split`` rank.  A rank
-modulo a prime that reaches the class count proves dim Cl(p,q) f.
-Certificates only confirm; every failure and witness comes from the exact path.
+``ideal.dimension`` and ``semi.split`` rank (and ``repr.irreducible``, when
+its proof declines).  A rank modulo a prime that reaches the class count
+proves dim Cl(p,q) f.  Certificates only confirm; every failure and witness
+comes from the exact path.
 """
 
 from __future__ import annotations
@@ -38,8 +47,10 @@ from .core import (
     Record,
     Signature,
     SignatureMismatchError,
+    _blade_times,
     _sign_masks,
 )
+from .division import DivisionRingBasis
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -52,9 +63,12 @@ from .linalg import ExactSpan, rank_mod_p, span_of
 from .representation import (
     KMatrix,
     Representation,
+    SpinorBasis,
     build_representation,
     _blade_matrices,
     _column,
+    _lookup,
+    _real_basis_index,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -322,37 +336,6 @@ def _faithful_rank(ctx: _Context) -> dict | None:
     return {"component_ranks": ranks, "joint_rank": joint, "dim": sig.dim}
 
 
-def _projected_rank_reaches(
-    sig: Signature, psi: Multivector, masks: list[int], rank: int
-) -> bool:
-    """Whether the rows e_A psi, cut down to the coordinates ``masks``, reach
-    ``rank``.
-
-    The coefficient of e_A psi at m is +-psi[A xor m], so no product is
-    formed.  A projection never raises rank, and neither does reduction
-    modulo a prime, so True proves that the full rows reach ``rank`` over Q
-    too; False decides nothing.  The rows are read off psi's integer
-    numerators, a common multiple that leaves the rank as it is.
-    """
-    if len(masks) < rank:
-        return False
-    _, psi_masks, nums = psi._integer_terms()
-    coeffs = dict(zip(psi_masks, nums))
-    signs = _sign_masks(sig)
-
-    def rows():
-        for a in range(sig.dim):
-            row = {}
-            for m in masks:
-                b = a ^ m
-                c = coeffs.get(b)
-                if c:
-                    row[m] = -c if (a & signs[b]).bit_count() & 1 else c
-            yield row
-
-    return rank_mod_p(rows(), rank) == rank
-
-
 def _psi_sampler(sig: Signature, vectors: list[Multivector]):
     """draw(rng): psi = sum c_v v over the vectors with each c_v drawn by
     ``rng.randint(-3, 3)`` in order, all drawn again while psi is zero.
@@ -384,29 +367,154 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
     return draw
 
 
+def _division_units(units) -> bool:
+    """Whether the units multiply exactly as 1, i, j, k of R, C or H: u_0 is
+    their identity, every other u_c squares to -u_0, and two distinct ones
+    anticommute with product +-u_m.
+
+    The u_j are independent when the s_t u_j are, and then these relations
+    leave only d = 1, 2 or 4 and the tables of R, C and H, so their span is
+    a division algebra of dimension d.
+    """
+    one = units[0]
+    for c, u in enumerate(units):
+        if one * u != u or u * one != u or (c and u * u != -one):
+            return False
+    for a in range(1, len(units)):
+        for b in range(a + 1, len(units)):
+            ab = units[a] * units[b]
+            if units[b] * units[a] != -ab or not any(ab in (u, -u) for u in units):
+                return False
+    return True
+
+
+def _commutant_dim(perms, size: int) -> int:
+    """dim_R of the real size x size matrices X commuting with every signed
+    permutation (pi, sigma) in ``perms``.
+
+    X commutes with one exactly when X[pi a, pi b] = sigma(a) sigma(b)
+    X[a, b] for every index pair, so X is free on each orbit of pairs whose
+    signs agree around every cycle and zero on the others.  The orbits are
+    searched along each permutation in turn: a permutation of a finite set
+    reaches its own inverse, so the forward steps cover every orbit.
+    """
+    sign = [0] * (size * size)
+    dim = 0
+    for start in range(size * size):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        consistent = True
+        while stack:
+            x = stack.pop()
+            a, b = divmod(x, size)
+            s = sign[x]
+            for pi, sigma in perms:
+                y = pi[a] * size + pi[b]
+                sy = s * sigma[a] * sigma[b]
+                if not sign[y]:
+                    sign[y] = sy
+                    stack.append(y)
+                elif sign[y] != sy:
+                    consistent = False
+        dim += consistent
+    return dim
+
+
+def _generator_permutations(kb: DivisionRingBasis, sb: SpinorBasis) -> list | None:
+    """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a ==
+    sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j, or
+    None when the real basis is empty or has no index, or when some e_i x_a
+    is not confirmed as +-x_b.
+
+    The indexed x_a are nonzero with distinct leading masks, so
+    independent.  e_i x_a is read off the numerators of x_a by
+    ``_blade_times`` and confirmed by the lookup.  e_i is invertible, so
+    each pi is a permutation.
+    """
+    index = _real_basis_index(kb, sb)
+    if not index:
+        return None
+    d, size = kb.dim, len(index)
+    sig = sb.idempotent.signature
+    signs = _sign_masks(sig)
+    perms = []
+    for i in range(sig.n):
+        pi, sigma = [0] * size, [0] * size
+        for t, j, den, nums in index.values():
+            image = _blade_times(1 << i, False, nums.items(), signs)
+            hit = _lookup(kb, sb, den, image)
+            if hit is None:
+                return None
+            r, entry = hit
+            ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
+            if lam not in (1, -1):
+                return None
+            pi[t * d + j], sigma[t * d + j] = r * d + c, int(lam)
+        perms.append((pi, sigma))
+    return perms
+
+
+def _simple_ideal(kb: DivisionRingBasis, sb: SpinorBasis) -> bool:
+    """Whether M = span{s_t u_j} is proved a simple left ideal of Cl(p,q).
+
+    It reads only f, the units and the spinor blades, never a gamma matrix
+    or the unit table, and holds when all of these hold; False decides
+    nothing.
+    1. The real-basis index exists and is not empty: the D = N d elements
+       s_t u_j are nonzero with distinct leading masks, so independent.
+    2. Each generator sends each s_t u_j to +-s_r u_c exactly
+       (``_generator_permutations``).  So M is a left ideal on which e_i
+       acts as a signed permutation.
+    3. The units multiply as those of R, C or H (``_division_units``).  So
+       the right multiplications by the units map M to M, commute with
+       every e_i, and span a division algebra of dimension d.
+    4. dim_R End_Cl(M) = d, counted by ``_commutant_dim``.
+    Then End_Cl(M) is that division algebra (Schur's lemma read backwards).
+    M is a real representation of the finite group {+-e_A}, so semisimple
+    by Maschke's theorem, and two or more simple summands would give a
+    projection in End_Cl(M), a zero divisor.  So M is simple, and every
+    nonzero psi in M has Cl psi = M, of dimension D.
+    """
+    perms = _generator_permutations(kb, sb)
+    return (
+        perms is not None
+        and _division_units(kb.units)
+        and _commutant_dim(perms, sb.size * kb.dim) == kb.dim
+    )
+
+
 def _irreducible(ctx: _Context) -> dict | None:
     """Every sample psi of S generates all of S: the left multiples e_A psi
-    reach rank dim_R S.  The left multiples of a basis sample +-e_B f are
-    the +-e_X f, so dim Cl(p,q) f == dim_R S confirms every basis sample,
-    and a projected-rank certificate may confirm any sample; the others,
-    and every witness, come from the exact rows."""
+    reach rank dim_R S.
+
+    When ``_simple_ideal`` proves M = span{s_t u_j} simple, every nonzero
+    psi in M generates it, and no rank is computed.  The samples'
+    coefficients are still drawn, one ``randint(-3, 3)`` per s_t u_j, again
+    while all are zero (psi is zero exactly then, the s_t u_j being
+    independent), so ``repr.right_module`` reads the same rng stream.
+    Otherwise every sample is ranked exactly, and the exact rows alone give
+    witnesses.  The left multiples of a basis sample +-e_B f are the
+    +-e_X f, so dim Cl(p,q) f == dim_R S confirms the basis samples there.
+    """
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
-        ideal_dim = comp.basis.size * comp.kbasis.dim
-        basis_products = [
-            s * u for s in comp.basis.elements for u in comp.kbasis.units
-        ]
+        kb, sb = comp.kbasis, comp.basis
+        ideal_dim = sb.size * kb.dim
+        if _simple_ideal(kb, sb):
+            for _ in range(_RANDOM_PSI_COUNT):
+                while not any([ctx.rng.randint(-3, 3) for _ in range(ideal_dim)]):
+                    pass
+            continue
+        basis_products = [s * u for s in sb.elements for u in kb.units]
         if not any(basis_products):
             return {"component": ci, "fail": "the real basis {s_t u_j} is zero"}
         draw = _psi_sampler(sig, basis_products)
-        f = comp.basis.idempotent
-        basis_proved = brute_force_minimal_ideal_dim(sig, f) == ideal_dim
-        samples = [] if basis_proved else list(comp.basis.elements)
+        basis_proved = brute_force_minimal_ideal_dim(sig, sb.idempotent) == ideal_dim
+        samples = [] if basis_proved else list(sb.elements)
         samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
-        masks = sorted({v.terms[0][0] for v in basis_products if v})
         for psi in samples:
-            if _projected_rank_reaches(sig, psi, masks, ideal_dim):
-                continue
             span = ExactSpan()
             for mask in range(sig.dim):
                 span.add(dict((sig.blade(mask) * psi).terms), mask)
@@ -424,28 +532,48 @@ def _irreducible(ctx: _Context) -> dict | None:
 
 def _right_module(ctx: _Context) -> dict | None:
     sig = ctx.sig
+    signs = _sign_masks(sig)
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
         masks = [ctx.rng.randrange(sig.dim) for _ in range(5)]
         solved = ctx.solved[ci]
-        # per spinor s, what no mask changes: its coordinate column, that
-        # column times each unit tuple mu, and the products s u_j
+        # the numerators of each s_t u_j, by (t, j), when the lookup has an index
+        numerators = {
+            (t, j): (den, nums)
+            for t, j, den, nums in (_real_basis_index(kb, sb) or {}).values()
+        }
+
+        def direct(mask: int, t: int, j: int):
+            """The column of e_mask s_t u_j: its numerators read off those of
+            s_t u_j and confirmed by the lookup, else the exact product's."""
+            if (t, j) in numerators:
+                den, nums = numerators[t, j]
+                image = _blade_times(mask, False, nums.items(), signs)
+                hit = _lookup(kb, sb, den, image)
+                if hit is not None:
+                    return [hit]
+            return _column(kb, sb, sig.blade(mask) * (sb.elements[t] * kb.units[j]))
+
+        # per spinor s, what no mask changes: its coordinate column and that
+        # column times each unit tuple mu
         mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
         spinors = []
         for s in sb.elements[:3]:
             col = KMatrix(kb, sb.size, (tuple(_column(kb, sb, s)),))
-            scaled = [col.scale_right(mu) for mu in mus]
-            spinors.append((col, scaled, [s * unit for unit in kb.units]))
+            spinors.append((col, [col.scale_right(mu) for mu in mus]))
         for mask in masks:
-            u = sig.blade(mask)
             gamma_u = solved[mask]
-            for col, scaled, products in spinors:
+            for t, (col, scaled) in enumerate(spinors):
                 gamma_col = gamma_u @ col
                 for j, mu in enumerate(mus):
                     left = gamma_col.scale_right(mu)
                     right = gamma_u @ scaled[j]
-                    direct = _column(kb, sb, u * products[j])
-                    if left != right or direct is None or left.columns[0] != tuple(direct):
+                    column = direct(mask, t, j)
+                    if (
+                        left != right
+                        or column is None
+                        or left.columns[0] != tuple(column)
+                    ):
                         return {"component": ci, "mask": mask, "unit": j}
     return None
 

@@ -39,7 +39,7 @@ from cliffstruct.representation import (
     _real_basis_index,
     _solver,
 )
-from test_division import PRODUCT_FORM_REQUIRED, _rotor_conjugate
+from test_division import PRODUCT_FORM_REQUIRED, _kone, _rotor_conjugate
 
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
@@ -93,7 +93,7 @@ def test_represent_identity_and_idempotent():
     ident = represent(sig.scalar(1), rep)
     assert ident == KMatrix.identity(comp.kbasis, comp.basis.size)
     gamma_f = represent(comp.basis.idempotent, rep)
-    one = comp.kbasis.kone()
+    one = _kone(comp.kbasis)
     zero = comp.kbasis.kzero()
     assert gamma_f.entries == ((one, zero), (zero, zero))
 
@@ -211,7 +211,7 @@ def test_kmatrix_mismatch_errors():
         a + b
     assert a != b
     kb = rep20.components[0].kbasis
-    col = KMatrix.from_rows(kb, ((kb.kone(),), (kb.kzero(),)))
+    col = KMatrix.from_rows(kb, ((_kone(kb),), (kb.kzero(),)))
     with pytest.raises(ValueError):
         col @ a
     with pytest.raises(ValueError):
@@ -257,7 +257,7 @@ def _kadd_oracle(a, b):
 
 def test_kmatrix_product_drops_entries_that_sum_to_zero():
     kb = build_representation(Signature(1, 1)).components[0].kbasis
-    one, zero = kb.kone(), kb.kzero()
+    one, zero = _kone(kb), kb.kzero()
     a = KMatrix.from_rows(kb, ((one, one), (one, zero)))
     b = KMatrix.from_rows(kb, ((one, zero), (kb.kneg(one), zero)))
     ab = a @ b
@@ -359,7 +359,7 @@ def test_integral_k_coordinates_are_ints():
         rep = build_representation(Signature(*pq))
         for comp in rep.components:
             kb = comp.kbasis
-            coords = [*kb.kone(), *kb.kzero()]
+            coords = [*_kone(kb), *kb.kzero()]
             coords += [c for row in kb.table for entry in row for c in entry]
             coords += [c for g in comp.gammas for row in g.entries for e in row for c in e]
             assert all(type(c) is int for c in coords)
@@ -376,7 +376,7 @@ def test_spinor_coordinates_and_right_action():
     kb, sb = comp.kbasis, comp.basis
     f = sb.idempotent
     coords = spinor_coordinates(kb, sb, f)
-    assert coords == (kb.kone(), kb.kzero())
+    assert coords == (_kone(kb), kb.kzero())
     assert spinor_coordinates(kb, sb, sig.e(2)) is None
     # right action by a unit shows up as right multiplication of coordinates
     i_unit = kb.units[1]
@@ -398,7 +398,7 @@ def test_spinor_coordinates_reject_an_element_of_another_algebra(pq):
     match = rf"^Cl\({pq[0]},{pq[1]}\) vs Cl\(1,1\)$"
     with pytest.raises(SignatureMismatchError, match=match):
         spinor_coordinates(kb, sb, psi)
-    assert spinor_coordinates(kb, sb, s1) == (kb.kzero(), kb.kone())
+    assert spinor_coordinates(kb, sb, s1) == (kb.kzero(), _kone(kb))
 
 
 def test_solver_is_built_once_per_basis_pair():
@@ -764,7 +764,7 @@ def test_lookup_rejects_a_leading_mask_match_that_is_not_proportional():
     assert [m for m, _ in bent.terms] == [m for m, _ in s.terms] and len(s.terms) > 1
     assert spinor_coordinates(kb, sb, bent) is None
     assert spinor_coordinates(kb, sb, s * 5) == _spinor_coordinates_oracle(kb, sb, s * 5)
-    assert spinor_coordinates(kb, sb, s + sb.elements[0]) == (kb.kone(), kb.kone())
+    assert spinor_coordinates(kb, sb, s + sb.elements[0]) == (_kone(kb), _kone(kb))
 
 
 def test_repeated_spinor_blade_leaves_the_solve_to_decide():

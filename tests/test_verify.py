@@ -10,10 +10,12 @@ import pytest
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
+    DivisionRingBasis,
     KMatrix,
     RepresentationError,
     Signature,
     SignatureMismatchError,
+    SpinorBasis,
     brute_force_minimal_ideal_dim,
     build_representation,
     find_frame,
@@ -25,7 +27,7 @@ from cliffstruct import (
     verify_signature,
 )
 from cliffstruct.idempotents import sign_vectors
-from cliffstruct.linalg import ExactSpan, span_of
+from cliffstruct.linalg import span_of
 from cliffstruct.representation import _blade_matrices, _real_basis_index
 
 from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
@@ -270,46 +272,6 @@ def test_verify_sweep_through_n9():
     assert failures == {}
 
 
-def _projected_rank_oracle(sig, psi, masks, rank):
-    """``_projected_rank_reaches`` by ``ExactSpan`` elimination over Q, as
-    it was computed before the rank modulo a prime."""
-    if len(masks) < rank:
-        return False
-    span = ExactSpan()
-    for a in range(sig.dim):
-        row = {m: (sig.blade(a) * psi).coefficient(m) for m in masks}
-        if span.add(row, a) and span.rank == rank:
-            return True
-    return False
-
-
-def test_irreducible_certificate_matches_the_rational_rank(monkeypatch):
-    certificate = verify._projected_rank_reaches
-    calls = []
-
-    def both(sig, psi, masks, rank):
-        got = certificate(sig, psi, masks, rank)
-        assert got == _projected_rank_oracle(sig, psi, masks, rank)
-        calls.append(got)
-        return got
-
-    monkeypatch.setattr(verify, "_projected_rank_reaches", both)
-    assert verify_range(5).passed
-    assert len(calls) > 100 and all(calls)
-    # too few masks, or rows of lower rank, give False
-    sig = Signature(1, 1)
-    psi = sig.scalar(1) + sig.e(1)
-    assert not certificate(sig, psi, [0, 1], 3)
-    assert not certificate(sig, psi, [0, 1, 2, 3], 3)
-    assert certificate(sig, sig.scalar(1) + sig.e(2), [0, 1, 2, 3], 4)
-
-
-def test_irreducible_certificate_falls_back_to_exact_rows(monkeypatch):
-    default = verify_range(5).to_json_dict()
-    monkeypatch.setattr(verify, "_projected_rank_reaches", lambda *args: False)
-    assert verify_range(5).to_json_dict() == default
-
-
 # the checks that certify a rank with ``_independent``
 CERTIFIED = ("brute_force_minimal_ideal_dim", "_semi_split")
 
@@ -492,3 +454,106 @@ def test_psi_sampler_matches_the_multivector_sum(pq):
         for _ in range(20):
             assert lone(ours) == _psi_oracle(sig, vectors[:1], theirs)
         assert ours.getstate() == theirs.getstate()
+
+
+def _real_basis(comp):
+    return [s * u for s in comp.basis.elements for u in comp.kbasis.units]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_simple_ideal_proof_matches_the_exact_rank_of_every_sample(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        rng = random.Random(verify.DEFAULT_SAMPLE_SEED)
+        for comp in build_representation(sig).components:
+            assert verify._simple_ideal(comp.kbasis, comp.basis)
+            size = comp.basis.size * comp.kbasis.dim
+            for _ in range(verify._RANDOM_PSI_COUNT):
+                psi = _psi_oracle(sig, _real_basis(comp), rng)
+                rows = (dict((sig.blade(a) * psi).terms) for a in range(sig.dim))
+                assert span_of(rows).rank == size
+
+
+def _left_regular(sig):
+    """K and spinor bases of f = 1 with every blade: Cl(p,q) acting on
+    itself by left multiplication."""
+    one = sig.scalar(1)
+    kb = DivisionRingBasis(one, (one,), "R", (((1,),),))
+    return kb, SpinorBasis(one, tuple(range(sig.dim)), (1,) * sig.dim)
+
+
+def _commutant_oracle(perms, size):
+    """dim_R of the real matrices X with L X == X L for the matrix L of each
+    signed permutation, by the rank of those linear equations over Q."""
+    equations = []
+    for pi, sigma in perms:
+        for b in range(size):
+            for c in range(size):
+                # (L X - X L)[pi b, c] = sigma(b) X[b, c] - X[pi b, pi c] sigma(c)
+                row = {}
+                for key, v in (((b, c), sigma[b]), ((pi[b], pi[c]), -sigma[c])):
+                    row[key] = row.get(key, 0) + v
+                equations.append({k: v for k, v in row.items() if v})
+    return size * size - span_of(equations).rank
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 0)])
+def test_simple_ideal_proof_declines_the_left_regular_module(pq):
+    kb, sb = _left_regular(Signature(*pq))
+    perms = verify._generator_permutations(kb, sb)
+    # steps 1-3 hold, and End_Cl(Cl) = Cl^op has dimension 4, not 1
+    assert perms is not None and verify._division_units(kb.units)
+    assert verify._commutant_dim(perms, 4) == _commutant_oracle(perms, 4) == 4
+    assert not verify._simple_ideal(kb, sb)
+
+
+def test_simple_ideal_proof_declines_an_empty_spinor_basis():
+    comp = build_representation(Signature(1, 1)).components[0]
+    sb = SpinorBasis(comp.basis.idempotent, (), ())
+    assert not verify._simple_ideal(comp.kbasis, sb)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_commutant_of_a_doubled_module_is_four_times_k(n):
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            kb, sb = comp.kbasis, comp.basis
+            size = sb.size * kb.dim
+            perms = verify._generator_permutations(kb, sb)
+            assert verify._commutant_dim(perms, size) == kb.dim
+            # S + S, the same signed permutations on two blocks
+            doubled = [(pi + [size + b for b in pi], sigma * 2) for pi, sigma in perms]
+            assert verify._commutant_dim(doubled, 2 * size) == 4 * kb.dim
+            if n <= 3:
+                assert _commutant_oracle(perms, size) == kb.dim
+                assert _commutant_oracle(doubled, 2 * size) == 4 * kb.dim
+
+
+def test_irreducible_falls_back_to_exact_rows(monkeypatch):
+    default = verify_range(5).to_json_dict()
+    monkeypatch.setattr(verify, "_simple_ideal", lambda kb, sb: False)
+    assert verify_range(5).to_json_dict() == default
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_irreducible_draws_the_rng_as_the_sampler_did(n):
+    # repr.right_module draws its masks from the same stream next
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        ctx = _context(rep)
+        assert verify._irreducible(ctx) is None
+        rng = random.Random(verify.DEFAULT_SAMPLE_SEED)
+        for comp in rep.components:
+            vectors = _real_basis(comp)
+            for _ in range(verify._RANDOM_PSI_COUNT):
+                _psi_oracle(rep.signature, vectors, rng)
+        assert ctx.rng.getstate() == rng.getstate()
+
+
+# Without the proof repr.irreducible ranks every sample exactly, which would
+# take hours at n = 12; the whole range runs with CLIFFSTRUCT_SLOW=1.
+@pytest.mark.parametrize("n", range(13 if SLOW else 9))
+def test_simple_ideal_proof_holds_on_every_built_component(n):
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            assert verify._simple_ideal(comp.kbasis, comp.basis)

@@ -21,12 +21,14 @@ from cliffstruct import (
     AlgebraClass,
     Signature,
     build_representation,
+    multivector_to_json_dict,
     representation_from_json_dict,
     representation_to_json_dict,
     verify_representation,
     verify_signature,
 )
 from cliffstruct.cli import _json_text
+from cliffstruct.representation import _blade_matrices
 from cliffstruct.verify import VerificationReport
 
 HALF = Fraction(1, 2)
@@ -144,6 +146,26 @@ def _repeat_spinor_blade(d):
     d["components"][0]["spinor_blades"] = [0, 0]
 
 
+def _left_regular_module(d):
+    """f = 1 with all four blades of Cl(1,1): the basis spans the whole
+    algebra, a sum of two copies of S, and its gammas are solved in that
+    basis, so every check but irreducibility (and the class) agrees."""
+    comp = d["components"][0]
+    one = multivector_to_json_dict(Signature(1, 1).scalar(1))
+    comp.update(
+        idempotent=one,
+        units=[one],
+        unit_table=[[["1"]]],
+        spinor_blades=[0, 1, 2, 3],
+        spinor_blade_signs=[1] * 4,
+    )
+    c = representation_from_json_dict(d).components[0]
+    comp["gammas"] = [
+        [[[str(x) for x in entry] for entry in row] for row in g.entries]
+        for g in _blade_matrices(c.kbasis, c.basis, [1, 2])
+    ]
+
+
 def _drop_last_gamma_row(d):
     del d["components"][0]["gammas"][1][-1]
 
@@ -186,6 +208,26 @@ DUMP_CASES = {
             "repr.homomorphism": {"component": 0, "mask": 0},
             "repr.irreducible": {
                 "component": 0, "psi": "1/2 + 1/2*e1", "rank": 2, "expected": 3,
+            },
+        },
+    ),
+    # Cl(1,1) acting on itself: End_Cl(M) has dimension 4, not dim K = 1,
+    # so the proof of simplicity declines and the exact rows give a sample
+    # that generates only half of M.
+    "repr.irreducible-reducible-module": (
+        (1, 1),
+        _left_regular_module,
+        {
+            "class.representation_agrees": {
+                "expected": {
+                    "p": 1, "q": 1, "simple": True, "K": "R", "k": 1, "N": 2,
+                    "components": 1,
+                },
+                "components": 1,
+            },
+            "repr.irreducible": {
+                "component": 0, "psi": "-1 + 3*e1 + 3*e2 - 1*e12", "rank": 2,
+                "expected": 4,
             },
         },
     ),
