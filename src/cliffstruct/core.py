@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from math import gcd
 from operator import attrgetter
 
@@ -323,8 +323,8 @@ class Multivector(FrozenRecord):
                 return Multivector(self.signature, tuple(sorted(moved.items())))
         # Integer numerators over each operand's common denominator; one
         # normalized Fraction per output term.
-        da, a_masks, a_nums = self._integer_terms()
-        db, b_masks, b_nums = other._integer_terms()
+        da, a_masks, a_nums = self._integer_terms
+        db, b_masks, b_nums = other._integer_terms
         acc: dict[int, int] = {}
         get = acc.get
         for b, cb in zip(b_masks, b_nums):
@@ -341,24 +341,21 @@ class Multivector(FrozenRecord):
             tuple(sorted((m, Fraction(c, den)) for m, c in acc.items() if c)),
         )
 
+    @cached_property
     def _integer_terms(self) -> tuple[int, list[int], list[int]]:
         """(d, masks, numerators) with each coefficient numerator / d and d
-        the common denominator; cached on the instance."""
-        cached = self.__dict__.get("_integer_cache")
-        if cached is None:
-            terms = self.terms
-            den = 1
-            for _, c in terms:
-                cd = c.denominator
-                if cd != 1 and den % cd:
-                    den = den * cd // gcd(den, cd)
-            cached = (
-                den,
-                [m for m, _ in terms],
-                [c.numerator * (den // c.denominator) for _, c in terms],
-            )
-            self.__dict__["_integer_cache"] = cached
-        return cached
+        the common denominator."""
+        terms = self.terms
+        den = 1
+        for _, c in terms:
+            cd = c.denominator
+            if cd != 1 and den % cd:
+                den = den * cd // gcd(den, cd)
+        return (
+            den,
+            [m for m, _ in terms],
+            [c.numerator * (den // c.denominator) for _, c in terms],
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -75,7 +75,7 @@ class DivisionRingBasis(FrozenRecord):
     ``units[0]`` is always f itself (the unit of K); the remaining units
     square to -f and pairwise anticommute.  ``table[a][b]`` holds the
     coordinates of ``units[a] * units[b]`` over the units: the fixed table
-    of R, C or H, which ``division_ring_basis`` confirms by exact solves.
+    of R, C or H, which ``unit_defect`` confirms by exact solves.
     """
 
     _fields = ("idempotent", "units", "ktype", "table")
@@ -164,6 +164,26 @@ class DivisionRingBasis(FrozenRecord):
             return None
         return tuple(coords.get(i, _ZERO) for i in range(self.dim))
 
+    @cached_property
+    def unit_defect(self) -> tuple[int, int] | None:
+        """The first (a, b) whose product units[a] * units[b], solved over
+        the units, is not s units[c] for (c, s) = ``_UNIT_PRODUCTS[a][b]``,
+        or None when every product follows the table of R, C or H.
+
+        Reads the units only, never ``table``.  A unit depending on the
+        others would get coordinates other than its own row's (units[0] * u
+        == u), so None also confirms the units independent.
+        """
+        units = self.units
+        d = len(units)
+        for a in range(d):
+            for b in range(d):
+                c, s = _UNIT_PRODUCTS[a][b]
+                expected = tuple(s if t == c else 0 for t in range(d))
+                if self.element_coordinates(units[a] * units[b]) != expected:
+                    return a, b
+        return None
+
 
 def _commute_mask(g: int, n: int) -> int:
     """Mask L with e_a e_g == e_g e_a exactly when popcount(a & L) is even,
@@ -204,10 +224,9 @@ def _imaginary_unit(f: Multivector, mask: int) -> Multivector:
 def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis:
     """Canonical R-basis of K = f Cl f with exact unit relations.
 
-    Every product of two units is solved over the units; coordinates other
-    than those of ``_UNIT_PRODUCTS`` raise UnitConstructionError.  A unit
-    depending on the others would get coordinates other than its own row's
-    (units[0] * u == u), so this also confirms the units independent.
+    Every product of two units is solved over the units, and coordinates
+    other than those of ``_UNIT_PRODUCTS`` (``unit_defect``) raise
+    UnitConstructionError, which also confirms the units independent.
     Raises NotPrimitiveError when K fails to be a division ring of real
     dimension 1, 2, or 4, which is exactly the primitivity criterion for f,
     and ValueError when f is not a product idempotent.
@@ -232,11 +251,10 @@ def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis
         for row in _UNIT_PRODUCTS[:d]
     )
     kb = DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], table)
-    for a in range(d):
-        for b in range(d):
-            if kb.element_coordinates(units[a] * units[b]) != table[a][b]:
-                c, s = _UNIT_PRODUCTS[a][b]
-                raise UnitConstructionError(
-                    f"units[{a}] * units[{b}] != {'-' if s < 0 else ''}units[{c}]"
-                )
+    if kb.unit_defect is not None:
+        a, b = kb.unit_defect
+        c, s = _UNIT_PRODUCTS[a][b]
+        raise UnitConstructionError(
+            f"units[{a}] * units[{b}] != {'-' if s < 0 else ''}units[{c}]"
+        )
     return kb

@@ -16,7 +16,9 @@ f = prod (1 + s_i e_{g_i}) / 2 over commuting square-one monomials (a
 ValueError).  Then e_A f = +-e_{A xor w} f for every w in the GF(2) span W
 of the g_i, and each K-unit is c_j e_{m_j} f.  So S has one basis spinor
 s_t = +-e_{B_t} f per coset of U = W + span{m_j}, its blade B_t the coset
-minimum, and a ``SpinorBasis`` stores only f, the blades and the signs.
+minimum.  A spinor basis is a basis over K and means nothing without it,
+so a ``SpinorBasis`` stores K's ``DivisionRingBasis`` (which holds f), the
+blades and the signs.
 
 Every coordinate column, of a blade image or of an element of S
 (``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
@@ -83,10 +85,15 @@ class RepresentationError(RuntimeError):
 
 
 class SpinorBasis(FrozenRecord):
-    """Right-K basis s_1..s_N of Cl(p,q) f with s_t = blade_signs[t] e_{B_t} f,
-    B_t = blades[t] and f the idempotent."""
+    """Right-K basis s_1..s_N of S = Cl(p,q) f over K = f Cl f: ``kbasis``,
+    the DivisionRingBasis of K, whose idempotent is f, and s_t =
+    blade_signs[t] e_{B_t} f with B_t = blades[t]."""
 
-    _fields = ("idempotent", "blades", "blade_signs")
+    _fields = ("kbasis", "blades", "blade_signs")
+
+    @property
+    def idempotent(self) -> Multivector:
+        return self.kbasis.idempotent
 
     @property
     def size(self) -> int:
@@ -100,6 +107,41 @@ class SpinorBasis(FrozenRecord):
             f.signature.blade(mask, sign) * f
             for mask, sign in zip(self.blades, self.blade_signs)
         )
+
+    @cached_property
+    def _solver(self) -> ExactSpan:
+        """The real basis s_t u_j, keyed (t, j), for exact span solves."""
+        span = ExactSpan()
+        for t, s in enumerate(self.elements):
+            for j, unit in enumerate(self.kbasis.units):
+                span.add(dict((s * unit).terms), (t, j))
+        return span
+
+    @cached_property
+    def _real_basis_index(self) -> dict | None:
+        """The leading (smallest) mask of each real basis element s_t u_j
+        mapped to (t, j, denominator, numerator by mask).
+
+        s_t u_j == blade_signs[t] e_{B_t} (f u_j) exactly, by associativity,
+        so each is read off the terms of one exact product f u_j by
+        ``_blade_times``.  None when some s_t u_j is zero or two share a
+        leading mask.
+        """
+        f = self.idempotent
+        signs = _sign_masks(f.signature)
+        products = []
+        for unit in self.kbasis.units:
+            den, masks, nums = (f * unit)._integer_terms
+            products.append((den, tuple(zip(masks, nums))))
+        index = {}
+        for t, (mask, sign) in enumerate(zip(self.blades, self.blade_signs)):
+            for j, (den, terms) in enumerate(products):
+                nums = _blade_times(mask, sign < 0, terms, signs)
+                lead = min(nums, default=None)
+                if lead is None or lead in index:
+                    return None
+                index[lead] = (t, j, den, nums)
+        return index
 
 
 class KMatrix(FrozenRecord):
@@ -202,9 +244,6 @@ class KMatrix(FrozenRecord):
             columns.append(_nonzero(acc))
         return KMatrix(kb, self.rows, tuple(columns))
 
-    def __neg__(self):
-        return _negated(self.basis, (self,))[0]
-
     def scale_right(self, mu: KElement) -> "KMatrix":
         """Entrywise right multiplication by mu (the right K-action)."""
         kb = self.basis
@@ -245,9 +284,14 @@ def _nonzero(acc: dict[int, KElement]) -> tuple[tuple[int, KElement], ...]:
 
 
 class Component(FrozenRecord):
-    """One simple block: division ring, spinor basis, generator matrices."""
+    """One simple block: the spinor basis, with its division ring, and the
+    generator matrices."""
 
-    _fields = ("kbasis", "basis", "gammas")
+    _fields = ("basis", "gammas")
+
+    @property
+    def kbasis(self) -> DivisionRingBasis:
+        return self.basis.kbasis
 
 
 class Representation(FrozenRecord):
@@ -307,77 +351,27 @@ def spinor_basis(
     """
     product = product_form(f)
     pivots = sum(1 << bit for bit in _cosets(product, kb))
-    f = product.f
-    blades = tuple(m for m in range(f.signature.dim) if not m & pivots)
-    return SpinorBasis(f, blades, (1,) * len(blades))
+    blades = tuple(m for m in range(product.f.signature.dim) if not m & pivots)
+    return SpinorBasis(kb, blades, (1,) * len(blades))
 
 
-def _solver(kb: DivisionRingBasis, sb: SpinorBasis) -> ExactSpan:
-    # Kept on sb with the kb it was built for, matched by identity: hashing
-    # the frozen bases would rehash every Fraction they hold on each call.
-    cached = sb.__dict__.get("_solver")
-    if cached is not None and cached[0] is kb:
-        return cached[1]
-    span = ExactSpan()
-    for t, s in enumerate(sb.elements):
-        for j, unit in enumerate(kb.units):
-            span.add(dict((s * unit).terms), (t, j))
-    sb.__dict__["_solver"] = (kb, span)
-    return span
-
-
-def _solve(
-    kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
-) -> list[tuple[int, KElement]] | None:
+def _solve(sb: SpinorBasis, psi: Multivector) -> list[tuple[int, KElement]] | None:
     """The nonzero K-coordinates of psi as (t, entry) pairs by exact span
     solve, or None if psi is not in S."""
-    coords = _solver(kb, sb).coordinates(dict(psi.terms))
+    coords = sb._solver.coordinates(dict(psi.terms))
     if coords is None:
         return None
     column = []
+    d = sb.kbasis.dim
     for t in range(sb.size):
-        entry = tuple(coords.get((t, j), _ZERO) for j in range(kb.dim))
+        entry = tuple(coords.get((t, j), _ZERO) for j in range(d))
         if any(entry):
             column.append((t, entry))
     return column
 
 
-def _real_basis_index(kb: DivisionRingBasis, sb: SpinorBasis) -> dict | None:
-    """The leading (smallest) mask of each real basis element s_t u_j mapped
-    to (t, j, denominator, numerator by mask).
-
-    s_t u_j == blade_signs[t] e_{B_t} (f u_j) exactly, by associativity, so
-    each is read off the terms of one exact product f u_j by
-    ``_blade_times``.  None when some s_t u_j is zero or two share a leading
-    mask.  Kept on sb with the kb it was built for, matched by identity,
-    like ``_solver``.
-    """
-    cached = sb.__dict__.get("_index")
-    if cached is not None and cached[0] is kb:
-        return cached[1]
-    f = sb.idempotent
-    signs = _sign_masks(f.signature)
-    products = []
-    for unit in kb.units:
-        den, masks, nums = (f * unit)._integer_terms()
-        products.append((den, tuple(zip(masks, nums))))
-    index: dict | None = {}
-    for t, (mask, sign) in enumerate(zip(sb.blades, sb.blade_signs)):
-        for j, (den, terms) in enumerate(products):
-            nums = _blade_times(mask, sign < 0, terms, signs)
-            lead = min(nums, default=None)
-            if lead is None or lead in index:
-                index = None
-                break
-            index[lead] = (t, j, den, nums)
-        if index is None:
-            break
-    sb.__dict__["_index"] = (kb, index)
-    return index
-
-
 def _lookup(
-    kb: DivisionRingBasis, sb: SpinorBasis, den: int, nums: dict[int, int]
+    sb: SpinorBasis, den: int, nums: dict[int, int]
 ) -> tuple[int, KElement] | None:
     """(t, entry) with psi == s_t u_j * lambda exactly, for psi given by its
     numerators over den, or None when the lookup cannot decide.
@@ -388,7 +382,7 @@ def _lookup(
     integer numerators: the same masks as s_t u_j, and numerators
     proportional to the leading pair.
     """
-    index = _real_basis_index(kb, sb)
+    index = sb._real_basis_index
     if index is None or not nums:
         return None
     lead = min(nums)
@@ -403,48 +397,42 @@ def _lookup(
     ):
         return None
     lam = _kcoordinate(l0 * rden, r0 * den)
-    return t, tuple(lam if jj == j else 0 for jj in range(kb.dim))
+    return t, tuple(lam if jj == j else 0 for jj in range(sb.kbasis.dim))
 
 
-def _column(
-    kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
-) -> list[tuple[int, KElement]] | None:
+def _column(sb: SpinorBasis, psi: Multivector) -> list[tuple[int, KElement]] | None:
     """The nonzero K-coordinates of psi as (t, entry) pairs, confirmed by
     the lookup or else solved; None if psi is not in S."""
-    den, masks, nums = psi._integer_terms()
-    hit = _lookup(kb, sb, den, dict(zip(masks, nums)))
-    return [hit] if hit is not None else _solve(kb, sb, psi)
+    den, masks, nums = psi._integer_terms
+    hit = _lookup(sb, den, dict(zip(masks, nums)))
+    return [hit] if hit is not None else _solve(sb, psi)
 
 
-def spinor_coordinates(
-    kb: DivisionRingBasis, sb: SpinorBasis, psi: Multivector
-) -> tuple[KElement, ...] | None:
+def spinor_coordinates(sb: SpinorBasis, psi: Multivector) -> tuple[KElement, ...] | None:
     """K-coordinates of psi over the spinor basis, or None if psi is not in S."""
     if psi.signature != sb.idempotent.signature:
         raise SignatureMismatchError(f"{psi.signature} vs {sb.idempotent.signature}")
-    column = _column(kb, sb, psi)
+    column = _column(sb, psi)
     if column is None:
         return None
-    out = [kb.kzero()] * sb.size
+    out = [sb.kbasis.kzero()] * sb.size
     for t, entry in column:
         out[t] = entry
     return tuple(out)
 
 
-def _matrix_of(u: Multivector, kb: DivisionRingBasis, sb: SpinorBasis) -> KMatrix:
+def _matrix_of(u: Multivector, sb: SpinorBasis) -> KMatrix:
     """Matrix of u: the sum of c gamma(e_a) over the terms c e_a of u, each
     scalar c acting on the right as c times the unit 1 of K."""
-    zeros = (0,) * (kb.dim - 1)
-    mats = _blade_matrices(kb, sb, [mask for mask, _ in u.terms])
+    zeros = (0,) * (sb.kbasis.dim - 1)
+    mats = _blade_matrices(sb, [mask for mask, _ in u.terms])
     return sum(
         (mat.scale_right((c, *zeros)) for mat, (_, c) in zip(mats, u.terms)),
-        KMatrix.scalar_matrix(kb, sb.size, 0),
+        KMatrix.scalar_matrix(sb.kbasis, sb.size, 0),
     )
 
 
-def _blade_matrices(
-    kb: DivisionRingBasis, sb: SpinorBasis, masks
-) -> list[KMatrix]:
+def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
     """gamma(e_a) for each a in masks, column t the coordinates of e_a s_t.
 
     With s_t = +-e_{B_t} f, e_a s_t == +-e_X f for X = a xor B_t, read off
@@ -453,9 +441,10 @@ def _blade_matrices(
     raising RepresentationError when it is outside S.  Equal entries are one
     shared tuple, which the JSON writer renders once.
     """
-    f = sb.idempotent
+    kb = sb.kbasis
+    f = kb.idempotent
     signs = _sign_masks(f.signature)
-    den, f_masks, nums = f._integer_terms()
+    den, f_masks, nums = f._integer_terms
     f_terms = tuple(zip(f_masks, nums))
     spinors = [(b, sign < 0) for b, sign in zip(sb.blades, sb.blade_signs)]
     entries: dict[KElement, KElement] = {}
@@ -465,11 +454,11 @@ def _blade_matrices(
         col = resolved.get(code)
         if col is None:
             x, negate = code >> 1, code & 1
-            hit = _lookup(kb, sb, den, _blade_times(x, negate, f_terms, signs))
+            hit = _lookup(sb, den, _blade_times(x, negate, f_terms, signs))
             if hit is not None:
                 pairs = [hit]
             else:
-                pairs = _solve(kb, sb, f.signature.blade(x, -1 if negate else 1) * f)
+                pairs = _solve(sb, f.signature.blade(x, -1 if negate else 1) * f)
                 if pairs is None:
                     raise RepresentationError("product left the spinor ideal")
             col = resolved[code] = tuple(
@@ -496,8 +485,7 @@ def represent(u: Multivector, rep: Representation) -> KMatrix:
         raise SignatureMismatchError(f"{u.signature} vs {rep.signature}")
     if not rep.simple:
         raise ValueError("semisimple algebras are handled by represent_semisimple")
-    comp = rep.components[0]
-    return _matrix_of(u, comp.kbasis, comp.basis)
+    return _matrix_of(u, rep.components[0].basis)
 
 
 def represent_semisimple(
@@ -508,20 +496,20 @@ def represent_semisimple(
         raise SignatureMismatchError(f"{u.signature} vs {rep.signature}")
     if rep.simple:
         raise ValueError("simple algebras are handled by represent")
-    return tuple(
-        _matrix_of(u, comp.kbasis, comp.basis) for comp in rep.components
-    )
+    return tuple(_matrix_of(u, comp.basis) for comp in rep.components)
 
 
-def build_representation(sig: Signature) -> Representation:
-    """Full pipeline: frame, idempotent, division ring, basis, matrices."""
+def build_representation(source: Signature | MonomialFrame) -> Representation:
+    """Full pipeline: frame, idempotent, division ring, basis, matrices.  A
+    signature's frame is found first; a MonomialFrame is used as given."""
+    frame = source if isinstance(source, MonomialFrame) else find_frame(source)
+    sig = frame.signature
     cls = classify(sig)
-    frame = find_frame(sig)
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = tuple(_blade_matrices(kb, sb, [1 << i for i in range(sig.n)]))
-    components = [Component(kb, sb, gammas)]
+    gammas = tuple(_blade_matrices(sb, [1 << i for i in range(sig.n)]))
+    components = [Component(sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
         # first, over the images of f, the units and the spinors.  The
@@ -536,9 +524,9 @@ def build_representation(sig: Signature) -> Representation:
             kb.table,
         )
         sb2 = SpinorBasis(
-            fh, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
+            kb2, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
         )
-        components.append(Component(kb2, sb2, _negated(kb2, gammas)))
+        components.append(Component(sb2, _negated(kb2, gammas)))
     if (
         len(components) != cls.components
         or sb.size != cls.matrix_size
@@ -679,7 +667,7 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                 f"{where}spinor_blade_signs must hold one sign of"
                 f" +1 or -1 per spinor blade ({len(blades)})"
             )
-        sb = SpinorBasis(f, blades, tuple(int(s) for s in signs))
+        sb = SpinorBasis(kb, blades, tuple(int(s) for s in signs))
         # one matrix per generator, its rows as long as its first; matrices
         # of the wrong shape are left to the checks
         gammas = _list_field(comp, "gammas", where)
@@ -697,7 +685,7 @@ def representation_from_json_dict(data: Mapping) -> Representation:
                         f" not {len(rows[0])}"
                     )
             matrices.append(KMatrix.from_rows(kb, rows))
-        components.append(Component(kb, sb, tuple(matrices)))
+        components.append(Component(sb, tuple(matrices)))
     return Representation(sig, cls, frame, tuple(components))
 
 

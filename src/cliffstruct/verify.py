@@ -50,7 +50,6 @@ from .core import (
     _blade_times,
     _sign_masks,
 )
-from .division import DivisionRingBasis
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -68,7 +67,6 @@ from .representation import (
     _blade_matrices,
     _column,
     _lookup,
-    _real_basis_index,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -149,7 +147,7 @@ def _class_rows(f: Multivector) -> tuple[dict[int, int], ...]:
     it only holds proportional rows.  Every e_X f is a nonzero multiple of
     its class row, so the rows span Cl(p,q) f.
     """
-    _, masks, nums = f._integer_terms()
+    _, masks, nums = f._integer_terms
     content = gcd(*nums)
     signs = _sign_masks(f.signature)
     terms = [(b, c // content, signs[b]) for b, c in zip(masks, nums)]
@@ -201,7 +199,7 @@ class _Context(Record):
 
     @cached_property
     def rep(self) -> Representation:
-        return build_representation(self.sig)
+        return build_representation(self.idems.frame)
 
     @cached_property
     def repr_witnesses(self) -> dict:
@@ -213,7 +211,7 @@ class _Context(Record):
     def solved(self) -> list[list[KMatrix]]:
         """Per component, every blade's matrix in its spinor basis."""
         return [
-            _blade_matrices(comp.kbasis, comp.basis, range(self.sig.dim))
+            _blade_matrices(comp.basis, range(self.sig.dim))
             for comp in self.rep.components
         ]
 
@@ -345,11 +343,11 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
     """
     den = 1
     for v in vectors:
-        d = v._integer_terms()[0]
+        d = v._integer_terms[0]
         den = den * d // gcd(den, d)
     rows = []
     for v in vectors:
-        d, masks, nums = v._integer_terms()
+        d, masks, nums = v._integer_terms
         rows.append((masks, [c * (den // d) for c in nums]))
 
     def draw(rng: random.Random) -> Multivector:
@@ -365,27 +363,6 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
                 return Multivector(sig, terms)
 
     return draw
-
-
-def _division_units(units) -> bool:
-    """Whether the units multiply exactly as 1, i, j, k of R, C or H: u_0 is
-    their identity, every other u_c squares to -u_0, and two distinct ones
-    anticommute with product +-u_m.
-
-    The u_j are independent when the s_t u_j are, and then these relations
-    leave only d = 1, 2 or 4 and the tables of R, C and H, so their span is
-    a division algebra of dimension d.
-    """
-    one = units[0]
-    for c, u in enumerate(units):
-        if one * u != u or u * one != u or (c and u * u != -one):
-            return False
-    for a in range(1, len(units)):
-        for b in range(a + 1, len(units)):
-            ab = units[a] * units[b]
-            if units[b] * units[a] != -ab or not any(ab in (u, -u) for u in units):
-                return False
-    return True
 
 
 def _commutant_dim(perms, size: int) -> int:
@@ -422,7 +399,7 @@ def _commutant_dim(perms, size: int) -> int:
     return dim
 
 
-def _generator_permutations(kb: DivisionRingBasis, sb: SpinorBasis) -> list | None:
+def _generator_permutations(sb: SpinorBasis) -> list | None:
     """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a ==
     sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j, or
     None when the real basis is empty or has no index, or when some e_i x_a
@@ -433,10 +410,10 @@ def _generator_permutations(kb: DivisionRingBasis, sb: SpinorBasis) -> list | No
     ``_blade_times`` and confirmed by the lookup.  e_i is invertible, so
     each pi is a permutation.
     """
-    index = _real_basis_index(kb, sb)
+    index = sb._real_basis_index
     if not index:
         return None
-    d, size = kb.dim, len(index)
+    d, size = sb.kbasis.dim, len(index)
     sig = sb.idempotent.signature
     signs = _sign_masks(sig)
     perms = []
@@ -444,7 +421,7 @@ def _generator_permutations(kb: DivisionRingBasis, sb: SpinorBasis) -> list | No
         pi, sigma = [0] * size, [0] * size
         for t, j, den, nums in index.values():
             image = _blade_times(1 << i, False, nums.items(), signs)
-            hit = _lookup(kb, sb, den, image)
+            hit = _lookup(sb, den, image)
             if hit is None:
                 return None
             r, entry = hit
@@ -456,7 +433,7 @@ def _generator_permutations(kb: DivisionRingBasis, sb: SpinorBasis) -> list | No
     return perms
 
 
-def _simple_ideal(kb: DivisionRingBasis, sb: SpinorBasis) -> bool:
+def _simple_ideal(sb: SpinorBasis) -> bool:
     """Whether M = span{s_t u_j} is proved a simple left ideal of Cl(p,q).
 
     It reads only f, the units and the spinor blades, never a gamma matrix
@@ -467,9 +444,12 @@ def _simple_ideal(kb: DivisionRingBasis, sb: SpinorBasis) -> bool:
     2. Each generator sends each s_t u_j to +-s_r u_c exactly
        (``_generator_permutations``).  So M is a left ideal on which e_i
        acts as a signed permutation.
-    3. The units multiply as those of R, C or H (``_division_units``).  So
-       the right multiplications by the units map M to M, commute with
-       every e_i, and span a division algebra of dimension d.
+    3. Each product u_a u_b, solved over the units, is the entry of the
+       fixed table of R, C or H (``DivisionRingBasis.unit_defect``; a built
+       K keeps the result of ``division_ring_basis``).  So the units are
+       independent, the right multiplications by them map M to M and
+       commute with every e_i, and they span a division algebra of
+       dimension d.
     4. dim_R End_Cl(M) = d, counted by ``_commutant_dim``.
     Then End_Cl(M) is that division algebra (Schur's lemma read backwards).
     M is a real representation of the finite group {+-e_A}, so semisimple
@@ -477,10 +457,11 @@ def _simple_ideal(kb: DivisionRingBasis, sb: SpinorBasis) -> bool:
     projection in End_Cl(M), a zero divisor.  So M is simple, and every
     nonzero psi in M has Cl psi = M, of dimension D.
     """
-    perms = _generator_permutations(kb, sb)
+    kb = sb.kbasis
+    perms = _generator_permutations(sb)
     return (
         perms is not None
-        and _division_units(kb.units)
+        and kb.unit_defect is None
         and _commutant_dim(perms, sb.size * kb.dim) == kb.dim
     )
 
@@ -502,7 +483,7 @@ def _irreducible(ctx: _Context) -> dict | None:
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
         ideal_dim = sb.size * kb.dim
-        if _simple_ideal(kb, sb):
+        if _simple_ideal(sb):
             for _ in range(_RANDOM_PSI_COUNT):
                 while not any([ctx.rng.randint(-3, 3) for _ in range(ideal_dim)]):
                     pass
@@ -538,10 +519,8 @@ def _right_module(ctx: _Context) -> dict | None:
         masks = [ctx.rng.randrange(sig.dim) for _ in range(5)]
         solved = ctx.solved[ci]
         # the numerators of each s_t u_j, by (t, j), when the lookup has an index
-        numerators = {
-            (t, j): (den, nums)
-            for t, j, den, nums in (_real_basis_index(kb, sb) or {}).values()
-        }
+        index = sb._real_basis_index or {}
+        numerators = {(t, j): (den, nums) for t, j, den, nums in index.values()}
 
         def direct(mask: int, t: int, j: int):
             """The column of e_mask s_t u_j: its numerators read off those of
@@ -549,17 +528,17 @@ def _right_module(ctx: _Context) -> dict | None:
             if (t, j) in numerators:
                 den, nums = numerators[t, j]
                 image = _blade_times(mask, False, nums.items(), signs)
-                hit = _lookup(kb, sb, den, image)
+                hit = _lookup(sb, den, image)
                 if hit is not None:
                     return [hit]
-            return _column(kb, sb, sig.blade(mask) * (sb.elements[t] * kb.units[j]))
+            return _column(sb, sig.blade(mask) * (sb.elements[t] * kb.units[j]))
 
         # per spinor s, what no mask changes: its coordinate column and that
         # column times each unit tuple mu
         mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
         spinors = []
         for s in sb.elements[:3]:
-            col = KMatrix(kb, sb.size, (tuple(_column(kb, sb, s)),))
+            col = KMatrix(kb, sb.size, (tuple(_column(sb, s)),))
             spinors.append((col, [col.scale_right(mu) for mu in mus]))
         for mask in masks:
             gamma_u = solved[mask]

@@ -240,4 +240,4 @@ def greedy_spinor_basis(f: Multivector, kb: DivisionRingBasis) -> SpinorBasis:
             raise RepresentationError(
                 f"spinor span deficiency at blade {mask}: {added} < {kb.dim}"
             )
-    return SpinorBasis(f, tuple(blades), (1,) * len(blades))
+    return SpinorBasis(kb, tuple(blades), (1,) * len(blades))

@@ -11,6 +11,7 @@ from cliffstruct import (
     Signature,
     SignatureMismatchError,
     UnitConstructionError,
+    build_representation,
     classify,
     complete_set,
     division_ring_basis,
@@ -161,6 +162,16 @@ def test_broken_unit_relation_raises(monkeypatch):
     monkeypatch.setattr(division, "_imaginary_unit", shifted_second_unit)
     with pytest.raises(UnitConstructionError, match=r"units\[2\] \* units\[1\]"):
         division_ring_basis(Signature(0, 2).scalar(1))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unit_check_passes_on_every_built_component(n):
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        # division_ring_basis ran the check on the first K, and keeps it
+        assert vars(rep.components[0].kbasis)["unit_defect"] is None
+        for comp in rep.components:
+            assert comp.kbasis.unit_defect is None
 
 
 def test_kmul_follows_table():

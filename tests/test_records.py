@@ -64,8 +64,8 @@ FROZEN = [
     ),
     (
         SpinorBasis,
-        {"idempotent": "f", "blades": (0, 1), "blade_signs": (1, -1)},
-        "SpinorBasis(idempotent='f', blades=(0, 1), blade_signs=(1, -1))",
+        {"kbasis": "kb", "blades": (0, 1), "blade_signs": (1, -1)},
+        "SpinorBasis(kbasis='kb', blades=(0, 1), blade_signs=(1, -1))",
     ),
     (
         KMatrix,
@@ -74,8 +74,8 @@ FROZEN = [
     ),
     (
         Component,
-        {"kbasis": "kb", "basis": "sb", "gammas": ("g1", "g2")},
-        "Component(kbasis='kb', basis='sb', gammas=('g1', 'g2'))",
+        {"basis": "sb", "gammas": ("g1", "g2")},
+        "Component(basis='sb', gammas=('g1', 'g2'))",
     ),
     (
         Representation,
@@ -212,12 +212,18 @@ def test_frozen_records_keep_cached_properties():
     assert echelon == {1: 3, 2: 5}
     assert product.echelon is echelon
     assert product == ProductIdempotent((3, 5), (1, -1), "f")
-    basis = SpinorBasis(SIG.scalar(1), (0, 3), (1, -1))
+    one = SIG.scalar(1)
+    kb = DivisionRingBasis(one, (one,), "R", (((1,),),))
+    basis = SpinorBasis(kb, (0, 3), (1, -1))
     elements = basis.elements
-    assert elements == (SIG.scalar(1), SIG.blade(3, -1))
+    assert elements == (one, SIG.blade(3, -1))
     assert basis.elements is elements
-    assert basis == SpinorBasis(SIG.scalar(1), (0, 3), (1, -1))
-    assert hash(basis) == hash((SIG.scalar(1), (0, 3), (1, -1)))
+    assert basis == SpinorBasis(kb, (0, 3), (1, -1))
+    assert hash(basis) == hash((kb, (0, 3), (1, -1)))
+    x = Multivector(SIG, ((0, Fraction(1, 2)), (3, Fraction(-1, 3))))
+    assert x._integer_terms == (6, [0, 3], [3, -2])
+    assert x._integer_terms is x._integer_terms
+    assert x == Multivector(SIG, x.terms) and hash(x) == hash((SIG, x.terms))
 
 
 def test_one_field_records_use_the_same_rules():

@@ -33,11 +33,11 @@ from cliffstruct import (
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
+    SpinorBasis,
     _blade_matrices,
     _cosets,
     _matrix_of,
-    _real_basis_index,
-    _solver,
+    _negated,
 )
 from test_division import PRODUCT_FORM_REQUIRED, _kone, _rotor_conjugate
 
@@ -313,11 +313,13 @@ def test_kmatrix_arithmetic_matches_the_dense_loops():
         assert total == _kadd_oracle(b, b2)
         assert a @ total == _kmatmul_oracle(a, _kadd_oracle(b, b2))
         # every entry sums to zero
-        cancel = ab + a @ -b
-        assert cancel == _kadd_oracle(ab, _kmatmul_oracle(a, -b))
+        neg_a, neg_b = _negated(kb, (a, b))
+        cancel = ab + a @ neg_b
+        assert cancel == _kadd_oracle(ab, _kmatmul_oracle(a, neg_b))
         assert cancel.columns == ((),) * cancel.cols
         # negation, the right action (mu may be zero) and the zero matrix
-        assert -a == _kneg_oracle(a) and (-a).entries == _kneg_oracle(a).entries
+        assert _negated(kb, (a,))[0] == _kneg_oracle(a)
+        assert neg_a == _kneg_oracle(a) and neg_a.entries == _kneg_oracle(a).entries
         scaled = b.scale_right(mu)
         assert scaled == _scale_right_oracle(b, mu)
         assert scaled.entries == _scale_right_oracle(b, mu).entries
@@ -375,16 +377,14 @@ def test_spinor_coordinates_and_right_action():
     comp = rep.components[0]
     kb, sb = comp.kbasis, comp.basis
     f = sb.idempotent
-    coords = spinor_coordinates(kb, sb, f)
+    coords = spinor_coordinates(sb, f)
     assert coords == (_kone(kb), kb.kzero())
-    assert spinor_coordinates(kb, sb, sig.e(2)) is None
+    assert spinor_coordinates(sb, sig.e(2)) is None
     # right action by a unit shows up as right multiplication of coordinates
     i_unit = kb.units[1]
     psi = sb.elements[1]
-    coords_psi_i = spinor_coordinates(kb, sb, psi * i_unit)
-    expected = tuple(
-        kb.kmul(x, (F0, F1)) for x in spinor_coordinates(kb, sb, psi)
-    )
+    coords_psi_i = spinor_coordinates(sb, psi * i_unit)
+    expected = tuple(kb.kmul(x, (F0, F1)) for x in spinor_coordinates(sb, psi))
     assert coords_psi_i == expected
 
 
@@ -397,27 +397,26 @@ def test_spinor_coordinates_reject_an_element_of_another_algebra(pq):
     # the terms of s_1, which has coordinates (0, 1) in Cl(1,1)
     match = rf"^Cl\({pq[0]},{pq[1]}\) vs Cl\(1,1\)$"
     with pytest.raises(SignatureMismatchError, match=match):
-        spinor_coordinates(kb, sb, psi)
-    assert spinor_coordinates(kb, sb, s1) == (kb.kzero(), _kone(kb))
+        spinor_coordinates(sb, psi)
+    assert spinor_coordinates(sb, s1) == (kb.kzero(), _kone(kb))
 
 
-def test_solver_is_built_once_per_basis_pair():
+def test_solver_is_built_once_per_basis():
     sig = Signature(1, 2)
-    comp = build_representation(sig).components[0]
-    kb, sb = comp.kbasis, comp.basis
-    assert _solver(kb, sb) is _solver(kb, sb)
-    # equal but distinct bases, rebuilt from JSON, give the same answers
+    sb = build_representation(sig).components[0].basis
+    assert sb._solver is sb._solver
+    # an equal but distinct basis, rebuilt from JSON, builds its own and
+    # gives the same answers
     again = representation_from_json_dict(
         representation_to_json_dict(build_representation(sig))
-    ).components[0]
-    assert (again.kbasis, again.basis) == (kb, sb)
+    ).components[0].basis
+    assert again == sb and again.kbasis == sb.kbasis
+    assert again._solver is not sb._solver
     for mask in range(sig.dim):
         u = sig.blade(mask)
-        assert _matrix_of(u, again.kbasis, again.basis) == _matrix_of(u, kb, sb)
+        assert _matrix_of(u, again) == _matrix_of(u, sb)
         psi = u * sb.elements[-1]
-        assert spinor_coordinates(again.kbasis, again.basis, psi) == spinor_coordinates(
-            kb, sb, psi
-        )
+        assert spinor_coordinates(again, psi) == spinor_coordinates(sb, psi)
 
 
 def test_representation_json_roundtrip():
@@ -655,28 +654,27 @@ def test_representation_json_reads_every_rational_form():
 # the real-basis lookup against the span solves it confirms
 
 
-def _spinor_coordinates_oracle(kb, sb, psi):
+def _spinor_coordinates_oracle(sb, psi):
     """K-coordinates of psi by span solve alone, as ``spinor_coordinates``
     computed them before the lookup."""
-    coords = _solver(kb, sb).coordinates(dict(psi.terms))
+    coords = sb._solver.coordinates(dict(psi.terms))
     if coords is None:
         return None
-    return tuple(
-        tuple(coords.get((t, j), F0) for j in range(kb.dim)) for t in range(sb.size)
-    )
+    d = sb.kbasis.dim
+    return tuple(tuple(coords.get((t, j), F0) for j in range(d)) for t in range(sb.size))
 
 
-def _matrix_of_oracle(u, kb, sb):
+def _matrix_of_oracle(u, sb):
     """Matrix of u by one span solve per column, as ``_matrix_of`` computed
     it before the lookup."""
     columns = []
     for s in sb.elements:
-        col = _spinor_coordinates_oracle(kb, sb, u * s)
+        col = _spinor_coordinates_oracle(sb, u * s)
         if col is None:
             raise RepresentationError("product left the spinor ideal")
         columns.append(col)
     return KMatrix.from_rows(
-        kb, tuple(tuple(col[i] for col in columns) for i in range(sb.size))
+        sb.kbasis, tuple(tuple(col[i] for col in columns) for i in range(sb.size))
     )
 
 
@@ -702,15 +700,15 @@ def test_blade_matrices_match_the_span_solve(n, monkeypatch):
         # the lookup confirmed every generator column
         assert solves == [], sig
         for comp in rep.components:
-            kb, sb = comp.kbasis, comp.basis
-            assert _real_basis_index(kb, sb) is not None
+            sb = comp.basis
+            assert sb._real_basis_index is not None
             coeffs = (1, -1) if n <= 6 else (1,)
             blades = [sig.blade(mask, c) for mask in range(sig.dim) for c in coeffs]
-            mats = [_matrix_of(u, kb, sb) for u in blades]
+            mats = [_matrix_of(u, sb) for u in blades]
             # every column was confirmed by the lookup: no solve was needed
             assert solves == [], sig
             for u, mat in zip(blades, mats):
-                assert mat == _matrix_of_oracle(u, kb, sb)
+                assert mat == _matrix_of_oracle(u, sb)
 
 
 @pytest.mark.parametrize("pq", [(2, 0), (1, 1), (0, 2), (3, 0), (0, 3), (2, 2), (1, 3)])
@@ -720,17 +718,13 @@ def test_represent_of_multi_term_elements_matches_the_span_solve(pq):
     rng = random.Random(808)
     for _ in range(12):
         u = _random_element(sig, rng, rng.randint(2, 4))
-        expected = tuple(
-            _matrix_of_oracle(u, comp.kbasis, comp.basis) for comp in rep.components
-        )
+        expected = tuple(_matrix_of_oracle(u, comp.basis) for comp in rep.components)
         got = (represent(u, rep),) if rep.simple else represent_semisimple(u, rep)
         assert got == expected
         for comp in rep.components:
-            kb, sb = comp.kbasis, comp.basis
+            sb = comp.basis
             for psi in (u * sb.elements[0], u, sb.elements[-1] * Fraction(-3, 7)):
-                assert spinor_coordinates(kb, sb, psi) == _spinor_coordinates_oracle(
-                    kb, sb, psi
-                )
+                assert spinor_coordinates(sb, psi) == _spinor_coordinates_oracle(sb, psi)
 
 
 def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
@@ -744,60 +738,58 @@ def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
     with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
         spinor_basis(f, kb)
     sb = oracle.greedy_spinor_basis(f, kb)
-    assert _real_basis_index(kb, sb) is None
+    assert sb._real_basis_index is None
     rng = random.Random(909)
     elements = [sig.blade(mask) for mask in range(sig.dim)]
     elements += [_random_element(sig, rng, 3) for _ in range(8)]
     for u in elements:
-        assert _matrix_of(u, kb, sb) == _matrix_of_oracle(u, kb, sb)
+        assert _matrix_of(u, sb) == _matrix_of_oracle(u, sb)
         psi = u * sb.elements[1]
-        assert spinor_coordinates(kb, sb, psi) == _spinor_coordinates_oracle(kb, sb, psi)
+        assert spinor_coordinates(sb, psi) == _spinor_coordinates_oracle(sb, psi)
 
 
 def test_lookup_rejects_a_leading_mask_match_that_is_not_proportional():
     sig = Signature(3, 0)
-    comp = build_representation(sig).components[0]
-    kb, sb = comp.kbasis, comp.basis
+    sb = build_representation(sig).components[0].basis
+    kb = sb.kbasis
     s = sb.elements[1]
     # the masks of s_1 are kept and its last coefficient is doubled
     bent = s + sig.blade(*s.terms[-1])
     assert [m for m, _ in bent.terms] == [m for m, _ in s.terms] and len(s.terms) > 1
-    assert spinor_coordinates(kb, sb, bent) is None
-    assert spinor_coordinates(kb, sb, s * 5) == _spinor_coordinates_oracle(kb, sb, s * 5)
-    assert spinor_coordinates(kb, sb, s + sb.elements[0]) == (_kone(kb), _kone(kb))
+    assert spinor_coordinates(sb, bent) is None
+    assert spinor_coordinates(sb, s * 5) == _spinor_coordinates_oracle(sb, s * 5)
+    assert spinor_coordinates(sb, s + sb.elements[0]) == (_kone(kb), _kone(kb))
 
 
 def test_repeated_spinor_blade_leaves_the_solve_to_decide():
     sig = Signature(1, 1)
     data = representation_to_json_dict(build_representation(sig))
     data["components"][0]["spinor_blades"] = [0, 0]
-    comp = representation_from_json_dict(data).components[0]
-    kb, sb = comp.kbasis, comp.basis
-    assert _real_basis_index(kb, sb) is None
-    assert _matrix_of(sig.scalar(1), kb, sb) == _matrix_of_oracle(sig.scalar(1), kb, sb)
+    sb = representation_from_json_dict(data).components[0].basis
+    assert sb._real_basis_index is None
+    assert _matrix_of(sig.scalar(1), sb) == _matrix_of_oracle(sig.scalar(1), sb)
     with pytest.raises(RepresentationError, match="product left the spinor ideal"):
-        _matrix_of(sig.e(2), kb, sb)
+        _matrix_of(sig.e(2), sb)
 
 
 def test_solver_is_built_only_for_a_fallback():
     sig = Signature(2, 1)
     rep = build_representation(sig)
-    comp = rep.components[0]
-    kb, sb = comp.kbasis, comp.basis
+    sb = rep.components[0].basis
     for mask in range(sig.dim):
         represent_semisimple(sig.blade(mask, -1), rep)
-    assert "_solver" not in sb.__dict__
-    assert spinor_coordinates(kb, sb, sig.e(2)) is None
-    assert "_solver" in sb.__dict__
+    assert "_solver" not in vars(sb)
+    assert spinor_coordinates(sb, sig.e(2)) is None
+    assert "_solver" in vars(sb)
 
 
-def _real_basis_index_oracle(kb, sb):
+def _real_basis_index_oracle(sb):
     """The real-basis index from the exact products s_t u_j, as
     ``_real_basis_index`` built it before it read each s_t u_j off f u_j."""
     index = {}
     for t, s in enumerate(sb.elements):
-        for j, unit in enumerate(kb.units):
-            den, masks, nums = (s * unit)._integer_terms()
+        for j, unit in enumerate(sb.kbasis.units):
+            den, masks, nums = (s * unit)._integer_terms
             if not masks or masks[0] in index:
                 return None
             index[masks[0]] = (t, j, den, dict(zip(masks, nums)))
@@ -808,10 +800,9 @@ def _real_basis_index_oracle(kb, sb):
 def test_real_basis_index_matches_the_exact_products(n):
     for p in range(n + 1):
         for comp in build_representation(Signature(p, n - p)).components:
-            kb, sb = comp.kbasis, comp.basis
-            index = _real_basis_index(kb, sb)
+            index = comp.basis._real_basis_index
             assert index is not None
-            assert index == _real_basis_index_oracle(kb, sb)
+            assert index == _real_basis_index_oracle(comp.basis)
 
 
 def _negate_unit(comp):
@@ -841,9 +832,9 @@ def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, cor
     data = representation_to_json_dict(build_representation(Signature(*pq)))
     corrupt(data["components"][0])
     for comp in representation_from_json_dict(data).components:
-        kb, sb = comp.kbasis, comp.basis
-        index = _real_basis_index(kb, sb)
-        assert index == _real_basis_index_oracle(kb, sb)
+        sb = comp.basis
+        index = sb._real_basis_index
+        assert index == _real_basis_index_oracle(sb)
         # a repeated blade repeats every leading mask of its real basis
         assert (index is None) == (len(set(sb.blades)) < sb.size)
 
@@ -852,10 +843,11 @@ def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, cor
 # the generator matrices against the exact span solves they replaced
 
 
-def _coset_gammas_oracle(sig, kb, sb, product):
+def _coset_gammas_oracle(sig, sb, product):
     """The generator matrices as signed unit permutations, each row and unit
     read off U's echelon and the W-coset of each unit mask, and each column
     confirmed by exact multivector equality."""
+    kb = sb.kbasis
     frame = product.echelon
     ideal = dict(frame)
     unit_of = {}
@@ -907,16 +899,16 @@ def test_coset_kernel_matches_greedy_scan_and_span_solves(n):
                 e * s for e, s in zip(greedy.elements, sb.blade_signs)
             )
             for i, gamma in enumerate(comp.gammas):
-                assert gamma == _matrix_of_oracle(sig.blade(1 << i), kb, sb)
+                assert gamma == _matrix_of_oracle(sig.blade(1 << i), sb)
             # the builder on the component's own bases (for the second
             # component, the run that the negated first gammas replaced)
             product = _half_product_form(sb.idempotent)
-            assert comp.gammas == _generator_gammas(sig, kb, sb)
-            assert comp.gammas == _coset_gammas_oracle(sig, kb, sb, product)
+            assert comp.gammas == _generator_gammas(sig, sb)
+            assert comp.gammas == _coset_gammas_oracle(sig, sb, product)
 
 
-def _generator_gammas(sig, kb, sb):
-    return tuple(_blade_matrices(kb, sb, [1 << i for i in range(sig.n)]))
+def _generator_gammas(sig, sb):
+    return tuple(_blade_matrices(sb, [1 << i for i in range(sig.n)]))
 
 
 def _counted(monkeypatch, module, name, calls):
@@ -983,13 +975,14 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
             _cosets(product, bad)
         # without _cosets, each generator column is still confirmed or
         # solved exactly: the matrices are the span solve's, or both raise
+        bad_sb = SpinorBasis(bad, sb.blades, sb.blade_signs)
         expected = _outcome(
             lambda: tuple(
-                _matrix_of_oracle(sig.blade(1 << i), bad, sb) for i in range(sig.n)
+                _matrix_of_oracle(sig.blade(1 << i), bad_sb) for i in range(sig.n)
             )
         )
         assert (expected is RepresentationError) == left
-        assert _outcome(lambda: _generator_gammas(sig, bad, sb)) == expected
+        assert _outcome(lambda: _generator_gammas(sig, bad_sb)) == expected
 
 
 def _outcome(build):

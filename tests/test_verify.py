@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 
+import cliffstruct.division as division
+import cliffstruct.idempotents as idempotents
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
@@ -28,11 +30,11 @@ from cliffstruct import (
 )
 from cliffstruct.idempotents import sign_vectors
 from cliffstruct.linalg import span_of
-from cliffstruct.representation import _blade_matrices, _real_basis_index
+from cliffstruct.representation import _blade_matrices
 
 from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
 from test_idempotents import _fixed_non_products, _trace_case
-from test_representation import _matrix_of_oracle, _outcome, _set
+from test_representation import _counted, _matrix_of_oracle, _outcome, _set
 
 try:
     import hypothesis
@@ -304,17 +306,16 @@ def _context(rep):
     return ctx
 
 
-def _oracle_blade_matrices(sig, kb, sb):
-    return [_matrix_of_oracle(sig.blade(mask), kb, sb) for mask in range(sig.dim)]
+def _oracle_blade_matrices(sig, sb):
+    return [_matrix_of_oracle(sig.blade(mask), sb) for mask in range(sig.dim)]
 
 
 @pytest.mark.parametrize("pq", [(0, 0), (1, 0), (0, 3), (2, 2), (1, 4), (3, 2)])
 def test_table_blade_matrices_match_the_span_solve(pq):
     sig = Signature(*pq)
     for comp in build_representation(sig).components:
-        kb, sb = comp.kbasis, comp.basis
-        mats = _blade_matrices(kb, sb, range(sig.dim))
-        assert mats == _oracle_blade_matrices(sig, kb, sb)
+        mats = _blade_matrices(comp.basis, range(sig.dim))
+        assert mats == _oracle_blade_matrices(sig, comp.basis)
 
 
 def _assert_entries_shared(mats):
@@ -352,13 +353,12 @@ def _corrupted(pq, corrupt):
 @pytest.mark.parametrize("pq, corrupt", CORRUPTED_DUMPS)
 def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
     sig = Signature(*pq)
-    comp = _corrupted(pq, corrupt).components[0]
-    kb, sb = comp.kbasis, comp.basis
+    sb = _corrupted(pq, corrupt).components[0].basis
     # a repeated blade leaves the lookup no index, so the solve decides
     # every column
-    assert (_real_basis_index(kb, sb) is None) == (len(set(sb.blades)) < sb.size)
-    got = _outcome(lambda: _blade_matrices(kb, sb, range(sig.dim)))
-    assert got == _outcome(lambda: _oracle_blade_matrices(sig, kb, sb))
+    assert (sb._real_basis_index is None) == (len(set(sb.blades)) < sb.size)
+    got = _outcome(lambda: _blade_matrices(sb, range(sig.dim)))
+    assert got == _outcome(lambda: _oracle_blade_matrices(sig, sb))
     if got is not RepresentationError:
         _assert_entries_shared(got)
 
@@ -420,7 +420,9 @@ def test_equal_blade_matrix_entries_are_one_object(n):
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):
     default = verify_range(5).to_json_dict()
-    monkeypatch.setattr(representation, "_real_basis_index", lambda kb, sb: None)
+    # no spinor basis gets an index: every column is solved, and the proof
+    # of repr.irreducible declines, so its exact rows decide
+    monkeypatch.setattr(SpinorBasis, "_real_basis_index", property(lambda sb: None))
     assert verify_range(5).to_json_dict() == default
 
 
@@ -466,7 +468,7 @@ def test_simple_ideal_proof_matches_the_exact_rank_of_every_sample(n):
         sig = Signature(p, n - p)
         rng = random.Random(verify.DEFAULT_SAMPLE_SEED)
         for comp in build_representation(sig).components:
-            assert verify._simple_ideal(comp.kbasis, comp.basis)
+            assert verify._simple_ideal(comp.basis)
             size = comp.basis.size * comp.kbasis.dim
             for _ in range(verify._RANDOM_PSI_COUNT):
                 psi = _psi_oracle(sig, _real_basis(comp), rng)
@@ -475,11 +477,11 @@ def test_simple_ideal_proof_matches_the_exact_rank_of_every_sample(n):
 
 
 def _left_regular(sig):
-    """K and spinor bases of f = 1 with every blade: Cl(p,q) acting on
-    itself by left multiplication."""
+    """The spinor basis of f = 1 with every blade, over K = R: Cl(p,q)
+    acting on itself by left multiplication."""
     one = sig.scalar(1)
     kb = DivisionRingBasis(one, (one,), "R", (((1,),),))
-    return kb, SpinorBasis(one, tuple(range(sig.dim)), (1,) * sig.dim)
+    return SpinorBasis(kb, tuple(range(sig.dim)), (1,) * sig.dim)
 
 
 def _commutant_oracle(perms, size):
@@ -499,18 +501,53 @@ def _commutant_oracle(perms, size):
 
 @pytest.mark.parametrize("pq", [(1, 1), (2, 0)])
 def test_simple_ideal_proof_declines_the_left_regular_module(pq):
-    kb, sb = _left_regular(Signature(*pq))
-    perms = verify._generator_permutations(kb, sb)
+    sb = _left_regular(Signature(*pq))
+    perms = verify._generator_permutations(sb)
     # steps 1-3 hold, and End_Cl(Cl) = Cl^op has dimension 4, not 1
-    assert perms is not None and verify._division_units(kb.units)
+    assert perms is not None and sb.kbasis.unit_defect is None
     assert verify._commutant_dim(perms, 4) == _commutant_oracle(perms, 4) == 4
-    assert not verify._simple_ideal(kb, sb)
+    assert not verify._simple_ideal(sb)
+
+
+def _negate_unit(j):
+    def corrupt(comp):
+        for term in comp["units"][j]["terms"]:
+            num = term["num"]
+            term["num"] = num[1:] if num.startswith("-") else "-" + num
+
+    return corrupt
+
+
+def _swap_units(a, b):
+    def corrupt(comp):
+        units = comp["units"]
+        units[a], units[b] = units[b], units[a]
+
+    return corrupt
+
+
+# Units that still span H but break its table: k negated, or i and j swapped.
+UNITS_OFF_THE_TABLE = [
+    (pq, corrupt)
+    for pq in ((0, 2), (0, 3), (0, 4), (1, 3), (2, 5))
+    for corrupt in (_negate_unit(3), _swap_units(1, 2))
+]
+
+
+@pytest.mark.parametrize("pq, corrupt", UNITS_OFF_THE_TABLE)
+def test_simple_ideal_proof_declines_units_off_the_table(monkeypatch, pq, corrupt):
+    rep = _corrupted(pq, corrupt)
+    sb = rep.components[0].basis
+    assert sb.kbasis.ktype == "H" and sb.kbasis.unit_defect is not None
+    assert not verify._simple_ideal(sb)
+    report = verify_representation(rep)
+    monkeypatch.setattr(verify, "_simple_ideal", lambda sb: False)
+    assert verify_representation(_corrupted(pq, corrupt)) == report
 
 
 def test_simple_ideal_proof_declines_an_empty_spinor_basis():
     comp = build_representation(Signature(1, 1)).components[0]
-    sb = SpinorBasis(comp.basis.idempotent, (), ())
-    assert not verify._simple_ideal(comp.kbasis, sb)
+    assert not verify._simple_ideal(SpinorBasis(comp.kbasis, (), ()))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -519,7 +556,7 @@ def test_commutant_of_a_doubled_module_is_four_times_k(n):
         for comp in build_representation(Signature(p, n - p)).components:
             kb, sb = comp.kbasis, comp.basis
             size = sb.size * kb.dim
-            perms = verify._generator_permutations(kb, sb)
+            perms = verify._generator_permutations(sb)
             assert verify._commutant_dim(perms, size) == kb.dim
             # S + S, the same signed permutations on two blocks
             doubled = [(pi + [size + b for b in pi], sigma * 2) for pi, sigma in perms]
@@ -529,9 +566,24 @@ def test_commutant_of_a_doubled_module_is_four_times_k(n):
                 assert _commutant_oracle(doubled, 2 * size) == 4 * kb.dim
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_verify_signature_finds_one_frame_and_one_division_ring(monkeypatch, n):
+    """The representation is built on the frame of the idempotent set, and
+    K is built once, by build_representation."""
+    calls = []
+    for name in ("find_frame", "division_ring_basis"):
+        for module in (idempotents, division, representation, verify):
+            if hasattr(module, name):
+                _counted(monkeypatch, module, name, calls)
+    for p in range(n + 1):
+        calls.clear()
+        assert verify_signature(Signature(p, n - p)).passed
+        assert sorted(calls) == ["division_ring_basis", "find_frame"], (p, n - p)
+
+
 def test_irreducible_falls_back_to_exact_rows(monkeypatch):
     default = verify_range(5).to_json_dict()
-    monkeypatch.setattr(verify, "_simple_ideal", lambda kb, sb: False)
+    monkeypatch.setattr(verify, "_simple_ideal", lambda sb: False)
     assert verify_range(5).to_json_dict() == default
 
 
@@ -556,4 +608,4 @@ def test_irreducible_draws_the_rng_as_the_sampler_did(n):
 def test_simple_ideal_proof_holds_on_every_built_component(n):
     for p in range(n + 1):
         for comp in build_representation(Signature(p, n - p)).components:
-            assert verify._simple_ideal(comp.kbasis, comp.basis)
+            assert verify._simple_ideal(comp.basis)
