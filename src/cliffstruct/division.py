@@ -46,6 +46,15 @@ _UNIT_PRODUCTS = (
     ((3, 1), (2, 1), (1, -1), (0, -1)),
 )
 
+# The tables of R, C and H by d: [a][b] the coordinates of units[a] * units[b].
+_UNIT_TABLES = {
+    d: tuple(
+        tuple(tuple(s if t == c else 0 for t in range(d)) for c, s in row[:d])
+        for row in _UNIT_PRODUCTS[:d]
+    )
+    for d in KTYPE_BY_DIM
+}
+
 # A K-element is a coordinate tuple against DivisionRingBasis.units.  The
 # tables, identities and generator matrices built here hold integral
 # coordinates as ints and the others as Fractions; span solves and dumps give
@@ -246,11 +255,7 @@ def division_ring_basis(f: Multivector | ProductIdempotent) -> DivisionRingBasis
         # commutative, so the form is not zero and C_2 anticommutes with C_1.
         units.append(_imaginary_unit(f, cosets[2]))
         units.append(units[1] * units[2])
-    table = tuple(
-        tuple(tuple(s if t == c else 0 for t in range(d)) for c, s in row[:d])
-        for row in _UNIT_PRODUCTS[:d]
-    )
-    kb = DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], table)
+    kb = DivisionRingBasis(f, tuple(units), KTYPE_BY_DIM[d], _UNIT_TABLES[d])
     if kb.unit_defect is not None:
         a, b = kb.unit_defect
         c, s = _UNIT_PRODUCTS[a][b]

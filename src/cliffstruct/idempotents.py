@@ -21,6 +21,7 @@ from .core import (
     FrozenRecord,
     Multivector,
     Signature,
+    blade_mul,
     blade_square_sign,
     blades_commute,
 )
@@ -74,10 +75,19 @@ def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _expand_product(sig: Signature, masks, signs) -> ProductIdempotent:
-    """The product of the factors (1 + s_i e_{m_i}) / 2, expanded in order."""
-    f = sig.scalar(1)
+    """The product of the factors (1 + s_i e_{m_i}) / 2, expanded in order:
+    the sum over subsets S of (prod_{i in S} s_i) e_{m_i1} ... e_{m_ij} / 2^k,
+    each term its predecessor's times s_i e_{m_i} by one ``blade_mul`` sign,
+    added per mask as integers over 2^k, with no multivector product."""
+    terms = [(0, 1)]
     for mask, s in zip(masks, signs):
-        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * _HALF)
+        terms += [(m ^ mask, c * s * blade_mul(m, mask, sig)[0]) for m, c in terms]
+    acc: dict[int, int] = {}
+    for m, c in terms:
+        acc[m] = acc.get(m, 0) + c
+    f = Multivector(
+        sig, tuple((m, Fraction(c, len(terms))) for m, c in sorted(acc.items()) if c)
+    )
     return ProductIdempotent(tuple(masks), tuple(signs), f)
 
 
@@ -99,31 +109,19 @@ def primitive_idempotent(frame: MonomialFrame, signs) -> Multivector:
 def _half_product_form(f: Multivector) -> ProductIdempotent | None:
     """Recognize f as an expanded product of commuting factors (1 + s*e_m)/2.
 
-    Such an f has 2^j terms with coefficients +-1/2^j whose masks form a
-    GF(2)-closed set.  Returns the product or None; the recovered generators
-    are checked to commute, square to +1, and reproduce f exactly, so a
-    non-None result is trustworthy.
+    Such an f has 2^j terms, and the first j GF(2)-independent masks among
+    them, signed as their coefficients, are factors that reproduce it.
+    Returns the product or None; the recovered generators are checked to
+    commute, square to +1, and reproduce f exactly, so a non-None result is
+    trustworthy.
     """
     terms = f.terms
     count = len(terms)
     if count == 0 or count & (count - 1):
         return None
     j = count.bit_length() - 1
-    if terms[0][0] != 0:
-        return None
-    unit_coeff = Fraction(1, 1 << j)
-    masks = []
-    for mask, coeff in terms:
-        if coeff != unit_coeff and coeff != -unit_coeff:
-            return None
-        masks.append(mask)
-    mask_set = set(masks)
-    for x in masks:
-        for y in masks:
-            if x ^ y not in mask_set:
-                return None
     echelon: dict[int, int] = {}
-    basis = [m for m in masks if gf2_insert(m, echelon)]
+    basis = [m for m, _ in terms if gf2_insert(m, echelon)]
     if len(basis) != j:
         return None
     sig = f.signature

@@ -143,6 +143,33 @@ class SpinorBasis(FrozenRecord):
                 index[lead] = (t, j, den, nums)
         return index
 
+    @cached_property
+    def generator_permutations(self) -> list | None:
+        """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a
+        == sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j
+        (read off x_a's numerators, confirmed by the lookup), or None when the
+        index is empty or missing or some e_i x_a is not +-x_b."""
+        index = self._real_basis_index
+        if not index:
+            return None
+        sig = self.idempotent.signature
+        d, size, signs = self.kbasis.dim, len(index), _sign_masks(sig)
+        perms = []
+        for i in range(sig.n):
+            pi, sigma = [0] * size, [0] * size
+            for t, j, den, nums in index.values():
+                image = _blade_times(1 << i, False, nums.items(), signs)
+                hit = _lookup(self, den, image)
+                if hit is None:
+                    return None
+                r, entry = hit
+                ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
+                if lam not in (1, -1):
+                    return None
+                pi[t * d + j], sigma[t * d + j] = r * d + c, int(lam)
+            perms.append((pi, sigma))
+        return perms
+
 
 class KMatrix(FrozenRecord):
     """Matrix with entries in K, stored by columns: ``basis``, the

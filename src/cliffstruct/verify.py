@@ -10,11 +10,20 @@ it, each under its own id with an ``{"error": "Type: message"}`` witness.
 
 A check may confirm a pass with a cheaper certificate or proof; when it
 cannot decide, the check falls back to exact arithmetic, which alone gives
-verdicts of failure and their witnesses.  The blade matrices and spinor
-coordinates the representation checks read come from the function that
+verdicts of failure and their witnesses.  The exact blade matrices and
+spinor coordinates of the representation checks come from the function that
 gives ``repr`` its generator matrices (``_blade_matrices``), each blade
 solved once; ``repr.homomorphism`` compares each with a generator matrix
 times an earlier blade's, so no second set of 2^n products is built.
+
+Four representation checks first read each component's real form
+(``_real_form``): the signed permutation P_A of every blade on the real
+basis x_{t d + j} = s_t u_j, composed from the spinor basis's generator
+permutations, when the unit table is that of R, C or H and each gamma is
+the matrix of its permutation.  Each gamma is then left multiplication on a
+left ideal, so ``repr.homomorphism`` holds, ``repr.generator_relations``
+and ``repr.right_module`` compare permutations, and signed permutations
+being orthogonal, traces prove ``repr.faithful_rank``.
 
 ``repr.irreducible`` rests on Schur's lemma (P. Lounesto, *Clifford
 Algebras and Spinors*, 2nd ed., Ch. 17).  In the real basis s_t u_j each
@@ -47,9 +56,9 @@ from .core import (
     Record,
     Signature,
     SignatureMismatchError,
-    _blade_times,
     _sign_masks,
 )
+from .division import _UNIT_PRODUCTS, _UNIT_TABLES
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -60,13 +69,13 @@ from .idempotents import (
 )
 from .linalg import ExactSpan, rank_mod_p, span_of
 from .representation import (
+    Component,
     KMatrix,
     Representation,
     SpinorBasis,
     build_representation,
     _blade_matrices,
     _column,
-    _lookup,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -216,6 +225,10 @@ class _Context(Record):
         ]
 
     @cached_property
+    def real_forms(self) -> list:
+        return [_real_form(comp) for comp in self.rep.components]
+
+    @cached_property
     def rng(self) -> random.Random:
         # drawn from by repr.irreducible and then repr.right_module
         return random.Random(self.seed)
@@ -289,9 +302,57 @@ def _representation_agrees(ctx: _Context) -> dict | None:
     return {"expected": cls.to_json_dict(), "components": len(rep.components)}
 
 
+def _compose(outer, inner) -> tuple[list, list]:
+    """The signed permutation outer . inner (inner applied first)."""
+    (po, so), (pi, si) = outer, inner
+    return [po[b] for b in pi], [s * so[b] for b, s in zip(pi, si)]
+
+
+def _real_form(comp: Component) -> list | None:
+    """P_A = P_low P_rest (low A's lowest bit) for every blade e_A in mask
+    order, from the generator permutations P_i on x_{t d + j} = s_t u_j;
+    None unless the P_i exist, the units follow the table of R, C or H with
+    u_0 == f (so s_t == x_{t d}), the dumped table, read by K-matrix
+    products, is that table, and the gammas are the P_i read as K-matrices
+    (``_blade_matrices``).  K-matrices then map injectively and
+    multiplicatively to real matrices: gamma_i to P_i, e_A's to P_A."""
+    sb, kb = comp.basis, comp.kbasis
+    perms, size = sb.generator_permutations, sb.size * kb.dim
+    if (
+        perms is None
+        or kb.unit_defect is not None
+        or kb.units[0] != kb.idempotent
+        or kb.table != _UNIT_TABLES[kb.dim]
+        or comp.gammas != tuple(_blade_matrices(sb, [1 << i for i in range(len(perms))]))
+    ):
+        return None
+    forms = [(list(range(size)), [1] * size)]
+    for mask in range(1, 1 << len(perms)):
+        low = mask & -mask
+        forms.append(_compose(perms[low.bit_length() - 1], forms[mask ^ low]))
+    return forms
+
+
+def _anticommute(form, sig: Signature) -> bool:
+    """P_i P_j + P_j P_i == 2 eta_i delta_ij I for P_i = form[1 << i]."""
+    identity = form[0][0]
+    for i in range(sig.n):
+        square = (identity, [sig.generator_square(i + 1)] * len(identity))
+        if _compose(form[1 << i], form[1 << i]) != square:
+            return False
+        for j in range(i + 1, sig.n):
+            p, s = _compose(form[1 << j], form[1 << i])
+            if _compose(form[1 << i], form[1 << j]) != (p, [-x for x in s]):
+                return False
+    return True
+
+
 def _generator_relations(ctx: _Context) -> dict | None:
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
+        form = ctx.real_forms[ci]
+        if form is not None and _anticommute(form, sig):
+            continue
         g = comp.gammas
         for i in range(sig.n):
             for j in range(i, sig.n):
@@ -307,8 +368,12 @@ def _homomorphism(ctx: _Context) -> dict | None:
     i the lowest bit of mask (e_mask = e_i e_rest with no sign).  In
     ascending order every rest < mask already equals its ordered product of
     generator matrices, so the witness is the first mask whose solved matrix
-    differs from it; a generator of the wrong shape fails at its own mask."""
-    for ci, (comp, solved) in enumerate(zip(ctx.rep.components, ctx.solved)):
+    differs from it; a generator of the wrong shape fails at its own mask.
+    A component with a real form passes: left multiplication is a homomorphism."""
+    for ci, comp in enumerate(ctx.rep.components):
+        if ctx.real_forms[ci] is not None:
+            continue
+        solved = ctx.solved[ci]
         for mask, mat in enumerate(solved):
             if mask == 0:
                 expected = KMatrix.identity(comp.kbasis, comp.basis.size)
@@ -321,10 +386,31 @@ def _homomorphism(ctx: _Context) -> dict | None:
     return None
 
 
+def _traces_prove_ranks(forms, simple: bool) -> bool:
+    """Whether traces prove the ranks ``repr.faithful_rank`` expects:
+    <P_A, P_B> = tr P_A^T P_B = +-tr P_{A xor B}, with one sign for all
+    components.  Traces of P_C summing to 0 over the components for every
+    C != 0 make the joint Gram matrix diagonal, of rank 2^n.  In each of a
+    semisimple algebra's two, tr P_C == 0 for C outside {0, w} and tr P_w
+    == +-D (so P_w == +-I) give rank 2^(n-1)."""
+    if None in forms or len(forms) != (1 if simple else 2):
+        return False
+    traces = [
+        [sum(s for a, (b, s) in enumerate(zip(*p)) if a == b) for p in form]
+        for form in forms
+    ]
+    top = len(traces[0]) - 1
+    return not any(map(sum, list(zip(*traces))[1:])) and (
+        simple or all(not any(tr[1:top]) and abs(tr[top]) == tr[0] for tr in traces)
+    )
+
+
 def _faithful_rank(ctx: _Context) -> dict | None:
     """Each component's blade matrices span half of Cl(p,q) (all of it when
     simple), and each blade's matrices in all components together span all
-    of it."""
+    of it.  Traces of the real forms may prove it (``_traces_prove_ranks``)."""
+    if _traces_prove_ranks(ctx.real_forms, ctx.rep.simple):
+        return None
     sig = ctx.sig
     ranks = [span_of(_flatten(mat) for mat in mats).rank for mats in ctx.solved]
     joint = span_of(_flatten(*mats) for mats in zip(*ctx.solved)).rank
@@ -399,40 +485,6 @@ def _commutant_dim(perms, size: int) -> int:
     return dim
 
 
-def _generator_permutations(sb: SpinorBasis) -> list | None:
-    """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a ==
-    sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j, or
-    None when the real basis is empty or has no index, or when some e_i x_a
-    is not confirmed as +-x_b.
-
-    The indexed x_a are nonzero with distinct leading masks, so
-    independent.  e_i x_a is read off the numerators of x_a by
-    ``_blade_times`` and confirmed by the lookup.  e_i is invertible, so
-    each pi is a permutation.
-    """
-    index = sb._real_basis_index
-    if not index:
-        return None
-    d, size = sb.kbasis.dim, len(index)
-    sig = sb.idempotent.signature
-    signs = _sign_masks(sig)
-    perms = []
-    for i in range(sig.n):
-        pi, sigma = [0] * size, [0] * size
-        for t, j, den, nums in index.values():
-            image = _blade_times(1 << i, False, nums.items(), signs)
-            hit = _lookup(sb, den, image)
-            if hit is None:
-                return None
-            r, entry = hit
-            ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
-            if lam not in (1, -1):
-                return None
-            pi[t * d + j], sigma[t * d + j] = r * d + c, int(lam)
-        perms.append((pi, sigma))
-    return perms
-
-
 def _simple_ideal(sb: SpinorBasis) -> bool:
     """Whether M = span{s_t u_j} is proved a simple left ideal of Cl(p,q).
 
@@ -442,8 +494,8 @@ def _simple_ideal(sb: SpinorBasis) -> bool:
     1. The real-basis index exists and is not empty: the D = N d elements
        s_t u_j are nonzero with distinct leading masks, so independent.
     2. Each generator sends each s_t u_j to +-s_r u_c exactly
-       (``_generator_permutations``).  So M is a left ideal on which e_i
-       acts as a signed permutation.
+       (``SpinorBasis.generator_permutations``).  So M is a left ideal on
+       which e_i acts as a signed permutation.
     3. Each product u_a u_b, solved over the units, is the entry of the
        fixed table of R, C or H (``DivisionRingBasis.unit_defect``; a built
        K keeps the result of ``division_ring_basis``).  So the units are
@@ -458,7 +510,7 @@ def _simple_ideal(sb: SpinorBasis) -> bool:
     nonzero psi in M has Cl psi = M, of dimension D.
     """
     kb = sb.kbasis
-    perms = _generator_permutations(sb)
+    perms = sb.generator_permutations
     return (
         perms is not None
         and kb.unit_defect is None
@@ -511,28 +563,26 @@ def _irreducible(ctx: _Context) -> dict | None:
     return None
 
 
+def _right_action(form, d: int, size: int, masks) -> bool:
+    """e_A (s_t u_j) == (e_A s_t) u_j on the real form for the first three s_t."""
+    for pi, sigma in map(form.__getitem__, masks):
+        for t in range(min(size, 3)):
+            r, c = divmod(pi[t * d], d)
+            for j, (cj, s) in enumerate(_UNIT_PRODUCTS[c][:d]):
+                if (pi[t * d + j], sigma[t * d + j]) != (r * d + cj, s * sigma[t * d]):
+                    return False
+    return True
+
+
 def _right_module(ctx: _Context) -> dict | None:
     sig = ctx.sig
-    signs = _sign_masks(sig)
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
         masks = [ctx.rng.randrange(sig.dim) for _ in range(5)]
+        form = ctx.real_forms[ci]
+        if form is not None and _right_action(form, kb.dim, sb.size, masks):
+            continue
         solved = ctx.solved[ci]
-        # the numerators of each s_t u_j, by (t, j), when the lookup has an index
-        index = sb._real_basis_index or {}
-        numerators = {(t, j): (den, nums) for t, j, den, nums in index.values()}
-
-        def direct(mask: int, t: int, j: int):
-            """The column of e_mask s_t u_j: its numerators read off those of
-            s_t u_j and confirmed by the lookup, else the exact product's."""
-            if (t, j) in numerators:
-                den, nums = numerators[t, j]
-                image = _blade_times(mask, False, nums.items(), signs)
-                hit = _lookup(sb, den, image)
-                if hit is not None:
-                    return [hit]
-            return _column(sb, sig.blade(mask) * (sb.elements[t] * kb.units[j]))
-
         # per spinor s, what no mask changes: its coordinate column and that
         # column times each unit tuple mu
         mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
@@ -547,7 +597,7 @@ def _right_module(ctx: _Context) -> dict | None:
                 for j, mu in enumerate(mus):
                     left = gamma_col.scale_right(mu)
                     right = gamma_u @ scaled[j]
-                    column = direct(mask, t, j)
+                    column = _column(sb, sig.blade(mask) * sb.elements[t] * kb.units[j])
                     if (
                         left != right
                         or column is None

@@ -37,9 +37,11 @@ from test_division import (
 from test_verify_faults import _skew
 
 HALF = Fraction(1, 2)
-# The trace-rule sweep over full and one-short frames runs to n <= 9 with
-# CLIFFSTRUCT_SLOW=1.
-TRACE_SWEEP_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 6
+SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
+# The trace-rule sweep over full and one-short frames runs to n <= 9, and the
+# expansion oracle to n <= 12, with CLIFFSTRUCT_SLOW=1.
+TRACE_SWEEP_MAX_N = 9 if SLOW else 6
+EXPANSION_MAX_N = 12 if SLOW else 8
 
 
 def all_signatures(max_n):
@@ -184,6 +186,41 @@ def test_primitive_idempotent_sign_validation():
         primitive_idempotent(frame, (1, 1))
     with pytest.raises(ValueError):
         primitive_idempotent(frame, (2,))
+
+
+def _expand_product_oracle(sig, masks, signs):
+    """The product of the factors (1 + s_i e_{m_i}) / 2 by multivector
+    products in order, as ``_expand_product`` formed it before its closed
+    form."""
+    f = sig.scalar(1)
+    for mask, s in zip(masks, signs):
+        f = f * ((sig.scalar(1) + sig.blade(mask, s)) * HALF)
+    return f
+
+
+@pytest.mark.parametrize("n", range(EXPANSION_MAX_N + 1))
+def test_expansion_matches_the_product_loop_on_every_frame(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        frame = find_frame(sig)
+        for sv in sign_vectors(frame.k):
+            product = idempotents._expand_product(sig, frame.monomials, sv)
+            assert product.f == _expand_product_oracle(sig, frame.monomials, sv)
+            assert product.masks == frame.monomials and product.signs == sv
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_expansion_matches_the_product_loop_off_frames(seed):
+    # repeated, anticommuting and negative-square masks: terms that cancel
+    # or add up on one mask
+    rng = random.Random(seed)
+    n = rng.randint(0, 5)
+    p = rng.randint(0, n)
+    sig = Signature(p, n - p)
+    masks = [rng.randrange(sig.dim) for _ in range(rng.randint(0, 4))]
+    signs = [rng.choice((1, -1)) for _ in masks]
+    got = idempotents._expand_product(sig, masks, signs).f
+    assert got == _expand_product_oracle(sig, masks, signs)
 
 
 def test_complete_set_examples():
@@ -440,3 +477,66 @@ def test_trace_rule_on_full_and_one_short_frames(n):
                 _assert_trace_rule(f)
                 assert is_primitive(f) == (frame is full)
         _assert_trace_rule(sig.scalar(1))
+
+
+def _half_product_form_oracle(f):
+    """The product form of f as ``_half_product_form`` recognized it before
+    the expansion decided the coefficients and the mask closure."""
+    terms = f.terms
+    count = len(terms)
+    if count == 0 or count & (count - 1) or terms[0][0] != 0:
+        return None
+    j = count.bit_length() - 1
+    if any(abs(c) != Fraction(1, 1 << j) for _, c in terms):
+        return None
+    masks = {m for m, _ in terms}
+    if any(x ^ y not in masks for x in masks for y in masks):
+        return None
+    echelon = {}
+    basis = [m for m, _ in terms if gf2_insert(m, echelon)]
+    sig = f.signature
+    if len(basis) != j or any(blade_square_sign(a, sig) != 1 for a in basis):
+        return None
+    if not all(blades_commute(a, b) for a in basis for b in basis):
+        return None
+    coeffs = dict(terms)
+    signs = tuple(1 if coeffs[m] > 0 else -1 for m in basis)
+    if _expand_product_oracle(sig, basis, signs) != f:
+        return None
+    return idempotents.ProductIdempotent(tuple(basis), signs, f)
+
+
+def _recognition_cases(draw):
+    """An element from integer draws: a frame product with random signs, a
+    product over random (maybe anticommuting or negative-square) masks, a
+    rational multiple of one, or a random sum of +-1/2^j blades."""
+    n = draw(0, 5)
+    p = draw(0, n)
+    sig = Signature(p, n - p)
+    kind = draw(0, 3)
+    if kind == 0:
+        frame = find_frame(sig)
+        return primitive_idempotent(frame, [draw(0, 1) * 2 - 1 for _ in range(frame.k)])
+    masks = [draw(0, sig.dim - 1) for _ in range(draw(0, 3))]
+    signs = [draw(0, 1) * 2 - 1 for _ in masks]
+    f = idempotents._expand_product(sig, masks, signs).f
+    if kind == 2:
+        return f * Fraction(draw(1, 3), draw(1, 3))
+    if kind == 3:
+        j = draw(0, 2)
+        terms = {draw(0, sig.dim - 1): draw(0, 1) * 2 - 1 for _ in range(1 << j)}
+        return sum(
+            (sig.blade(m, Fraction(s, 1 << j)) for m, s in terms.items()), sig.scalar(0)
+        )
+    return f
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_product_form_recognition_matches_the_closure_checks(seed):
+    f = _recognition_cases(random.Random(seed).randint)
+    assert idempotents._half_product_form(f) == _half_product_form_oracle(f)
+
+
+@pytest.mark.parametrize("f", _fixed_non_products(), ids=str)
+def test_product_form_recognition_matches_on_non_products(f):
+    assert idempotents._half_product_form(f) == _half_product_form_oracle(f)

@@ -12,14 +12,17 @@ import cliffstruct.idempotents as idempotents
 import cliffstruct.representation as representation
 import cliffstruct.verify as verify
 from cliffstruct import (
+    Component,
     DivisionRingBasis,
     KMatrix,
+    Representation,
     RepresentationError,
     Signature,
     SignatureMismatchError,
     SpinorBasis,
     brute_force_minimal_ideal_dim,
     build_representation,
+    classify,
     find_frame,
     primitive_idempotent,
     representation_from_json_dict,
@@ -502,7 +505,7 @@ def _commutant_oracle(perms, size):
 @pytest.mark.parametrize("pq", [(1, 1), (2, 0)])
 def test_simple_ideal_proof_declines_the_left_regular_module(pq):
     sb = _left_regular(Signature(*pq))
-    perms = verify._generator_permutations(sb)
+    perms = sb.generator_permutations
     # steps 1-3 hold, and End_Cl(Cl) = Cl^op has dimension 4, not 1
     assert perms is not None and sb.kbasis.unit_defect is None
     assert verify._commutant_dim(perms, 4) == _commutant_oracle(perms, 4) == 4
@@ -556,7 +559,7 @@ def test_commutant_of_a_doubled_module_is_four_times_k(n):
         for comp in build_representation(Signature(p, n - p)).components:
             kb, sb = comp.kbasis, comp.basis
             size = sb.size * kb.dim
-            perms = verify._generator_permutations(sb)
+            perms = sb.generator_permutations
             assert verify._commutant_dim(perms, size) == kb.dim
             # S + S, the same signed permutations on two blocks
             doubled = [(pi + [size + b for b in pi], sigma * 2) for pi, sigma in perms]
@@ -609,3 +612,85 @@ def test_simple_ideal_proof_holds_on_every_built_component(n):
     for p in range(n + 1):
         for comp in build_representation(Signature(p, n - p)).components:
             assert verify._simple_ideal(comp.basis)
+
+
+# The real form is built to n <= 12 with CLIFFSTRUCT_SLOW=1.
+@pytest.mark.parametrize("n", range(13 if SLOW else 9))
+def test_real_form_holds_on_every_built_component(n):
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        forms = _context(rep).real_forms
+        assert len(forms) == len(rep.components) and None not in forms
+        assert verify._traces_prove_ranks(forms, rep.simple)
+
+
+def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
+    solved = verify._Context.solved
+    built = []
+
+    def record(ctx):
+        built.append(ctx.sig)
+        return solved.func(ctx)
+
+    monkeypatch.setattr(verify._Context, "solved", property(record))
+    assert verify_range(6).passed
+    assert built == []
+
+
+def test_real_forms_fall_back_to_the_exact_path(monkeypatch):
+    default = verify_range(5).to_json_dict()
+    monkeypatch.setattr(
+        verify._Context,
+        "real_forms",
+        property(lambda ctx: [None] * len(ctx.rep.components)),
+    )
+    assert verify_range(5).to_json_dict() == default
+
+
+def test_real_form_declines_a_unit_other_than_f(monkeypatch):
+    """f = 1 with the unit u_0 = (1 + e1) / 2 of Cl(1,0): the units follow
+    R's table and e1 fixes x_0 = u_0, but s_0 = f is not x_0, and e1 s_0 =
+    e1 leaves the span of x_0."""
+    sig = Signature(1, 0)
+    one = sig.scalar(1)
+    kb = DivisionRingBasis(one, ((one + sig.e(1)) * HALF,), "R", (((1,),),))
+    sb = SpinorBasis(kb, (0,), (1,))
+    assert sb.generator_permutations == [([0], [1])] and kb.unit_defect is None
+    comp = Component(sb, (KMatrix(kb, 1, (((0, (1,)),),)),))
+    assert verify._real_form(comp) is None
+    rep = Representation(sig, classify(sig), find_frame(sig), (comp,))
+    report = verify_representation(rep)
+    assert {c.check_id: c.passed for c in report}["repr.homomorphism"] is False
+    monkeypatch.setattr(verify._Context, "real_forms", property(lambda ctx: [None]))
+    assert verify_representation(rep) == report
+
+
+def _permutation_rows(form):
+    """Each signed permutation (pi, sigma) as its real matrix's entries."""
+    return [
+        {(pi[a], a): s for a, s in enumerate(sigma)} for pi, sigma in form
+    ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_trace_certificate_matches_the_exact_ranks(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        rep = build_representation(sig)
+        ctx = _context(rep)
+        forms = ctx.real_forms
+        assert verify._traces_prove_ranks(forms, rep.simple)
+        ranks = [span_of(verify._flatten(m) for m in mats).rank for mats in ctx.solved]
+        joint = span_of(verify._flatten(*mats) for mats in zip(*ctx.solved)).rank
+        assert ranks == ([sig.dim] if rep.simple else [sig.dim // 2] * 2)
+        assert joint == sig.dim
+        # the permutations have the ranks of the K-matrices they stand for
+        assert [span_of(_permutation_rows(form)).rank for form in forms] == ranks
+        # each P_A is e_A's matrix on the real basis, read by the K-matrix
+        for form, mats in zip(forms, ctx.solved):
+            d = mats[0].basis.dim
+            for (pi, sigma), mat in zip(form, mats):
+                for t, ((r, entry),) in enumerate(mat.columns):
+                    c = pi[t * d] % d
+                    assert pi[t * d] // d == r
+                    assert entry == tuple(sigma[t * d] if x == c else 0 for x in range(d))

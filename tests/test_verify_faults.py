@@ -117,6 +117,18 @@ def _neg_unit_table_entry(d):
     table[1][2] = _negated(table[1][2])
 
 
+def _negate_gamma_entry(d):
+    """-gamma(e1)[0][0]: still one entry +-u_c per column."""
+    g = d["components"][0]["gammas"][0]
+    g[0][0] = _negated(g[0][0])
+
+
+def _swap_unit_table_rows(d):
+    """The rows of i and j swapped: still one entry +-u_c per product."""
+    table = d["components"][0]["unit_table"]
+    table[1], table[2] = table[2], table[1]
+
+
 def _flip_spinor_blade_sign(d):
     d["components"][0]["spinor_blade_signs"][1] *= -1
 
@@ -146,24 +158,51 @@ def _repeat_spinor_blade(d):
     d["components"][0]["spinor_blades"] = [0, 0]
 
 
+def _solve_gammas(d, ci):
+    """Component ci's gammas solved in its dumped basis."""
+    c = representation_from_json_dict(d).components[ci]
+    d["components"][ci]["gammas"] = [
+        [[[str(x) for x in entry] for entry in row] for row in g.entries]
+        for g in _blade_matrices(c.basis, [1 << i for i in range(len(c.gammas))])
+    ]
+
+
+def _regular(sig, blades):
+    """f = 1 over K = R with the given spinor blades."""
+    one = multivector_to_json_dict(sig.scalar(1))
+    return dict(
+        idempotent=one,
+        units=[one],
+        unit_table=[[["1"]]],
+        spinor_blades=list(blades),
+        spinor_blade_signs=[1] * len(blades),
+    )
+
+
 def _left_regular_module(d):
     """f = 1 with all four blades of Cl(1,1): the basis spans the whole
     algebra, a sum of two copies of S, and its gammas are solved in that
     basis, so every check but irreducibility (and the class) agrees."""
-    comp = d["components"][0]
-    one = multivector_to_json_dict(Signature(1, 1).scalar(1))
-    comp.update(
-        idempotent=one,
-        units=[one],
-        unit_table=[[["1"]]],
-        spinor_blades=[0, 1, 2, 3],
-        spinor_blade_signs=[1] * 4,
-    )
-    c = representation_from_json_dict(d).components[0]
-    comp["gammas"] = [
-        [[[str(x) for x in entry] for entry in row] for row in g.entries]
-        for g in _blade_matrices(c.basis, [1, 2])
-    ]
+    d["components"][0].update(_regular(Signature(1, 1), range(4)))
+    _solve_gammas(d, 0)
+
+
+def _left_regular_components(d):
+    """Both components of Cl(1,0) acting on the whole algebra: P_e1 swaps
+    the two real basis vectors, so every trace is 0 and only P_w == +-I
+    keeps the trace certificate from claiming rank 1."""
+    for ci, comp in enumerate(d["components"]):
+        comp.update(_regular(Signature(1, 0), range(2)))
+        _solve_gammas(d, ci)
+
+
+def _swap_units_with_gammas(d):
+    """Units i and j swapped and the gammas solved again: every gamma is
+    still the matrix its permutation gives, but the units break the table
+    that K-matrix products read."""
+    units = d["components"][0]["units"]
+    units[1], units[2] = units[2], units[1]
+    _solve_gammas(d, 0)
 
 
 def _drop_last_gamma_row(d):
@@ -184,6 +223,50 @@ DUMP_CASES = {
         {
             "repr.generator_relations": {"component": 0, "i": 1, "j": 2},
             "repr.homomorphism": {"component": 0, "mask": 3},
+        },
+    ),
+    # A monomial gamma that is not the generator's permutation, and a unit
+    # table other than H's: the real form declines, and the K-matrices give
+    # the witnesses.
+    "repr.homomorphism-monomial-gamma": (
+        (0, 3),
+        _negate_gamma_entry,
+        {"repr.homomorphism": {"component": 0, "mask": 1}},
+    ),
+    "repr.generator_relations-swapped-unit-rows": (
+        (0, 2),
+        _swap_unit_table_rows,
+        {
+            "repr.generator_relations": {"component": 0, "i": 1, "j": 1},
+            "repr.homomorphism": {"component": 0, "mask": 3},
+            "repr.right_module": {"component": 0, "mask": 2, "unit": 0},
+        },
+    ),
+    "repr.homomorphism-units-off-the-table": (
+        (0, 2),
+        _swap_units_with_gammas,
+        {
+            "repr.homomorphism": {"component": 0, "mask": 3},
+            "repr.right_module": {"component": 0, "mask": 3, "unit": 1},
+        },
+    ),
+    "repr.faithful_rank-left-regular-components": (
+        (1, 0),
+        _left_regular_components,
+        {
+            "class.representation_agrees": {
+                "expected": {
+                    "p": 1, "q": 0, "simple": False, "K": "R", "k": 1, "N": 1,
+                    "components": 2,
+                },
+                "components": 2,
+            },
+            "repr.faithful_rank": {
+                "component_ranks": [2, 2], "joint_rank": 2, "dim": 2,
+            },
+            "repr.irreducible": {
+                "component": 0, "psi": "-1 + 1*e1", "rank": 1, "expected": 2,
+            },
         },
     ),
     # The basis element s_1 changes sign, so every blade matrix solved in
@@ -314,6 +397,37 @@ def test_corrupted_dump_fails_its_check(case):
     assert _verify_dump(data) == {}
     corrupt(data)
     assert _verify_dump(data) == expected
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "repr.homomorphism-monomial-gamma",
+        "repr.generator_relations-swapped-unit-rows",
+        "repr.homomorphism-units-off-the-table",
+        "repr.generator_relations",
+        "repr.right_module",
+        "repr.homomorphism",
+        "repr.homomorphism-gamma-shape",
+    ],
+)
+def test_corrupted_dump_declines_the_real_form(case):
+    assert _corrupted_context(case).real_forms[0] is None
+
+
+def test_trace_certificate_declines_the_left_regular_components():
+    ctx = _corrupted_context("repr.faithful_rank-left-regular-components")
+    assert None not in ctx.real_forms
+    assert not verify._traces_prove_ranks(ctx.real_forms, simple=False)
+
+
+def _corrupted_context(case):
+    pq, corrupt, _ = DUMP_CASES[case]
+    data = _dump(*pq)
+    corrupt(data)
+    ctx = verify._Context(Signature(*pq), verify.DEFAULT_SAMPLE_SEED)
+    ctx.rep = representation_from_json_dict(data)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
