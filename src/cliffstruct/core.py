@@ -72,6 +72,12 @@ class Record:
             raise TypeError(f"{cls.__name__}() missing {', '.join(missing)}")
         return tuple(values[name] for name in names)
 
+    def _with_cached(self, **values):
+        """self with the named ``cached_property`` values already known, as
+        when they follow from how the record was made; returns self."""
+        self.__dict__.update(values)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values(self) == other._values(other)

@@ -8,6 +8,15 @@ per sign vector, which add up to the unit of the algebra.
 ``product_idempotent`` gives each as a ``ProductIdempotent``: the frame
 masks, the signs and the expanded product, the one form the division ring
 and the spinor basis are built from.
+
+Such an f projects onto one character of the abelian group {+-e_h : h in
+W}, the frame's part of the vee group {+-e_A} (N. Salingaros, J. Math.
+Phys. 22 (1981) 226; P. Lounesto, *Clifford Algebras and Spinors*, 2nd ed.,
+Ch. 17).  ``stabilizer_character`` reads that character off the integer
+terms of any f, with no product formed, and it certifies idempotency
+(``is_primitive`` too), mutual annihilation and, in ``verify``, the ideal
+dimension and the semisimple split.  A certificate only confirms: when it
+declines, the exact products decide, and they alone give witnesses.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ from .classify import K_DIMENSION, classify
 from .core import (
     FrozenRecord,
     Multivector,
+    Record,
     Signature,
+    _sign_masks,
     blade_mul,
     blade_square_sign,
     blades_commute,
@@ -154,6 +165,93 @@ def product_form(f: Multivector | ProductIdempotent) -> ProductIdempotent:
     return product
 
 
+class StabilizerCharacter(Record):
+    """The character of f on the stabilizer H of its support S: ``values``
+    maps each h in H to chi(h) = +-1 with e_h f == chi(h) f, and
+    ``commuting`` holds the chi(h) of the h in H whose e_h commutes with
+    every blade of S."""
+
+    _fields = ("values", "commuting")
+
+
+def stabilizer_character(f: Multivector) -> StabilizerCharacter | None:
+    """f's character on H = {s xor s0 : s in S}, S = supp f and s0 = min S,
+    or None when H is not a GF(2) subspace or some e_h f is not +-f.
+
+    Read off f's integer terms with ``_sign_masks``, with no product.  S is
+    then one coset of H, so e_g f has support S, and each echelon row g of
+    H is compared term by term with +-f: r |S| comparisons for rank r.
+    The rest of H follows, as e_h e_g == sign e_{h xor g} gives
+    chi(h xor g) = sign chi(h) chi(g).  Commuting is a bilinear form over
+    GF(2), so e_h commutes with every blade of S = s0 + H exactly when it
+    commutes with e_s0 and with the echelon rows, and those r + 1 bits of
+    h are the xor of its rows' bits.
+    """
+    _, masks, nums = f._integer_terms
+    if not masks:
+        return None
+    s0 = masks[0]
+    echelon: dict[int, int] = {}
+    for m in masks:
+        gf2_insert(m ^ s0, echelon)
+    if 1 << len(echelon) != len(masks):
+        return None
+    signs = _sign_masks(f.signature)
+    coeff = dict(zip(masks, nums))
+    rows = tuple(echelon.values())
+    tests = (s0, *rows)
+    # (h, chi(h), commutation bits of h against the tests)
+    elements = [(0, 1, 0)]
+    for g in rows:
+        # e_g f term by term: e_g (c e_t) = +-c e_{g xor t}
+        image = [
+            (g ^ t, -c if (g & signs[t]).bit_count() & 1 else c)
+            for t, c in zip(masks, nums)
+        ]
+        chi = 1 if coeff[image[0][0]] == image[0][1] else -1
+        if any(coeff[m] != chi * c for m, c in image):
+            return None
+        bits = sum(
+            1 << i for i, t in enumerate(tests) if not blades_commute(g, t)
+        )
+        q = signs[g]
+        elements += [
+            (h ^ g, -x * chi if (h & q).bit_count() & 1 else x * chi, v ^ bits)
+            for h, x, v in elements
+        ]
+    return StabilizerCharacter(
+        {h: x for h, x, _ in elements}, {h: x for h, x, v in elements if not v}
+    )
+
+
+def _proves_idempotent(f: Multivector, character: StabilizerCharacter | None) -> bool:
+    """Whether f's character proves f f == f; False decides nothing.
+
+    When 0 is in S, S = H and f f = sum_h c_h e_h f = (sum_h c_h chi(h)) f,
+    so a sum of exactly 1 proves it.  Without 0 in S (f = e1, say) the
+    character says nothing about f f.
+    """
+    if character is None:
+        return False
+    den, masks, nums = f._integer_terms
+    values = character.values
+    return masks[0] == 0 and sum(c * values[m] for m, c in zip(masks, nums)) == den
+
+
+def _proves_annihilation(
+    a: StabilizerCharacter | None, b: StabilizerCharacter | None
+) -> bool:
+    """Whether the characters of f_a and f_b prove f_a f_b == 0; False
+    decides nothing.
+
+    An h in H_b whose e_h commutes with every blade of f_a, with chi_a(h)
+    != chi_b(h), gives chi_a(h) f_a f_b = f_a e_h f_b = chi_b(h) f_a f_b.
+    """
+    if a is None or b is None:
+        return False
+    return any(b.values.get(h, chi) != chi for h, chi in a.commuting.items())
+
+
 def find_frame(sig: Signature) -> MonomialFrame:
     """The lexicographically smallest valid frame, by one ascending scan.
 
@@ -183,32 +281,35 @@ def find_frame(sig: Signature) -> MonomialFrame:
     return MonomialFrame(sig, tuple(chosen))
 
 
-def _idempotency_witness(signs, idempotents) -> dict | None:
-    for sv, f in zip(signs, idempotents):
-        if not is_idempotent(f):
+def _idempotency_witness(signs, idempotents, characters) -> dict | None:
+    for sv, f, chi in zip(signs, idempotents, characters):
+        if not _proves_idempotent(f, chi) and not is_idempotent(f):
             return {"signs": list(sv)}
     return None
 
 
-def _annihilation_witness(signs, idempotents) -> dict | None:
+def _annihilation_witness(signs, idempotents, characters) -> dict | None:
     for a, b in itertools.combinations(range(len(idempotents)), 2):
-        if not (idempotents[a] * idempotents[b]).is_zero():
+        if (
+            not _proves_annihilation(characters[a], characters[b])
+            and not (idempotents[a] * idempotents[b]).is_zero()
+        ):
             return {"i": list(signs[a]), "j": list(signs[b])}
     return None
 
 
-def _unity_witness(signs, idempotents) -> dict | None:
+def _unity_witness(signs, idempotents, characters) -> dict | None:
     total = sum(idempotents[1:], idempotents[0])
     if total != total.signature.scalar(1):
         return {"sum": str(total)}
     return None
 
 
-def _primitivity_witness(signs, idempotents) -> dict | None:
-    for sv, f in zip(signs, idempotents):
+def _primitivity_witness(signs, idempotents, characters) -> dict | None:
+    for sv, f, chi in zip(signs, idempotents, characters):
         # the witness names the sign vector also when the test itself fails
         try:
-            primitive = is_primitive(f)
+            primitive = is_primitive(f, chi)
         except Exception as exc:
             return {"signs": list(sv), "error": f"{type(exc).__name__}: {exc}"}
         if not primitive:
@@ -217,8 +318,9 @@ def _primitivity_witness(signs, idempotents) -> dict | None:
 
 
 # (check id, witness function) in the order verify reports them.  Each
-# function takes the sign vectors and their idempotents and returns a
-# JSON-serializable witness of the first violation, or None.
+# function takes the sign vectors, their idempotents and the idempotents'
+# stabilizer characters (each one or None), and returns a JSON-serializable
+# witness of the first violation, or None.
 IDEMPOTENT_INVARIANTS = (
     ("idem.idempotent", _idempotency_witness),
     ("idem.mutually_annihilating", _annihilation_witness),
@@ -249,8 +351,9 @@ def complete_set(frame: MonomialFrame) -> IdempotentSet:
     for sv, f in zip(svs, idems):
         if len(f.terms) != expected_terms or any(abs(c) != coeff for _, c in f.terms):
             raise IdempotentSetError(f"{sig} {sv}: expansion shape is wrong")
+    characters = tuple(map(stabilizer_character, idems))
     for check_id, witness_of in IDEMPOTENT_INVARIANTS:
-        witness = witness_of(svs, idems)
+        witness = witness_of(svs, idems, characters)
         if witness is not None:
             raise IdempotentSetError(f"{sig}: {check_id} fails: {witness}")
     return idem_set
@@ -260,8 +363,11 @@ def is_idempotent(u: Multivector) -> bool:
     return u * u == u
 
 
-def is_primitive(f: Multivector) -> bool:
+def is_primitive(f: Multivector, character: StabilizerCharacter | None = None) -> bool:
     """Whether f is a primitive idempotent, for any f.
+
+    ``character`` is f's ``stabilizer_character`` when the caller has it
+    (else it is read here); when it proves f f == f no product is formed.
 
     By Wedderburn, f Cl f of a nonzero idempotent is Mat(r, K), or a sum of
     two such blocks in a semisimple algebra, so f is primitive exactly when
@@ -277,7 +383,9 @@ def is_primitive(f: Multivector) -> bool:
     """
     if f.is_zero():
         raise ValueError("primitivity is undefined for the zero element")
-    if f * f != f:
+    if character is None:
+        character = stabilizer_character(f)
+    if not _proves_idempotent(f, character) and f * f != f:
         return False
     return _sandwich_trace(f) == K_DIMENSION[classify(f.signature).ktype]
 
@@ -303,15 +411,18 @@ def central_idempotents(sig: Signature) -> tuple[Multivector, Multivector]:
 
 
 def center_basis(sig: Signature) -> list[Multivector]:
-    """R-basis of the center, solved from [u, e_i] = 0 over blade coefficients.
+    """R-basis of the center: the blades that commute with every generator.
 
     The commutator with a generator sends each blade to a single blade, so
-    the linear system decouples: a coefficient is unconstrained exactly when
-    its blade commutes with every generator.
+    a coefficient is unconstrained exactly when its blade commutes with
+    every generator.  e_A e_i = (-1)**(|A| - [i in A]) e_i e_A, so e_A is
+    central when |A| is even if some generator is outside A, and odd if
+    some is inside: A = 0, and for odd n the pseudoscalar.
     """
-    gens = [1 << i for i in range(sig.n)]
+    full = sig.dim - 1
     return [
         sig.blade(mask)
         for mask in range(sig.dim)
-        if all(blades_commute(mask, g) for g in gens)
+        if (mask == full or not mask.bit_count() & 1)
+        and (mask == 0 or mask.bit_count() & 1)
     ]

@@ -9,10 +9,6 @@ integers over its common denominator and reduced with integer
 cross-multiplication (Bareiss-style, with common factors divided out), so
 only the returned coordinates are Fractions.
 
-``rank_mod_p`` ranks integer rows modulo a large prime without tracking
-expansions.  It never exceeds the rational rank (a nonzero minor mod p is
-nonzero over Z), so reaching a rank mod p certifies it over Q.
-
 A GF(2) echelon is a dict from pivot bit to row mask, where each row's top
 bit is its pivot and no other row has that bit set (fully reduced).
 """
@@ -22,9 +18,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from math import gcd
-
-PRIME = (1 << 61) - 1  # a Mersenne prime
-
 
 def _integer_vector(vec: Mapping) -> tuple[int, dict]:
     """(d, d * vec) with d > 0 the common denominator of vec's values."""
@@ -123,34 +116,6 @@ class ExactSpan:
         if rest:
             return None
         return {lbl: Fraction(c, scale) for lbl, c in combo.items()}
-
-
-def rank_mod_p(rows: Iterable[Mapping], stop: int | None = None) -> int:
-    """Rank of the integer rows modulo PRIME, counted up to ``stop``.
-
-    Pivots are kept monic under their smallest key, as ``ExactSpan`` keeps
-    them positive; nothing else is stored.
-    """
-    pivots: dict = {}
-    for row in rows:
-        rest = {k: v % PRIME for k, v in row.items() if v % PRIME}
-        while rest:
-            key = min(rest)
-            prow = pivots.get(key)
-            if prow is None:
-                inv = pow(rest[key], -1, PRIME)
-                pivots[key] = {k: v * inv % PRIME for k, v in rest.items()}
-                if len(pivots) == stop:
-                    return stop
-                break
-            a = rest[key]
-            for k, v in prow.items():
-                new = (rest.get(k, 0) - a * v) % PRIME
-                if new:
-                    rest[k] = new
-                else:
-                    rest.pop(k, None)
-    return len(pivots)
 
 
 def span_of(vectors: Iterable[Mapping]) -> ExactSpan:

@@ -27,12 +27,15 @@ exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
 vectors with distinct leading masks are independent.  In the monomial basis
 above, e_a s_t = +-e_{a xor B_t} f is one such multiple, so each blade
 column has a single nonzero entry.  One function, ``_blade_matrices``,
-reads those columns off f's numerators for the generators of ``repr``, for
-every blade that verify checks, and for the blades that ``represent`` sums
-into the matrix of an element.  The lookup only confirms: an exact span
-solve decides every psi it cannot confirm, such as a sum of basis elements
-or a column of a dumped basis whose real basis repeats a leading mask, and
-it alone reports a product outside S.
+reads those columns off f's numerators for the generators of ``repr``
+(``SpinorBasis.generator_matrices``, read once per basis), for every blade
+that verify checks, and for the blades that ``represent`` sums into the
+matrix of an element.  The lookup only confirms: an exact span solve
+decides every psi it cannot confirm, such as a sum of basis elements or a
+column of a dumped basis whose real basis repeats a leading mask, and it
+alone reports a product outside S.  The generators' signed permutations
+of the real basis s_t u_j follow from the generator matrices and the unit
+table.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .core import (
     multivector_to_json_dict,
 )
 from .division import (
+    _UNIT_PRODUCTS,
     KTYPE_BY_DIM,
     UNIT_NAMES,
     DivisionRingBasis,
@@ -144,29 +148,45 @@ class SpinorBasis(FrozenRecord):
         return index
 
     @cached_property
+    def generator_matrices(self) -> tuple[KMatrix, ...]:
+        """gamma(e_i) for each generator, read once by ``_blade_matrices``:
+        the gammas of ``build_representation`` and the source of
+        ``generator_permutations``.  Raises RepresentationError when some
+        e_i s_t leaves S."""
+        n = self.idempotent.signature.n
+        return tuple(_blade_matrices(self, [1 << i for i in range(n)]))
+
+    @cached_property
     def generator_permutations(self) -> list | None:
         """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a
-        == sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j
-        (read off x_a's numerators, confirmed by the lookup), or None when the
-        index is empty or missing or some e_i x_a is not +-x_b."""
-        index = self._real_basis_index
-        if not index:
+        == sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j.
+
+        Column t of gamma(e_i) holds one entry lam u_c (lam = +-1) at row r,
+        so e_i s_t == lam s_r u_c, and by the unit table e_i (s_t u_j) == lam
+        s_r u_c u_j == lam s s_r u_c' for (c', s) = ``_UNIT_PRODUCTS[c][j]``.
+        None unless the real-basis index exists and is not empty (so the x_a
+        are independent), the units follow the table (``unit_defect``) and
+        every column is one +-unit; None too when some e_i s_t leaves S.
+        """
+        kb = self.kbasis
+        if not self._real_basis_index or kb.unit_defect is not None:
             return None
-        sig = self.idempotent.signature
-        d, size, signs = self.kbasis.dim, len(index), _sign_masks(sig)
+        try:
+            mats = self.generator_matrices
+        except RepresentationError:
+            return None
+        d = kb.dim
         perms = []
-        for i in range(sig.n):
-            pi, sigma = [0] * size, [0] * size
-            for t, j, den, nums in index.values():
-                image = _blade_times(1 << i, False, nums.items(), signs)
-                hit = _lookup(self, den, image)
-                if hit is None:
+        for mat in mats:
+            pi, sigma = [], []
+            for column in mat.columns:
+                units = [(r, c, x) for r, entry in column for c, x in enumerate(entry) if x]
+                if len(units) != 1 or units[0][2] not in (1, -1):
                     return None
-                r, entry = hit
-                ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
-                if lam not in (1, -1):
-                    return None
-                pi[t * d + j], sigma[t * d + j] = r * d + c, int(lam)
+                ((r, c, lam),) = units
+                for cj, s in _UNIT_PRODUCTS[c][:d]:
+                    pi.append(r * d + cj)
+                    sigma.append(s * int(lam))
             perms.append((pi, sigma))
         return perms
 
@@ -535,25 +555,26 @@ def build_representation(source: Signature | MonomialFrame) -> Representation:
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = tuple(_blade_matrices(sb, [1 << i for i in range(sig.n)]))
+    gammas = sb.generator_matrices
     components = [Component(sb, gammas)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
         # first, over the images of f, the units and the spinors.  The
         # involution is an automorphism sending e_i to -e_i, so each exact
         # e_i s_t == s_s u_j * lam maps to e_i hat(s_t) == hat(s_s) hat(u_j)
-        # * (-lam): the second gammas are the negated first ones, exactly.
+        # * (-lam): the second gammas are the negated first ones, exactly,
+        # and the image units keep the first units' relations.
         fh = product.f.involute()
         kb2 = DivisionRingBasis(
             fh,
             tuple(u.involute() for u in kb.units),
             kb.ktype,
             kb.table,
-        )
+        )._with_cached(unit_defect=kb.unit_defect)
         sb2 = SpinorBasis(
             kb2, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
-        )
-        components.append(Component(sb2, _negated(kb2, gammas)))
+        )._with_cached(generator_matrices=_negated(kb2, gammas))
+        components.append(Component(sb2, sb2.generator_matrices))
     if (
         len(components) != cls.components
         or sb.size != cls.matrix_size

@@ -34,12 +34,16 @@ the right action of the units, a division algebra of dimension dim K, the
 span of the s_t u_j is a simple left ideal (``_simple_ideal``) and every
 nonzero sample generates it.
 
-The left multiples e_X f of an idempotent f are read into classes of
-proportional rows (``_class_rows``), with no product formed, which
-``ideal.dimension`` and ``semi.split`` rank (and ``repr.irreducible``, when
-its proof declines).  A rank modulo a prime that reaches the class count
-proves dim Cl(p,q) f.  Certificates only confirm; every failure and witness
-comes from the exact path.
+The idempotent checks read each idempotent's stabilizer character
+(``idempotents.stabilizer_character``), built once per signature on the
+context: e_h f == chi(h) f for every h in the stabilizer H of supp f.  It
+proves f f == f, f_a f_b == 0, dim Cl(p,q) f == 2^n / |H| (inside
+``brute_force_minimal_ideal_dim``) and, through the central pseudoscalar,
+that ``semi.split``'s sum S + hat(S) is direct, with no product and no
+rank.  When it declines, the left multiples e_X f are read into classes of
+proportional rows (``_class_rows``), with no product formed, and ranked
+over Q.  Certificates only confirm; every failure and witness comes from
+the exact path.
 """
 
 from __future__ import annotations
@@ -62,12 +66,14 @@ from .division import _UNIT_PRODUCTS, _UNIT_TABLES
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
+    StabilizerCharacter,
     center_basis,
     central_idempotents,
     find_frame,
     idempotent_set,
+    stabilizer_character,
 )
-from .linalg import ExactSpan, rank_mod_p, span_of
+from .linalg import ExactSpan, span_of
 from .representation import (
     Component,
     KMatrix,
@@ -170,23 +176,24 @@ def _class_rows(f: Multivector) -> tuple[dict[int, int], ...]:
     return tuple(map(dict, dict.fromkeys(map(key, range(f.signature.dim)))))
 
 
-def _independent(rows) -> bool:
-    """Whether a rank modulo a prime proves the integer rows linearly
-    independent over Q; False decides nothing."""
-    return rank_mod_p(rows, len(rows)) == len(rows)
-
-
-def brute_force_minimal_ideal_dim(sig: Signature, f: Multivector) -> int:
+def brute_force_minimal_ideal_dim(
+    sig: Signature, f: Multivector, character: StabilizerCharacter | None = None
+) -> int:
     """R-dimension of Cl(p,q) f, the rank of all blade left-multiples e_A f.
 
-    They have the rank of their class rows, at most the class count; a rank
-    modulo a prime that reaches the count proves it, and row reduction over
-    Q decides every other case.
+    f's stabilizer character (``character``, read from f when not given)
+    proves it 2^n / |H|: for X in one coset of H, e_X f = +-chi(h) e_X0 f
+    are proportional, and rows of distinct cosets have the disjoint
+    supports X xor S.  Otherwise the left multiples have the rank of their
+    class rows, found by row reduction over Q.
     """
     if f.signature != sig:
         raise SignatureMismatchError(f"{f.signature} vs {sig}")
-    rows = _class_rows(f)
-    return len(rows) if _independent(rows) else span_of(rows).rank
+    if character is None:
+        character = stabilizer_character(f)
+    if character is not None:
+        return sig.dim // len(character.values)
+    return span_of(_class_rows(f)).rank
 
 
 class _Context(Record):
@@ -205,6 +212,11 @@ class _Context(Record):
     @cached_property
     def idems(self) -> IdempotentSet:
         return idempotent_set(find_frame(self.sig))
+
+    @cached_property
+    def characters(self) -> tuple[StabilizerCharacter | None, ...]:
+        """The stabilizer character of each idempotent, or None."""
+        return tuple(map(stabilizer_character, self.idems.idempotents))
 
     @cached_property
     def rep(self) -> Representation:
@@ -279,13 +291,16 @@ def _idem_count(ctx: _Context) -> dict | None:
 
 
 def _over_idempotents(witness_of):
-    return lambda ctx: witness_of(ctx.idems.signs, ctx.idems.idempotents)
+    return lambda ctx: witness_of(
+        ctx.idems.signs, ctx.idems.idempotents, ctx.characters
+    )
 
 
 def _ideal_dimension(ctx: _Context) -> dict | None:
     expected = 1 << (ctx.sig.n - ctx.cls.k)
-    for sv, f in zip(ctx.idems.signs, ctx.idems.idempotents):
-        got = brute_force_minimal_ideal_dim(ctx.sig, f)
+    idems = ctx.idems
+    for sv, f, chi in zip(idems.signs, idems.idempotents, ctx.characters):
+        got = brute_force_minimal_ideal_dim(ctx.sig, f, chi)
         if got != expected:
             return {"signs": list(sv), "dim": got, "expected": expected}
     return None
@@ -313,8 +328,9 @@ def _real_form(comp: Component) -> list | None:
     order, from the generator permutations P_i on x_{t d + j} = s_t u_j;
     None unless the P_i exist, the units follow the table of R, C or H with
     u_0 == f (so s_t == x_{t d}), the dumped table, read by K-matrix
-    products, is that table, and the gammas are the P_i read as K-matrices
-    (``_blade_matrices``).  K-matrices then map injectively and
+    products, is that table, and the gammas are the generator matrices the
+    P_i are read from (``SpinorBasis.generator_matrices``; the same object
+    for a built representation).  K-matrices then map injectively and
     multiplicatively to real matrices: gamma_i to P_i, e_A's to P_A."""
     sb, kb = comp.basis, comp.kbasis
     perms, size = sb.generator_permutations, sb.size * kb.dim
@@ -323,7 +339,7 @@ def _real_form(comp: Component) -> list | None:
         or kb.unit_defect is not None
         or kb.units[0] != kb.idempotent
         or kb.table != _UNIT_TABLES[kb.dim]
-        or comp.gammas != tuple(_blade_matrices(sb, [1 << i for i in range(len(perms))]))
+        or comp.gammas != sb.generator_matrices
     ):
         return None
     forms = [(list(range(size)), [1] * size)]
@@ -617,6 +633,27 @@ def _center_dimension(ctx: _Context) -> dict | None:
     return None
 
 
+def _split_by_pseudoscalar(sig: Signature, chi, hat_chi) -> bool:
+    """Whether the characters of f and hat(f) prove dim hat(S) == dim S and
+    S + hat(S) direct; False decides nothing.
+
+    For odd n the pseudoscalar e_w is central, so with w in both
+    stabilizers, e_w x f = chi(w) x f on all of S = Cl f, and likewise on
+    hat(S).  Opposite values put S and hat(S) in different eigenspaces of
+    left multiplication by e_w, and equal stabilizers give equal
+    dimensions 2^n / |H|.
+    """
+    w = sig.dim - 1
+    return (
+        sig.n % 2 == 1
+        and chi is not None
+        and hat_chi is not None
+        and len(chi.values) == len(hat_chi.values)
+        and w in chi.values
+        and hat_chi.values.get(w) == -chi.values[w]
+    )
+
+
 def _semi_split(ctx: _Context) -> dict | None:
     sig = ctx.sig
     c1, c2 = central_idempotents(sig)
@@ -640,13 +677,11 @@ def _semi_split(ctx: _Context) -> dict | None:
     fh = f.involute()
     if not (fh * f).is_zero():
         return {"fail": "hat(f) f != 0"}
-    # Independent class rows of f and hat(f), as many of each, prove
-    # dim S and rank(S + hat(S)) == 2 dim S.
-    rows, hat_rows = _class_rows(f), _class_rows(fh)
-    if len(rows) == len(hat_rows) and _independent(rows + hat_rows):
+    if _split_by_pseudoscalar(sig, ctx.characters[0], stabilizer_character(fh)):
         return None
     # every e_X f is a nonzero multiple of one of its class rows, so the
     # rows have the ranks of the products e_X f and e_X hat(f)
+    rows, hat_rows = _class_rows(f), _class_rows(fh)
     dim_s = span_of(rows).rank
     joint = span_of(rows + hat_rows).rank
     if joint != 2 * dim_s:

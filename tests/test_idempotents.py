@@ -28,7 +28,8 @@ from cliffstruct.idempotents import (
     _sandwich_trace,
     sign_vectors,
 )
-from cliffstruct.linalg import gf2_insert
+from cliffstruct.linalg import gf2_insert, span_of
+from cliffstruct.verify import _class_rows
 from test_division import (
     _conjugated_cl20_idempotent,
     _one_short_frames,
@@ -540,3 +541,160 @@ def test_product_form_recognition_matches_the_closure_checks(seed):
 @pytest.mark.parametrize("f", _fixed_non_products(), ids=str)
 def test_product_form_recognition_matches_on_non_products(f):
     assert idempotents._half_product_form(f) == _half_product_form_oracle(f)
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer character against exact products and ranks
+
+
+def _character_oracle(f):
+    """chi(h) for each h in H = {s xor min S : s in S}, and those of the h
+    whose e_h commutes with every blade of S = supp f, by one product e_h f
+    per h; None unless every e_h f is +-f and |H| is a power of two closed
+    under xor."""
+    sig = f.signature
+    support = [m for m, _ in f.terms]
+    if not support:
+        return None
+    stab = [s ^ support[0] for s in support]
+    if any(a ^ b not in stab for a in stab for b in stab):
+        return None
+    values, commuting = {}, {}
+    for h in stab:
+        image = sig.blade(h) * f
+        if image not in (f, -f):
+            return None
+        values[h] = 1 if image == f else -1
+        if all(blades_commute(h, s) for s in support):
+            commuting[h] = values[h]
+    return values, commuting
+
+
+def _assert_character_matches_the_products(f):
+    chi = idempotents.stabilizer_character(f)
+    oracle = _character_oracle(f)
+    assert (chi is None) == (oracle is None)
+    if chi is not None:
+        assert (chi.values, chi.commuting) == oracle
+    if idempotents._proves_idempotent(f, chi):
+        assert f * f == f
+    return chi
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_character_matches_the_products_on_random_elements(seed):
+    f = _recognition_cases(random.Random(seed).randint)
+    _assert_character_matches_the_products(f)
+
+
+@pytest.mark.parametrize("f", _fixed_non_products(), ids=str)
+def test_character_matches_the_products_on_non_products(f):
+    _assert_character_matches_the_products(f)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_annihilation_certificate_is_sound_on_random_pairs(seed):
+    """Two blades times frame products over random masks with random signs:
+    when their characters prove f_a f_b == 0, the product is zero."""
+    draw = random.Random(seed).randint
+    n = draw(1, 5)
+    p = draw(0, n)
+    sig = Signature(p, n - p)
+    masks = [draw(0, sig.dim - 1) for _ in range(draw(1, 3))]
+    pair = [
+        sig.blade(draw(0, sig.dim - 1) if draw(0, 1) else 0)
+        * idempotents._expand_product(
+            sig, masks[: draw(1, len(masks))], [draw(0, 1) * 2 - 1 for _ in masks]
+        ).f
+        for _ in range(2)
+    ]
+    chis = [_assert_character_matches_the_products(f) for f in pair]
+    if idempotents._proves_annihilation(*chis):
+        assert (pair[0] * pair[1]).is_zero()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_character_decides_every_frame_idempotent(n):
+    """For every frame idempotent with n <= 8: 2^n / |H| is the exact rank
+    of the class rows, the character proves f f == f, and it proves every
+    pair mutually annihilating, each as the exact products confirm."""
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        idems = complete_set(find_frame(sig)).idempotents
+        chis = [idempotents.stabilizer_character(f) for f in idems]
+        for f, chi in zip(idems, chis):
+            assert chi is not None
+            assert sig.dim // len(chi.values) == span_of(_class_rows(f)).rank
+            assert idempotents._proves_idempotent(f, chi) and f * f == f
+        for a in range(len(idems)):
+            # one character proves nothing about its own idempotent
+            assert not idempotents._proves_annihilation(chis[a], chis[a])
+            for b in range(len(idems)):
+                if a != b:
+                    assert idempotents._proves_annihilation(chis[a], chis[b])
+                    assert (idems[a] * idems[b]).is_zero()
+
+
+@pytest.mark.skipif(not SLOW, reason="n <= 12 character guard: set CLIFFSTRUCT_SLOW=1")
+@pytest.mark.parametrize("n", range(9, 13))
+def test_character_proves_every_frame_pair(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        idems = idempotents.idempotent_set(find_frame(sig)).idempotents
+        chis = [idempotents.stabilizer_character(f) for f in idems]
+        assert None not in chis
+        assert all(map(idempotents._proves_idempotent, idems, chis))
+        # |H| = 2^k, so the ideal dimension 2^n / |H| is 2^(n - k)
+        assert all(len(chi.values) == len(chis) for chi in chis)
+        for a in range(len(idems)):
+            for b in range(len(idems)):
+                assert idempotents._proves_annihilation(chis[a], chis[b]) == (a != b)
+
+
+def test_character_declines_what_it_cannot_prove():
+    sig = Signature(1, 0)
+    e1 = sig.e(1)
+    # H = {0} but 0 is not in S = {e1}: f f is not read off the character
+    chi = idempotents.stabilizer_character(e1)
+    assert chi.values == {0: 1}
+    assert not idempotents._proves_idempotent(e1, chi) and not is_primitive(e1)
+    # (1 + e1)^2 = 2 (1 + e1): the sum of c_h chi(h) is 2
+    f = sig.scalar(1) + e1
+    chi = idempotents.stabilizer_character(f)
+    assert chi.values == {0: 1, 1: 1}
+    assert not idempotents._proves_idempotent(f, chi) and not is_primitive(f)
+    # S = {0, e1, e2} is no coset of a subspace
+    sig = Signature(2, 0)
+    assert idempotents.stabilizer_character(sig.scalar(1) + sig.e(1) + sig.e(2)) is None
+    assert idempotents.stabilizer_character(sig.scalar(0)) is None
+    assert not idempotents._proves_annihilation(None, None)
+
+
+def test_annihilation_reads_only_the_commuting_part_of_h():
+    """f = e2 + e12 and g = e2 - e12 in Cl(2,0) have H = {0, e1} with
+    chi_f(e1) = 1 and chi_g(e1) = -1, but e1 anticommutes with e2, so the
+    characters say nothing about f g = 2 + 2 e1."""
+    sig = Signature(2, 0)
+    f, g = sig.e(2) + sig.e(1, 2), sig.e(2) - sig.e(1, 2)
+    chi_f, chi_g = map(idempotents.stabilizer_character, (f, g))
+    assert (chi_f.values, chi_g.values) == ({0: 1, 1: 1}, {0: 1, 1: -1})
+    assert chi_f.commuting == chi_g.commuting == {0: 1}
+    assert not idempotents._proves_annihilation(chi_f, chi_g)
+    assert f * g == sig.scalar(2) + sig.e(1) * 2
+
+
+def _center_basis_oracle(sig):
+    """The blades commuting with every generator, by ``blades_commute``."""
+    gens = [1 << i for i in range(sig.n)]
+    return [
+        sig.blade(mask)
+        for mask in range(sig.dim)
+        if all(blades_commute(mask, g) for g in gens)
+    ]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_center_basis_matches_the_commutation_scan(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        assert center_basis(sig) == _center_basis_oracle(sig)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffstruct.linalg import PRIME, ExactSpan, rank_mod_p, span_of
+from cliffstruct.linalg import ExactSpan, span_of
 
 from span_oracle import ExactSpan as OracleSpan
 
@@ -102,36 +102,3 @@ def test_exact_span_coordinates_over_non_dyadic_basis():
     assert span.coordinates(target) == {"a": Fraction(3, 2), "b": Fraction(2, 3)}
     assert span.coordinates({2: 1}) is None
     assert span_of([{0: Fraction(1, 3)}, {0: -7}, {1: Fraction(2, 5)}]).rank == 2
-
-
-def test_rank_mod_p_never_exceeds_the_rational_rank():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    # small entries, each shifted by a multiple of PRIME that vanishes mod p
-    entry = st.tuples(st.integers(-9, 9), st.sampled_from([0, 0, 0, 1, -1, 2]))
-
-    @st.composite
-    def matrices(draw):
-        rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
-        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(matrices(), st.integers(1, 7))
-    def check(matrix, stop):
-        small = [{k: x for k, (x, _) in enumerate(row)} for row in matrix]
-        rows = [{k: x + m * PRIME for k, (x, m) in enumerate(row)} for row in matrix]
-        got = rank_mod_p(rows)
-        assert got <= span_of(rows).rank
-        # a minor of at most 6 x 6 entries below 10 is below PRIME, so mod p
-        # the rank is the rational rank of the rows reduced to small entries
-        assert got == span_of(small).rank
-        assert rank_mod_p(rows, stop) == min(got, stop)
-
-    check()
-
-
-def test_rank_mod_p_loses_a_pivot_that_is_a_multiple_of_p():
-    rows = [{0: PRIME, 1: 1}, {1: 1}]
-    assert span_of(rows).rank == 2
-    assert rank_mod_p(rows) == 1
-    assert rank_mod_p([{0: 2 * PRIME + 3}]) == 1

@@ -3,12 +3,10 @@ against recorded sha256s.
 
 ``perfbench/reference.json`` holds the sha256 of every ``repr --json``
 output with p + q <= 12, recorded from the package as first released.  The
-n <= 9 signatures run in every test session; n = 10-12 take several times
-longer and run only with ``CLIFFSTRUCT_SLOW=1`` in the environment.  The
-``verify`` hashes and those of the ``repr p q`` text for n <= 6 are kept
-inline; ``verify --max-n 8`` is slow-only too, and ``verify --max-n 12``,
-the whole range of p + q, runs only with ``CLIFFSTRUCT_SLOW=2``, as does a
-bound on the peak memory of ``verify 6 6 --json``.
+``verify`` hashes, among them ``verify --max-n 12`` over the whole range of
+p + q, and those of the ``repr p q`` text for n <= 6 are kept inline.  All
+of them run in every test session, as does a bound on the peak memory of
+``verify 6 6 --json``.
 """
 
 import contextlib
@@ -16,7 +14,6 @@ import hashlib
 import importlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -24,9 +21,6 @@ import pytest
 from cliffstruct.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-FAST_MAX_N = 9
-LEVEL = os.environ.get("CLIFFSTRUCT_SLOW")
-SLOW = LEVEL == "1"
 
 
 VERIFY_SHA256 = {
@@ -35,8 +29,6 @@ VERIFY_SHA256 = {
     "--max-n 8 --json": "96975cb586d765e035deaf417267a0f8bbd4ad8490d0721cfe143576594e2091",
     "--max-n 12 --json": "a4be6942ed314a4c0032075c9afe0f8bb02220d96ef5cfd80836f1819f32f61d",
 }
-# the CLIFFSTRUCT_SLOW value each slow verify hash runs under
-SLOW_VERIFY = {"--max-n 8 --json": "1", "--max-n 12 --json": "2"}
 # peak RSS bound in MB for ``verify 6 6 --json``, the signature that sets the
 # peak of ``verify --max-n 12``
 VERIFY_6_6_PEAK_MB = 45
@@ -85,12 +77,7 @@ def _stdout(argv) -> bytes:
 def _cases():
     for n in range(13):
         for p in range(n + 1):
-            marks = ()
-            if n > FAST_MAX_N:
-                marks = pytest.mark.skipif(
-                    not SLOW, reason="n > 9: set CLIFFSTRUCT_SLOW=1"
-                )
-            yield pytest.param(p, n - p, marks=marks, id=f"repr-{p}-{n - p}")
+            yield pytest.param(p, n - p, id=f"repr-{p}-{n - p}")
 
 
 @pytest.fixture(scope="module")
@@ -107,18 +94,7 @@ def test_repr_json_matches_reference(reference, p, q):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [
-        pytest.param(
-            args,
-            marks=pytest.mark.skipif(
-                args in SLOW_VERIFY and LEVEL != SLOW_VERIFY[args],
-                reason=f"verify {args}: set CLIFFSTRUCT_SLOW={SLOW_VERIFY.get(args)}",
-            ),
-            id=args.replace("--", "").replace(" ", "-"),
-        )
-        for args in VERIFY_SHA256
-    ],
+    "args", VERIFY_SHA256, ids=lambda args: args.replace("--", "").replace(" ", "-")
 )
 def test_verify_output_matches_reference(args):
     data = _stdout(["verify", *args.split()])
@@ -133,7 +109,6 @@ def test_repr_text_matches_reference(pq):
     assert hashlib.sha256(data).hexdigest() == REPR_TEXT_SHA256[pq]
 
 
-@pytest.mark.skipif(LEVEL != "2", reason="verify 6 6 peak RSS: set CLIFFSTRUCT_SLOW=2")
 def test_verify_6_6_peak_rss(monkeypatch):
     monkeypatch.syspath_prepend(str(REFERENCE.parent))
     child = importlib.import_module("child")  # perfbench's measured CLI run

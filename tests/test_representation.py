@@ -30,12 +30,14 @@ from cliffstruct import (
     spinor_coordinates,
     verify_signature,
 )
+from cliffstruct.core import _blade_times, _sign_masks
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
     SpinorBasis,
     _blade_matrices,
     _cosets,
+    _lookup,
     _matrix_of,
     _negated,
 )
@@ -44,9 +46,12 @@ from test_division import PRODUCT_FORM_REQUIRED, _kone, _rotor_conjugate
 HALF = Fraction(1, 2)
 F0 = Fraction(0)
 F1 = Fraction(1)
+SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
 # The spinor basis, generator matrices and real-basis index run against
-# their oracles to n <= 9 with CLIFFSTRUCT_SLOW=1.
-ORACLE_MAX_N = 9 if os.environ.get("CLIFFSTRUCT_SLOW") == "1" else 8
+# their oracles to n <= 9 with CLIFFSTRUCT_SLOW=1, and the generator
+# permutations to n <= 12.
+ORACLE_MAX_N = 9 if SLOW else 8
+PERMUTATION_MAX_N = 12 if SLOW else 8
 
 
 def all_signatures(max_n):
@@ -837,6 +842,84 @@ def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, cor
         assert index == _real_basis_index_oracle(sb)
         # a repeated blade repeats every leading mask of its real basis
         assert (index is None) == (len(set(sb.blades)) < sb.size)
+
+
+def _generator_permutations_oracle(sb):
+    """The generator permutations by one lookup per real basis element and
+    generator, as ``SpinorBasis.generator_permutations`` read them before it
+    derived them from the generator matrices and the unit table."""
+    index = sb._real_basis_index
+    if not index:
+        return None
+    sig = sb.idempotent.signature
+    d, size, signs = sb.kbasis.dim, len(index), _sign_masks(sig)
+    perms = []
+    for i in range(sig.n):
+        pi, sigma = [0] * size, [0] * size
+        for t, j, den, nums in index.values():
+            image = _blade_times(1 << i, False, nums.items(), signs)
+            hit = _lookup(sb, den, image)
+            if hit is None:
+                return None
+            r, entry = hit
+            ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
+            if lam not in (1, -1):
+                return None
+            pi[t * d + j], sigma[t * d + j] = r * d + c, int(lam)
+        perms.append((pi, sigma))
+    return perms
+
+
+@pytest.mark.parametrize("n", range(PERMUTATION_MAX_N + 1))
+def test_generator_permutations_match_the_lookups(n):
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            perms = comp.basis.generator_permutations
+            assert perms is not None
+            assert perms == _generator_permutations_oracle(comp.basis)
+
+
+@pytest.mark.parametrize(
+    "pq, corrupt",
+    [
+        ((3, 0), _set("spinor_blade_signs", 1, -1)),
+        ((2, 2), _set("spinor_blade_signs", 2, -1)),
+        ((3, 0), _negate_unit),
+        ((0, 3), _negate_unit),
+        ((0, 2), _negate_unit_table_row),
+        ((1, 1), _set("spinor_blades", [0, 0])),
+        ((2, 1), _set("spinor_blades", [3, 3])),
+    ],
+)
+def test_generator_permutations_of_a_corrupted_dump_match_the_lookups(pq, corrupt):
+    """Derived permutations, when a dump has them, are the lookups'."""
+    data = representation_to_json_dict(build_representation(Signature(*pq)))
+    corrupt(data["components"][0])
+    for comp in representation_from_json_dict(data).components:
+        perms = comp.basis.generator_permutations
+        if perms is not None:
+            assert perms == _generator_permutations_oracle(comp.basis)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_second_component_carries_what_a_dump_computes(n):
+    """The gammas are the spinor basis's generator matrices, and the second
+    component of a semisimple algebra gets its unit relations and generator
+    matrices from the first, as a dumped copy computes them."""
+    for p in range(n + 1):
+        rep = build_representation(Signature(p, n - p))
+        for comp in rep.components:
+            assert comp.gammas is comp.basis.generator_matrices
+        if rep.simple:
+            continue
+        kb, sb = rep.components[1].kbasis, rep.components[1].basis
+        assert "unit_defect" in vars(kb)
+        dumped = representation_from_json_dict(representation_to_json_dict(rep))
+        kb2, sb2 = dumped.components[1].kbasis, dumped.components[1].basis
+        assert (kb2, sb2) == (kb, sb) and "unit_defect" not in vars(kb2)
+        assert kb2.unit_defect is None is kb.unit_defect
+        assert sb2.generator_matrices == sb.generator_matrices
+        assert sb2.generator_permutations == sb.generator_permutations
 
 
 # ---------------------------------------------------------------------------

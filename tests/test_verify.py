@@ -182,6 +182,31 @@ def test_left_multiple_table_on_non_product_idempotents(f):
     _assert_table(f)
 
 
+@pytest.mark.parametrize("pq", [(1, 0), (0, 3), (2, 1), (3, 2), (1, 4)])
+def test_split_certificate_needs_opposite_pseudoscalar_values(pq):
+    """The pseudoscalar proves S + hat(S) direct through opposite values of
+    chi(w); one character twice proves nothing."""
+    sig = Signature(*pq)
+    f = primitive_idempotent(find_frame(sig), (1,) * classify(sig).k)
+    chi = idempotents.stabilizer_character(f)
+    hat_chi = idempotents.stabilizer_character(f.involute())
+    assert verify._split_by_pseudoscalar(sig, chi, hat_chi)
+    assert not verify._split_by_pseudoscalar(sig, chi, chi)
+    assert not verify._split_by_pseudoscalar(sig, chi, None)
+
+
+def test_split_certificate_declines_an_even_pseudoscalar():
+    """In Cl(1,1), (1 +- e12) / 2 have w = e12 in H with opposite values,
+    but e12 is not central for even n."""
+    sig = Signature(1, 1)
+    chis = [
+        idempotents.stabilizer_character((sig.scalar(1) + sig.e(1, 2) * s) * HALF)
+        for s in (1, -1)
+    ]
+    assert [chi.values for chi in chis] == [{0: 1, 3: 1}, {0: 1, 3: -1}]
+    assert not verify._split_by_pseudoscalar(sig, *chis)
+
+
 def test_verify_signature_trivial():
     report = verify_signature(Signature(0, 0))
     assert report.passed
@@ -262,10 +287,6 @@ def test_seed_changes_keep_passing():
         assert verify_signature(Signature(2, 1), seed=seed).passed
 
 
-@pytest.mark.skipif(
-    os.environ.get("CLIFFSTRUCT_SLOW") != "1",
-    reason="n <= 9 verify sweep: set CLIFFSTRUCT_SLOW=1",
-)
 def test_verify_sweep_through_n9():
     summary = verify_range(9)
     assert summary.signatures == 55
@@ -277,30 +298,34 @@ def test_verify_sweep_through_n9():
     assert failures == {}
 
 
-# the checks that certify a rank with ``_independent``
+# the callers of ``_class_rows`` that a stabilizer character decides first
 CERTIFIED = ("brute_force_minimal_ideal_dim", "_semi_split")
 
 
 @pytest.mark.parametrize("caller", CERTIFIED)
 def test_table_certificates_fall_back_to_exact_rows(monkeypatch, caller):
-    independent = verify._independent
-    decided = []
+    class_rows = verify._class_rows
+    ranked = []
 
-    def record(rows):
-        got = independent(rows)
-        decided.append((sys._getframe(1).f_code.co_name, got))
-        return got
+    def record(f):
+        ranked.append(sys._getframe(1).f_code.co_name)
+        return class_rows(f)
 
-    monkeypatch.setattr(verify, "_independent", record)
+    monkeypatch.setattr(verify, "_class_rows", record)
     default = verify_range(5).to_json_dict()
-    # the certificate decides on the default run
-    assert (caller, True) in decided
+    # the character decides on the default run: no class rows are ranked
+    assert ranked == []
 
-    def undecided(rows):
-        return sys._getframe(1).f_code.co_name != caller and independent(rows)
-
-    monkeypatch.setattr(verify, "_independent", undecided)
+    # with every character declined, the exact rows decide the same
+    for module in (idempotents, verify):
+        monkeypatch.setattr(module, "stabilizer_character", lambda f: None)
+    monkeypatch.setattr(
+        verify._Context,
+        "characters",
+        property(lambda ctx: (None,) * len(ctx.idems.idempotents)),
+    )
     assert verify_range(5).to_json_dict() == default
+    assert caller in ranked
 
 
 def _context(rep):
@@ -655,7 +680,9 @@ def test_real_form_declines_a_unit_other_than_f(monkeypatch):
     one = sig.scalar(1)
     kb = DivisionRingBasis(one, ((one + sig.e(1)) * HALF,), "R", (((1,),),))
     sb = SpinorBasis(kb, (0,), (1,))
-    assert sb.generator_permutations == [([0], [1])] and kb.unit_defect is None
+    # e1 s_0 = e1 is outside the span of x_0, so the generator matrices
+    # cannot be read and no permutations are derived
+    assert sb.generator_permutations is None and kb.unit_defect is None
     comp = Component(sb, (KMatrix(kb, 1, (((0, (1,)),),)),))
     assert verify._real_form(comp) is None
     rep = Representation(sig, classify(sig), find_frame(sig), (comp,))

@@ -19,6 +19,7 @@ import cliffstruct.idempotents as idempotents
 import cliffstruct.verify as verify
 from cliffstruct import (
     AlgebraClass,
+    Multivector,
     Signature,
     build_representation,
     multivector_to_json_dict,
@@ -97,6 +98,13 @@ def _skew(frame, f):
     """f + f e2 f_+: idempotent, f_+ times it is 0, but it times f_+ is not."""
     f_plus = _primitive_idempotent(frame, (1,) * frame.k)
     return f + f * frame.signature.e(2) * f_plus
+
+
+def _flip_last_sign(frame, f):
+    """f with the sign of its last coefficient flipped: no e_h f is +-f
+    any more, so f has no stabilizer character."""
+    *terms, (mask, c) = f.terms
+    return Multivector(f.signature, (*terms, (mask, -c)))
 
 
 def _half(sig, blade):
@@ -500,6 +508,33 @@ SIGNATURE_CASES = {
             "idem.sum_to_unity": {"sum": "1 + 1*e1"},
         },
     ),
+    # One coefficient of f_{+-} flipped: the character certificate declines
+    # and the exact products give every witness.
+    "idem.idempotent-sign-flip": (
+        (2, 1),
+        {"primitive_idempotent": _replace_idempotents({(1, -1): _flip_last_sign})},
+        {
+            "idem.idempotent": {"signs": [1, -1]},
+            "idem.mutually_annihilating": {"i": [1, 1], "j": [1, -1]},
+            "idem.sum_to_unity": {"sum": "1 + 1/2*e123"},
+            "idem.primitive": {"signs": [1, -1]},
+            "ideal.dimension": {"signs": [1, -1], "dim": 8, "expected": 2},
+        },
+    ),
+    # f_{+-} replaced by f_{++}: two idempotents with one character, which
+    # proves nothing about their product.
+    "idem.mutually_annihilating-same-character": (
+        (2, 1),
+        {
+            "primitive_idempotent": _replace_idempotents(
+                {(1, -1): lambda fr, f: _primitive_idempotent(fr, (1, 1))}
+            )
+        },
+        {
+            "idem.mutually_annihilating": {"i": [1, 1], "j": [1, -1]},
+            "idem.sum_to_unity": {"sum": "1 + 1/2*e23 + 1/2*e123"},
+        },
+    ),
     "idem.sum_to_unity": (
         (1, 1),
         {"primitive_idempotent": _replace_idempotents({(-1,): _skew})},
@@ -542,7 +577,7 @@ SIGNATURE_CASES = {
     ),
     "ideal.dimension": (
         (1, 1),
-        {"brute_force_minimal_ideal_dim": lambda sig, f: 0},
+        {"brute_force_minimal_ideal_dim": lambda sig, f, character=None: 0},
         {"ideal.dimension": {"signs": [1], "dim": 0, "expected": 2}},
     ),
     # build_representation reads the frame of the idempotent set, so a
@@ -670,3 +705,25 @@ def test_every_check_id_has_a_fault_case():
     for pq in ((1, 1), (1, 0)):
         ids |= {c.check_id for c in verify_signature(Signature(*pq)).checks}
     assert ids == targeted
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["idem.idempotent-sign-flip", "idem.mutually_annihilating-same-character"],
+)
+def test_character_certificates_decline_the_injected_idempotent(monkeypatch, case):
+    """The certificates decline the replaced f_{+-}, so the exact products
+    give the witnesses that ``test_injected_defect_fails_its_check`` pins."""
+    pq, patches, _ = SIGNATURE_CASES[case]
+    for name, fake in patches.items():
+        monkeypatch.setattr(idempotents, name, fake)
+    ctx = verify._Context(Signature(*pq), verify.DEFAULT_SAMPLE_SEED)
+    f_pp, f_pm = ctx.idems.idempotents[:2]
+    chi_pp, chi_pm = ctx.characters[:2]
+    assert chi_pp is not None
+    if case == "idem.idempotent-sign-flip":
+        assert chi_pm is None
+        assert not idempotents._proves_idempotent(f_pm, chi_pm)
+    else:
+        assert f_pm == f_pp and chi_pm == chi_pp
+    assert not idempotents._proves_annihilation(chi_pp, chi_pm)
