@@ -681,7 +681,11 @@ def representation_from_json_dict(data: Mapping) -> Representation:
     that the dump pins down, so re-verification sees exactly the dumped data."""
     sig = Signature(_integer_field(data, "p"), _integer_field(data, "q"))
     cls = classify(sig)
-    frame = MonomialFrame(sig, _integer_list(data, "frame"))
+    monomials = _integer_list(data, "frame")
+    for i, mask in enumerate(monomials):
+        if not 0 <= mask < sig.dim:
+            raise ValueError(f"frame[{i}] is out of range for {sig}: {mask}")
+    frame = MonomialFrame(sig, monomials)
     components = []
     for ci, comp in enumerate(_list_field(data, "components")):
         where = f"components[{ci}]."

@@ -16,23 +16,26 @@ gives ``repr`` its generator matrices (``_blade_matrices``), each blade
 solved once; ``repr.homomorphism`` compares each with a generator matrix
 times an earlier blade's, so no second set of 2^n products is built.
 
-Four representation checks first read each component's real form
-(``_real_form``): the signed permutation P_A of every blade on the real
-basis x_{t d + j} = s_t u_j, composed from the spinor basis's generator
-permutations, when the unit table is that of R, C or H and each gamma is
-the matrix of its permutation.  Each gamma is then left multiplication on a
-left ideal, so ``repr.homomorphism`` holds, ``repr.generator_relations``
-and ``repr.right_module`` compare permutations, and signed permutations
-being orthogonal, traces prove ``repr.faithful_rank``.
+The representation checks rest on one premise (``_left_multiplication``):
+the generators permute the real basis x_{t d + j} = s_t u_j up to sign,
+u_0 == f, the unit table is that of R, C or H, and each gamma is the
+generator matrix those permutations are read from.  Each gamma is then left
+multiplication by e_i on the free right K-module M = span{s_t u_j}, so
+``repr.generator_relations``, ``repr.homomorphism`` and ``repr.right_module``
+hold with nothing compared.
 
 ``repr.irreducible`` rests on Schur's lemma (P. Lounesto, *Clifford
 Algebras and Spinors*, 2nd ed., Ch. 17).  In the real basis s_t u_j each
 generator acts as a signed permutation, from the Salingaros vee group
 {+-e_A}.  So the real matrices commuting with the generators are counted
 over orbits of index pairs, with no linear algebra.  When that commutant is
-the right action of the units, a division algebra of dimension dim K, the
+the right action of the units, a division algebra D of dimension dim K, the
 span of the s_t u_j is a simple left ideal (``_simple_ideal``) and every
-nonzero sample generates it.
+nonzero sample generates it.  By the Jacobson density theorem (T. Y. Lam,
+*A First Course in Noncommutative Rings*, Sec. 11) Cl(p,q) then maps onto
+End_D(M), of dimension N^2 d, and onto the product of those of
+non-isomorphic simple components, which proves ``repr.faithful_rank``
+(``_density_proves_ranks``).
 
 The idempotent checks read each idempotent's stabilizer character
 (``idempotents.stabilizer_character``), built once per signature on the
@@ -62,7 +65,7 @@ from .core import (
     SignatureMismatchError,
     _sign_masks,
 )
-from .division import _UNIT_PRODUCTS, _UNIT_TABLES
+from .division import _UNIT_TABLES
 from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
@@ -237,8 +240,12 @@ class _Context(Record):
         ]
 
     @cached_property
-    def real_forms(self) -> list:
-        return [_real_form(comp) for comp in self.rep.components]
+    def left_multiplication(self) -> list[bool]:
+        return [_left_multiplication(comp) for comp in self.rep.components]
+
+    @cached_property
+    def simple_ideals(self) -> list[bool]:
+        return [_simple_ideal(comp.basis) for comp in self.rep.components]
 
     @cached_property
     def rng(self) -> random.Random:
@@ -317,57 +324,30 @@ def _representation_agrees(ctx: _Context) -> dict | None:
     return {"expected": cls.to_json_dict(), "components": len(rep.components)}
 
 
-def _compose(outer, inner) -> tuple[list, list]:
-    """The signed permutation outer . inner (inner applied first)."""
-    (po, so), (pi, si) = outer, inner
-    return [po[b] for b in pi], [s * so[b] for b, s in zip(pi, si)]
+def _left_multiplication(comp: Component) -> bool:
+    """Whether each gamma is proved left multiplication by e_i on the free
+    right K-module M = span{s_t u_j}; False decides nothing.
 
-
-def _real_form(comp: Component) -> list | None:
-    """P_A = P_low P_rest (low A's lowest bit) for every blade e_A in mask
-    order, from the generator permutations P_i on x_{t d + j} = s_t u_j;
-    None unless the P_i exist, the units follow the table of R, C or H with
-    u_0 == f (so s_t == x_{t d}), the dumped table, read by K-matrix
+    It holds when the generator permutations exist (so the s_t u_j are
+    independent, M is a left ideal and the units follow the table of R, C
+    or H), u_0 == f (so s_t == s_t u_0), the dumped table, read by K-matrix
     products, is that table, and the gammas are the generator matrices the
-    P_i are read from (``SpinorBasis.generator_matrices``; the same object
-    for a built representation).  K-matrices then map injectively and
-    multiplicatively to real matrices: gamma_i to P_i, e_A's to P_A."""
+    permutations are read from (``SpinorBasis.generator_matrices``; the
+    same object for a built representation).  K-matrices then map
+    injectively and multiplicatively to real matrices on M."""
     sb, kb = comp.basis, comp.kbasis
-    perms, size = sb.generator_permutations, sb.size * kb.dim
-    if (
-        perms is None
-        or kb.unit_defect is not None
-        or kb.units[0] != kb.idempotent
-        or kb.table != _UNIT_TABLES[kb.dim]
-        or comp.gammas != sb.generator_matrices
-    ):
-        return None
-    forms = [(list(range(size)), [1] * size)]
-    for mask in range(1, 1 << len(perms)):
-        low = mask & -mask
-        forms.append(_compose(perms[low.bit_length() - 1], forms[mask ^ low]))
-    return forms
-
-
-def _anticommute(form, sig: Signature) -> bool:
-    """P_i P_j + P_j P_i == 2 eta_i delta_ij I for P_i = form[1 << i]."""
-    identity = form[0][0]
-    for i in range(sig.n):
-        square = (identity, [sig.generator_square(i + 1)] * len(identity))
-        if _compose(form[1 << i], form[1 << i]) != square:
-            return False
-        for j in range(i + 1, sig.n):
-            p, s = _compose(form[1 << j], form[1 << i])
-            if _compose(form[1 << i], form[1 << j]) != (p, [-x for x in s]):
-                return False
-    return True
+    return (
+        sb.generator_permutations is not None
+        and kb.units[0] == kb.idempotent
+        and kb.table == _UNIT_TABLES[kb.dim]
+        and comp.gammas == sb.generator_matrices
+    )
 
 
 def _generator_relations(ctx: _Context) -> dict | None:
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
-        form = ctx.real_forms[ci]
-        if form is not None and _anticommute(form, sig):
+        if ctx.left_multiplication[ci]:
             continue
         g = comp.gammas
         for i in range(sig.n):
@@ -385,9 +365,9 @@ def _homomorphism(ctx: _Context) -> dict | None:
     ascending order every rest < mask already equals its ordered product of
     generator matrices, so the witness is the first mask whose solved matrix
     differs from it; a generator of the wrong shape fails at its own mask.
-    A component with a real form passes: left multiplication is a homomorphism."""
+    A component proved left multiplication passes, as that is a homomorphism."""
     for ci, comp in enumerate(ctx.rep.components):
-        if ctx.real_forms[ci] is not None:
+        if ctx.left_multiplication[ci]:
             continue
         solved = ctx.solved[ci]
         for mask, mat in enumerate(solved):
@@ -402,30 +382,36 @@ def _homomorphism(ctx: _Context) -> dict | None:
     return None
 
 
-def _traces_prove_ranks(forms, simple: bool) -> bool:
-    """Whether traces prove the ranks ``repr.faithful_rank`` expects:
-    <P_A, P_B> = tr P_A^T P_B = +-tr P_{A xor B}, with one sign for all
-    components.  Traces of P_C summing to 0 over the components for every
-    C != 0 make the joint Gram matrix diagonal, of rank 2^n.  In each of a
-    semisimple algebra's two, tr P_C == 0 for C outside {0, w} and tr P_w
-    == +-D (so P_w == +-I) give rank 2^(n-1)."""
-    if None in forms or len(forms) != (1 if simple else 2):
+def _density_proves_ranks(ctx: _Context) -> bool:
+    """Whether density proves the ranks ``repr.faithful_rank`` expects.
+
+    Every component is left multiplication on a simple M of D-dimension N
+    with End_Cl(M) = D of dimension d (``_left_multiplication`` and
+    ``_simple_ideal``), so the image of Cl(p,q) is End_D(M), of dimension
+    N^2 d, which must be 2^n, or 2^(n-1) for each of a semisimple algebra's
+    two.  The central pseudoscalar acts on each M as its value on f
+    (``_pseudoscalar_value``), so opposite values make the two modules
+    non-isomorphic, and the joint image is the product, of dimension 2^n.
+    """
+    comps, sig = ctx.rep.components, ctx.sig
+    expected = [sig.dim] if ctx.rep.simple else [sig.dim // 2] * 2
+    if not (
+        all(ctx.left_multiplication)
+        and all(ctx.simple_ideals)
+        and [c.basis.size**2 * c.kbasis.dim for c in comps] == expected
+    ):
         return False
-    traces = [
-        [sum(s for a, (b, s) in enumerate(zip(*p)) if a == b) for p in form]
-        for form in forms
-    ]
-    top = len(traces[0]) - 1
-    return not any(map(sum, list(zip(*traces))[1:])) and (
-        simple or all(not any(tr[1:top]) and abs(tr[top]) == tr[0] for tr in traces)
-    )
+    return ctx.rep.simple or {
+        _pseudoscalar_value(sig, stabilizer_character(c.basis.idempotent))
+        for c in comps
+    } == {1, -1}
 
 
 def _faithful_rank(ctx: _Context) -> dict | None:
     """Each component's blade matrices span half of Cl(p,q) (all of it when
     simple), and each blade's matrices in all components together span all
-    of it.  Traces of the real forms may prove it (``_traces_prove_ranks``)."""
-    if _traces_prove_ranks(ctx.real_forms, ctx.rep.simple):
+    of it.  Density may prove it (``_density_proves_ranks``)."""
+    if _density_proves_ranks(ctx):
         return None
     sig = ctx.sig
     ranks = [span_of(_flatten(mat) for mat in mats).rank for mats in ctx.solved]
@@ -506,12 +492,12 @@ def _simple_ideal(sb: SpinorBasis) -> bool:
 
     It reads only f, the units and the spinor blades, never a gamma matrix
     or the unit table, and holds when all of these hold; False decides
-    nothing.
+    nothing.  ``SpinorBasis.generator_permutations`` exists only when 1-3
+    hold.
     1. The real-basis index exists and is not empty: the D = N d elements
        s_t u_j are nonzero with distinct leading masks, so independent.
-    2. Each generator sends each s_t u_j to +-s_r u_c exactly
-       (``SpinorBasis.generator_permutations``).  So M is a left ideal on
-       which e_i acts as a signed permutation.
+    2. Each generator sends each s_t u_j to +-s_r u_c exactly.  So M is a
+       left ideal on which e_i acts as a signed permutation.
     3. Each product u_a u_b, solved over the units, is the entry of the
        fixed table of R, C or H (``DivisionRingBasis.unit_defect``; a built
        K keeps the result of ``division_ring_basis``).  So the units are
@@ -527,11 +513,7 @@ def _simple_ideal(sb: SpinorBasis) -> bool:
     """
     kb = sb.kbasis
     perms = sb.generator_permutations
-    return (
-        perms is not None
-        and kb.unit_defect is None
-        and _commutant_dim(perms, sb.size * kb.dim) == kb.dim
-    )
+    return perms is not None and _commutant_dim(perms, sb.size * kb.dim) == kb.dim
 
 
 def _irreducible(ctx: _Context) -> dict | None:
@@ -551,7 +533,7 @@ def _irreducible(ctx: _Context) -> dict | None:
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
         ideal_dim = sb.size * kb.dim
-        if _simple_ideal(sb):
+        if ctx.simple_ideals[ci]:
             for _ in range(_RANDOM_PSI_COUNT):
                 while not any([ctx.rng.randint(-3, 3) for _ in range(ideal_dim)]):
                     pass
@@ -579,24 +561,12 @@ def _irreducible(ctx: _Context) -> dict | None:
     return None
 
 
-def _right_action(form, d: int, size: int, masks) -> bool:
-    """e_A (s_t u_j) == (e_A s_t) u_j on the real form for the first three s_t."""
-    for pi, sigma in map(form.__getitem__, masks):
-        for t in range(min(size, 3)):
-            r, c = divmod(pi[t * d], d)
-            for j, (cj, s) in enumerate(_UNIT_PRODUCTS[c][:d]):
-                if (pi[t * d + j], sigma[t * d + j]) != (r * d + cj, s * sigma[t * d]):
-                    return False
-    return True
-
-
 def _right_module(ctx: _Context) -> dict | None:
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
         kb, sb = comp.kbasis, comp.basis
         masks = [ctx.rng.randrange(sig.dim) for _ in range(5)]
-        form = ctx.real_forms[ci]
-        if form is not None and _right_action(form, kb.dim, sb.size, masks):
+        if ctx.left_multiplication[ci]:
             continue
         solved = ctx.solved[ci]
         # per spinor s, what no mask changes: its coordinate column and that
@@ -633,24 +603,28 @@ def _center_dimension(ctx: _Context) -> dict | None:
     return None
 
 
+def _pseudoscalar_value(sig: Signature, chi) -> int | None:
+    """chi(w) for the pseudoscalar e_w when n is odd and w is in the
+    stabilizer of f; None otherwise.  e_w is then central, so e_w x f =
+    x e_w f = chi(w) x f on all of Cl f."""
+    if sig.n % 2 == 0 or chi is None:
+        return None
+    return chi.values.get(sig.dim - 1)
+
+
 def _split_by_pseudoscalar(sig: Signature, chi, hat_chi) -> bool:
     """Whether the characters of f and hat(f) prove dim hat(S) == dim S and
     S + hat(S) direct; False decides nothing.
 
-    For odd n the pseudoscalar e_w is central, so with w in both
-    stabilizers, e_w x f = chi(w) x f on all of S = Cl f, and likewise on
-    hat(S).  Opposite values put S and hat(S) in different eigenspaces of
-    left multiplication by e_w, and equal stabilizers give equal
-    dimensions 2^n / |H|.
+    Opposite pseudoscalar values (``_pseudoscalar_value``) put S and hat(S)
+    in different eigenspaces of left multiplication by e_w, and equal
+    stabilizers give equal dimensions 2^n / |H|.
     """
-    w = sig.dim - 1
+    value = _pseudoscalar_value(sig, chi)
     return (
-        sig.n % 2 == 1
-        and chi is not None
-        and hat_chi is not None
+        value is not None
+        and _pseudoscalar_value(sig, hat_chi) == -value
         and len(chi.values) == len(hat_chi.values)
-        and w in chi.values
-        and hat_chi.values.get(w) == -chi.values[w]
     )
 
 

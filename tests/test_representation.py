@@ -599,6 +599,8 @@ def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
         ("q", [1], "q is not an integer: [1]"),
         ("frame", [1.7], "frame[0] is not an integer: 1.7"),
         ("frame", ["3"], "frame[0] is not an integer: '3'"),
+        ("frame", [99], "frame[0] is out of range for Cl(1,1): 99"),
+        ("frame", [-3], "frame[0] is out of range for Cl(1,1): -3"),
         ("components", [None], "components[0] is not an object"),
         ("components", [[]], "components[0] is not an object"),
     ],

@@ -630,23 +630,16 @@ def test_irreducible_draws_the_rng_as_the_sampler_did(n):
         assert ctx.rng.getstate() == rng.getstate()
 
 
-# Without the proof repr.irreducible ranks every sample exactly, which would
-# take hours at n = 12; the whole range runs with CLIFFSTRUCT_SLOW=1.
-@pytest.mark.parametrize("n", range(13 if SLOW else 9))
+# Without these proofs repr.irreducible and repr.faithful_rank rank every
+# sample and every blade matrix exactly, which would take hours at n = 12.
+@pytest.mark.parametrize("n", range(13))
 def test_simple_ideal_proof_holds_on_every_built_component(n):
+    """The left-multiplication premise, the simple-ideal proof and the
+    density certificate built on both."""
     for p in range(n + 1):
-        for comp in build_representation(Signature(p, n - p)).components:
-            assert verify._simple_ideal(comp.basis)
-
-
-# The real form is built to n <= 12 with CLIFFSTRUCT_SLOW=1.
-@pytest.mark.parametrize("n", range(13 if SLOW else 9))
-def test_real_form_holds_on_every_built_component(n):
-    for p in range(n + 1):
-        rep = build_representation(Signature(p, n - p))
-        forms = _context(rep).real_forms
-        assert len(forms) == len(rep.components) and None not in forms
-        assert verify._traces_prove_ranks(forms, rep.simple)
+        ctx = _context(build_representation(Signature(p, n - p)))
+        assert all(ctx.left_multiplication) and all(ctx.simple_ideals)
+        assert verify._density_proves_ranks(ctx)
 
 
 def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
@@ -666,8 +659,8 @@ def test_real_forms_fall_back_to_the_exact_path(monkeypatch):
     default = verify_range(5).to_json_dict()
     monkeypatch.setattr(
         verify._Context,
-        "real_forms",
-        property(lambda ctx: [None] * len(ctx.rep.components)),
+        "left_multiplication",
+        property(lambda ctx: [False] * len(ctx.rep.components)),
     )
     assert verify_range(5).to_json_dict() == default
 
@@ -684,40 +677,34 @@ def test_real_form_declines_a_unit_other_than_f(monkeypatch):
     # cannot be read and no permutations are derived
     assert sb.generator_permutations is None and kb.unit_defect is None
     comp = Component(sb, (KMatrix(kb, 1, (((0, (1,)),),)),))
-    assert verify._real_form(comp) is None
+    assert not verify._left_multiplication(comp)
     rep = Representation(sig, classify(sig), find_frame(sig), (comp,))
     report = verify_representation(rep)
     assert {c.check_id: c.passed for c in report}["repr.homomorphism"] is False
-    monkeypatch.setattr(verify._Context, "real_forms", property(lambda ctx: [None]))
+    monkeypatch.setattr(
+        verify._Context, "left_multiplication", property(lambda ctx: [False])
+    )
     assert verify_representation(rep) == report
 
 
-def _permutation_rows(form):
-    """Each signed permutation (pi, sigma) as its real matrix's entries."""
-    return [
-        {(pi[a], a): s for a, s in enumerate(sigma)} for pi, sigma in form
-    ]
-
-
 @pytest.mark.parametrize("n", range(7))
-def test_trace_certificate_matches_the_exact_ranks(n):
+def test_density_certificate_matches_the_exact_ranks(n):
     for p in range(n + 1):
         sig = Signature(p, n - p)
         rep = build_representation(sig)
         ctx = _context(rep)
-        forms = ctx.real_forms
-        assert verify._traces_prove_ranks(forms, rep.simple)
+        assert verify._density_proves_ranks(ctx)
         ranks = [span_of(verify._flatten(m) for m in mats).rank for mats in ctx.solved]
         joint = span_of(verify._flatten(*mats) for mats in zip(*ctx.solved)).rank
+        assert ranks == [c.basis.size**2 * c.kbasis.dim for c in rep.components]
         assert ranks == ([sig.dim] if rep.simple else [sig.dim // 2] * 2)
         assert joint == sig.dim
-        # the permutations have the ranks of the K-matrices they stand for
-        assert [span_of(_permutation_rows(form)).rank for form in forms] == ranks
-        # each P_A is e_A's matrix on the real basis, read by the K-matrix
-        for form, mats in zip(forms, ctx.solved):
-            d = mats[0].basis.dim
-            for (pi, sigma), mat in zip(form, mats):
-                for t, ((r, entry),) in enumerate(mat.columns):
+        # each generator permutation is its gamma read on the real basis
+        for comp in rep.components:
+            d = comp.kbasis.dim
+            perms = comp.basis.generator_permutations
+            for (pi, sigma), gamma in zip(perms, comp.gammas):
+                for t, ((r, entry),) in enumerate(gamma.columns):
                     c = pi[t * d] % d
                     assert pi[t * d] // d == r
                     assert entry == tuple(sigma[t * d] if x == c else 0 for x in range(d))

@@ -162,6 +162,10 @@ def _copy_component(d):
     d["components"][1] = copy.deepcopy(d["components"][0])
 
 
+def _append_component(d):
+    d["components"].append(copy.deepcopy(d["components"][0]))
+
+
 def _repeat_spinor_blade(d):
     d["components"][0]["spinor_blades"] = [0, 0]
 
@@ -196,9 +200,10 @@ def _left_regular_module(d):
 
 
 def _left_regular_components(d):
-    """Both components of Cl(1,0) acting on the whole algebra: P_e1 swaps
-    the two real basis vectors, so every trace is 0 and only P_w == +-I
-    keeps the trace certificate from claiming rank 1."""
+    """Both components of Cl(1,0) acting on the whole algebra, R + R:
+    End_Cl has dimension 2, not dim K = 1, so the simple-ideal proof and
+    the density certificate on it decline, and the exact ranks give the
+    witness."""
     for ci, comp in enumerate(d["components"]):
         comp.update(_regular(Signature(1, 0), range(2)))
         _solve_gammas(d, ci)
@@ -234,8 +239,8 @@ DUMP_CASES = {
         },
     ),
     # A monomial gamma that is not the generator's permutation, and a unit
-    # table other than H's: the real form declines, and the K-matrices give
-    # the witnesses.
+    # table other than H's: the left-multiplication premise declines, and
+    # the K-matrices give the witnesses.
     "repr.homomorphism-monomial-gamma": (
         (0, 3),
         _negate_gamma_entry,
@@ -370,6 +375,24 @@ DUMP_CASES = {
             },
         },
     ),
+    # A simple algebra with a second copy of its one component: each copy
+    # has rank 4, and the two together only 4.
+    "repr.faithful_rank-extra-component": (
+        (1, 1),
+        _append_component,
+        {
+            "class.representation_agrees": {
+                "expected": {
+                    "p": 1, "q": 1, "simple": True, "K": "R", "k": 1, "N": 2,
+                    "components": 1,
+                },
+                "components": 2,
+            },
+            "repr.faithful_rank": {
+                "component_ranks": [4, 4], "joint_rank": 4, "dim": 4,
+            },
+        },
+    ),
     # With s_0 == s_1 == f the real basis {s_t u_j} repeats a leading mask,
     # so the lookup has no index and the span solve decides: e2 f is
     # outside the span of f.
@@ -420,13 +443,27 @@ def test_corrupted_dump_fails_its_check(case):
     ],
 )
 def test_corrupted_dump_declines_the_real_form(case):
-    assert _corrupted_context(case).real_forms[0] is None
+    assert not _corrupted_context(case).left_multiplication[0]
 
 
-def test_trace_certificate_declines_the_left_regular_components():
-    ctx = _corrupted_context("repr.faithful_rank-left-regular-components")
-    assert None not in ctx.real_forms
-    assert not verify._traces_prove_ranks(ctx.real_forms, simple=False)
+# Whether each dump's components are all proved simple: where they are,
+# equal pseudoscalar values on copies, or the count N^2 d of each copy
+# against 2^n, declines; where not, End_Cl(M) is larger than K.
+DENSITY_DECLINES = {
+    "repr.faithful_rank": True,
+    "repr.faithful_rank-extra-component": True,
+    "class.representation_agrees": True,
+    "repr.faithful_rank-left-regular-components": False,
+    "repr.irreducible-reducible-module": False,
+}
+
+
+@pytest.mark.parametrize("case", list(DENSITY_DECLINES))
+def test_density_declines(case):
+    ctx = _corrupted_context(case)
+    assert all(ctx.left_multiplication)
+    assert all(ctx.simple_ideals) is DENSITY_DECLINES[case]
+    assert not verify._density_proves_ranks(ctx)
 
 
 def _corrupted_context(case):
