@@ -634,8 +634,15 @@ def test_irreducible_draws_the_rng_as_the_sampler_did(n):
 # sample and every blade matrix exactly, which would take hours at n = 12.
 @pytest.mark.parametrize("n", range(13))
 def test_simple_ideal_proof_holds_on_every_built_component(n):
-    """The left-multiplication premise, the simple-ideal proof and the
-    density certificate built on both."""
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            assert verify._simple_ideal(comp.basis)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_real_form_holds_on_every_built_component(n):
+    """The generators' signed-permutation real form is left multiplication
+    on every component, and the density certificate built on it holds."""
     for p in range(n + 1):
         ctx = _context(build_representation(Signature(p, n - p)))
         assert all(ctx.left_multiplication) and all(ctx.simple_ideals)
