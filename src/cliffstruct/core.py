@@ -545,8 +545,8 @@ def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
     """Inverse of :func:`multivector_to_json_dict`; a missing key, a ``p``,
     ``q`` or ``mask`` that is not an integer, a ``num`` or ``den`` that is
     not the schema's string of digits, a dump or term that is not an object,
-    or a zero denominator raises a ValueError naming the field after
-    ``prefix``."""
+    a mask out of range or a zero denominator raises a ValueError naming the
+    field after ``prefix``."""
     sig = Signature(
         _integer_field(data, "p", prefix), _integer_field(data, "q", prefix)
     )
@@ -554,6 +554,8 @@ def multivector_from_json_dict(data: Mapping, prefix: str = "") -> Multivector:
     for idx, t in enumerate(_list_field(data, "terms", prefix)):
         where = f"{prefix}terms[{idx}]."
         mask = _integer_field(t, "mask", where)
+        if not 0 <= mask < sig.dim:
+            raise ValueError(f"{where}mask is out of range for {sig}: {mask}")
         num = _digits_field(t, "num", _NUM, where)
         den = _digits_field(t, "den", _DEN, where)
         if not den:

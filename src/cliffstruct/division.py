@@ -57,8 +57,9 @@ _UNIT_TABLES = {
 
 # A K-element is a coordinate tuple against DivisionRingBasis.units.  The
 # tables, identities and generator matrices built here hold integral
-# coordinates as ints and the others as Fractions; span solves and dumps give
-# Fractions.  The two agree on ==, hash and str, and mix exactly.
+# coordinates as ints and the others as Fractions; span solves, dumps and
+# kmul over a dumped table give Fractions.  The two agree on ==, hash and
+# str, and mix exactly.
 KElement = tuple
 
 _ZERO = Fraction(0)
@@ -109,22 +110,6 @@ class DivisionRingBasis(FrozenRecord):
         return tuple(-a for a in x)
 
     @cached_property
-    def _sparse_table(self) -> tuple:
-        """``table`` as (index, t) pairs of its nonzero coordinates, with the
-        +-1 entries of canonical units as ints."""
-        return tuple(
-            tuple(
-                tuple(
-                    (idx, int(t) if t in (1, -1) else t)
-                    for idx, t in enumerate(entry)
-                    if t
-                )
-                for entry in row
-            )
-            for row in self.table
-        )
-
-    @cached_property
     def _products(self) -> dict:
         """kmul's results by (x, y).  Equal keys of ints and Fractions share
         a result, so its coordinates may be either type, with equal values."""
@@ -133,28 +118,14 @@ class DivisionRingBasis(FrozenRecord):
     def kmul(self, x: KElement, y: KElement) -> KElement:
         out = self._products.get((x, y))
         if out is None:
-            out = self._products[x, y] = self._kmul(x, y)
+            acc = [0] * self.dim
+            for xa, row in zip(x, self.table):
+                for yb, entry in zip(y, row):
+                    for idx, t in enumerate(entry):
+                        if xa and yb and t:
+                            acc[idx] += xa * yb * t
+            out = self._products[x, y] = tuple(acc)
         return out
-
-    def _kmul(self, x: KElement, y: KElement) -> KElement:
-        out = [0] * self.dim
-        table = self._sparse_table
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            row = table[a]
-            for b, yb in enumerate(y):
-                if not yb:
-                    continue
-                c = xa * yb
-                for idx, t in row[b]:
-                    if t == 1:
-                        out[idx] += c
-                    elif t == -1:
-                        out[idx] -= c
-                    else:
-                        out[idx] += c * t
-        return tuple(out)
 
     @cached_property
     def _span(self) -> ExactSpan:

@@ -7,6 +7,8 @@ instead of raising, so a verification sweep always completes and reports.
 the checks share from a lazily built per-signature context and returns a
 witness, or None on a pass.  An exception fails only the checks that meet
 it, each under its own id with an ``{"error": "Type: message"}`` witness.
+The representation checks (``REPR_CHECKS``) run on the same context;
+``verify_representation`` runs them alone over a given one, such as a dump.
 
 A check may confirm a pass with a cheaper certificate or proof; when it
 cannot decide, the check falls back to exact arithmetic, which alone gives
@@ -45,14 +47,14 @@ proves f f == f, f_a f_b == 0, dim Cl(p,q) f == 2^n / |H| (inside
 that ``semi.split``'s sum S + hat(S) is direct, with no product and no
 rank.  When it declines, the left multiples e_X f are read into classes of
 proportional rows (``_class_rows``), with no product formed, and ranked
-over Q.  Certificates only confirm; every failure and witness comes from
-the exact path.
+over Q; ``brute_force_minimal_ideal_dim`` also ranks the samples of
+``repr.irreducible`` so.  Certificates only confirm; every failure and
+witness comes from the exact path.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -76,7 +78,7 @@ from .idempotents import (
     idempotent_set,
     stabilizer_character,
 )
-from .linalg import ExactSpan, span_of
+from .linalg import span_of
 from .representation import (
     Component,
     KMatrix,
@@ -224,12 +226,6 @@ class _Context(Record):
     @cached_property
     def rep(self) -> Representation:
         return build_representation(self.idems.frame)
-
-    @cached_property
-    def repr_witnesses(self) -> dict:
-        """REPR_CHECKS run once over this signature's representation."""
-        results = verify_representation(self.rep, seed=self.seed)
-        return {c.check_id: c.witness for c in results}
 
     @cached_property
     def solved(self) -> list[list[KMatrix]]:
@@ -425,30 +421,13 @@ def _faithful_rank(ctx: _Context) -> dict | None:
 def _psi_sampler(sig: Signature, vectors: list[Multivector]):
     """draw(rng): psi = sum c_v v over the vectors with each c_v drawn by
     ``rng.randint(-3, 3)`` in order, all drawn again while psi is zero.
-
-    psi is accumulated on integer numerators over the vectors' common
-    denominator and normalized once.  Some vector must be nonzero.
-    """
-    den = 1
-    for v in vectors:
-        d = v._integer_terms[0]
-        den = den * d // gcd(den, d)
-    rows = []
-    for v in vectors:
-        d, masks, nums = v._integer_terms
-        rows.append((masks, [c * (den // d) for c in nums]))
+    Some vector must be nonzero."""
 
     def draw(rng: random.Random) -> Multivector:
         while True:
-            acc: dict[int, int] = {}
-            for masks, nums in rows:
-                c = rng.randint(-3, 3)
-                if c:
-                    for m, x in zip(masks, nums):
-                        acc[m] = acc.get(m, 0) + c * x
-            terms = tuple(sorted((m, Fraction(x, den)) for m, x in acc.items() if x))
-            if terms:
-                return Multivector(sig, terms)
+            psi = sum((v * rng.randint(-3, 3) for v in vectors), sig.scalar(0))
+            if not psi.is_zero():
+                return psi
 
     return draw
 
@@ -525,9 +504,11 @@ def _irreducible(ctx: _Context) -> dict | None:
     coefficients are still drawn, one ``randint(-3, 3)`` per s_t u_j, again
     while all are zero (psi is zero exactly then, the s_t u_j being
     independent), so ``repr.right_module`` reads the same rng stream.
-    Otherwise every sample is ranked exactly, and the exact rows alone give
-    witnesses.  The left multiples of a basis sample +-e_B f are the
-    +-e_X f, so dim Cl(p,q) f == dim_R S confirms the basis samples there.
+    Otherwise every sample psi is ranked by ``brute_force_minimal_ideal_dim``:
+    2^n / |H| when psi has a stabilizer character, else the rank of its
+    class rows over Q, and it fails when that rank is below dim_R S.  The
+    left multiples of a basis sample +-e_B f are the +-e_X f, so
+    dim Cl(p,q) f == dim_R S confirms the basis samples there.
     """
     sig = ctx.sig
     for ci, comp in enumerate(ctx.rep.components):
@@ -546,16 +527,12 @@ def _irreducible(ctx: _Context) -> dict | None:
         samples = [] if basis_proved else list(sb.elements)
         samples += [draw(ctx.rng) for _ in range(_RANDOM_PSI_COUNT)]
         for psi in samples:
-            span = ExactSpan()
-            for mask in range(sig.dim):
-                span.add(dict((sig.blade(mask) * psi).terms), mask)
-                if span.rank == ideal_dim:
-                    break
-            if span.rank != ideal_dim:
+            rank = brute_force_minimal_ideal_dim(sig, psi)
+            if rank < ideal_dim:
                 return {
                     "component": ci,
                     "psi": str(psi),
-                    "rank": span.rank,
+                    "rank": rank,
                     "expected": ideal_dim,
                 }
     return None
@@ -667,10 +644,6 @@ def _semi_split(ctx: _Context) -> dict | None:
     return None
 
 
-def _from_representation(check_id: str):
-    return lambda ctx: ctx.repr_witnesses[check_id]
-
-
 REPR_CHECKS = (
     ("class.representation_agrees", _representation_agrees),
     ("repr.generator_relations", _generator_relations),
@@ -681,8 +654,8 @@ REPR_CHECKS = (
 )
 
 # Every check of one signature, in report order.  The representation checks
-# run through verify_representation, as for a dump; semi.split, last, applies
-# to semisimple algebras only.
+# run on the signature's own context, over its built representation;
+# semi.split, last, applies to semisimple algebras only.
 CHECKS = (
     ("class.dimension_identity", _dimension_identity),
     ("class.simplicity_mod4", _simplicity_mod4),
@@ -692,7 +665,7 @@ CHECKS = (
         for check_id, witness_of in IDEMPOTENT_INVARIANTS
     ),
     ("ideal.dimension", _ideal_dimension),
-    *((check_id, _from_representation(check_id)) for check_id, _ in REPR_CHECKS),
+    *REPR_CHECKS,
     ("center.dimension", _center_dimension),
     ("semi.split", _semi_split),
 )

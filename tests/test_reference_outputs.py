@@ -5,7 +5,8 @@ against recorded sha256s.
 output with p + q <= 12, recorded from the package as first released.  The
 ``verify`` hashes, among them ``verify --max-n 12`` over the whole range of
 p + q, and those of the ``repr p q`` text for n <= 6 are kept inline.  All
-of them run in every test session, as does a bound on the peak memory of
+of them run in every test session, as do the file's ``idempotents p q
+--json`` hashes for n = 9 and 10 and a bound on the peak memory of
 ``verify 6 6 --json``.
 """
 
@@ -89,6 +90,21 @@ def reference():
 def test_repr_json_matches_reference(reference, p, q):
     data = _stdout(["repr", str(p), str(q), "--json"])
     entry = reference[f"{p},{q}"]
+    assert len(data) == entry["bytes"]
+    assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        pytest.param(p, n - p, id=f"idempotents-{p}-{n - p}")
+        for n in (9, 10)
+        for p in range(n + 1)
+    ],
+)
+def test_idempotents_json_matches_reference(p, q):
+    entry = json.loads(REFERENCE.read_text())["idempotents"][f"{p},{q}"]
+    data = _stdout(["idempotents", str(p), str(q), "--json"])
     assert len(data) == entry["bytes"]
     assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 

@@ -31,6 +31,7 @@ from cliffstruct import (
     verify_signature,
 )
 from cliffstruct.core import _blade_times, _sign_masks
+from cliffstruct.division import KTYPE_BY_DIM, _UNIT_TABLES
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
@@ -580,6 +581,8 @@ def _set(*path):
         ((0, 2), _set("units", 1, "p", 1), "units[1] is in Cl(1,2), not Cl(0,2)"),
         ((1, 1), _set("spinor_blades", [0, 99]), "spinor_blades[1] is out of range for Cl(1,1): 99"),
         ((1, 1), _set("spinor_blades", [-1, 2]), "spinor_blades[0] is out of range for Cl(1,1): -1"),
+        ((1, 1), _set("idempotent", "terms", 0, "mask", 4), "idempotent.terms[0].mask is out of range for Cl(1,1): 4"),
+        ((0, 2), _set("units", 1, "terms", 0, "mask", -1), "units[1].terms[0].mask is out of range for Cl(0,2): -1"),
     ],
 )
 def test_representation_json_rejects_malformed_fields(pq, corrupt, field):
@@ -1068,6 +1071,25 @@ def test_corrupted_unit_raises_instead_of_a_wrong_matrix():
         )
         assert (expected is RepresentationError) == left
         assert _outcome(lambda: _generator_gammas(sig, bad_sb)) == expected
+
+
+@pytest.mark.parametrize(
+    "units, message",
+    [
+        (lambda f: (f * 0,), "unit 0 is zero"),
+        (
+            lambda f: (f, f),
+            "S = Cl f is not a free right K-module: unit masks span rank 0 over the frame",
+        ),
+    ],
+)
+def test_spinor_basis_refuses_units_that_are_not_a_k_basis(units, message):
+    sig = Signature(1, 1)
+    product = idempotents.product_form((sig.scalar(1) + sig.e(1)) * HALF)
+    bad = units(product.f)
+    kb = DivisionRingBasis(product.f, bad, KTYPE_BY_DIM[len(bad)], _UNIT_TABLES[len(bad)])
+    with pytest.raises(RepresentationError, match="^" + re.escape(message) + "$"):
+        spinor_basis(product, kb)
 
 
 def _outcome(build):

@@ -649,7 +649,37 @@ def test_real_form_holds_on_every_built_component(n):
         assert verify._density_proves_ranks(ctx)
 
 
+# the signatures of perfbench's repr-large workload
+REPR_LARGE_SIGNATURES = ((0, 10), (1, 10), (0, 11), (4, 7), (8, 3), (0, 12), (6, 6))
+
+
+def _unreached(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return fail
+
+
 def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
+    """Nor do verify_range(6) and the dumps of repr-large's signatures reach
+    the exact fallbacks: K and K-matrix arithmetic, the span solve, the psi
+    sampler and the class rows.  Their outputs are the same with those
+    raising, so a change that makes a fallback run again shows here."""
+    expected = verify_range(6).to_json_dict()
+    dumps = [
+        representation_to_json_dict(build_representation(Signature(*pq)))
+        for pq in REPR_LARGE_SIGNATURES
+    ]
+    for owner, name in (
+        (DivisionRingBasis, "kmul"),
+        (KMatrix, "__matmul__"),
+        (KMatrix, "__add__"),
+        (KMatrix, "scale_right"),
+        (representation, "_solve"),
+        (verify, "_psi_sampler"),
+        (verify, "_class_rows"),
+    ):
+        monkeypatch.setattr(owner, name, _unreached(name))
     solved = verify._Context.solved
     built = []
 
@@ -658,8 +688,11 @@ def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
         return solved.func(ctx)
 
     monkeypatch.setattr(verify._Context, "solved", property(record))
-    assert verify_range(6).passed
+    summary = verify_range(6)
+    assert summary.passed and summary.to_json_dict() == expected
     assert built == []
+    for pq, dump in zip(REPR_LARGE_SIGNATURES, dumps):
+        assert representation_to_json_dict(build_representation(Signature(*pq))) == dump
 
 
 def test_real_forms_fall_back_to_the_exact_path(monkeypatch):
