@@ -3,12 +3,12 @@
 Every check is exact; a failing check carries a JSON-serializable witness
 instead of raising, so a verification sweep always completes and reports.
 
-``CHECKS`` is the ordered table of ``(check_id, fn)``: each fn reads what
-the checks share from a lazily built per-signature context and returns a
-witness, or None on a pass.  An exception fails only the checks that meet
-it, each under its own id with an ``{"error": "Type: message"}`` witness.
-The representation checks (``REPR_CHECKS``) run on the same context;
-``verify_representation`` runs them alone over a given one, such as a dump.
+``verify_signature`` runs the ordered tables ``CHECKS``, ``REPR_CHECKS``
+(through ``verify_representation``, also run on dumps) and ``CENTER_CHECKS``
+on one context.  Each fn of a ``(check_id, fn)`` reads what the checks share
+from that lazily built context and returns a witness, or None on a pass.  An
+exception fails only the checks that meet it, each under its own id with an
+``{"error": "Type: message"}`` witness.
 
 A check may confirm a pass with a cheaper certificate or proof; when it
 cannot decide, the check falls back to exact arithmetic, which alone gives
@@ -653,8 +653,8 @@ REPR_CHECKS = (
     ("repr.right_module", _right_module),
 )
 
-# Every check of one signature, in report order.  The representation checks
-# run on the signature's own context, over its built representation;
+# Every check of one signature, in report order: CHECKS, REPR_CHECKS over
+# the representation built on the same context, and CENTER_CHECKS, of which
 # semi.split, last, applies to semisimple algebras only.
 CHECKS = (
     ("class.dimension_identity", _dimension_identity),
@@ -665,18 +665,18 @@ CHECKS = (
         for check_id, witness_of in IDEMPOTENT_INVARIANTS
     ),
     ("ideal.dimension", _ideal_dimension),
-    *REPR_CHECKS,
-    ("center.dimension", _center_dimension),
-    ("semi.split", _semi_split),
 )
+CENTER_CHECKS = (("center.dimension", _center_dimension), ("semi.split", _semi_split))
 
 
 def verify_representation(
-    rep: Representation, seed: int = DEFAULT_SAMPLE_SEED
+    rep: Representation | None, seed: int = DEFAULT_SAMPLE_SEED, ctx: _Context | None = None
 ) -> list[CheckResult]:
-    """Representation-level checks; also used on re-ingested JSON dumps."""
-    ctx = _Context(rep.signature, seed)
-    ctx.rep = rep  # in place of the lazily built one
+    """Representation-level checks over ``rep``, such as a re-ingested JSON
+    dump, or, given a signature's ``ctx``, over the one it builds on first use."""
+    if ctx is None:
+        ctx = _Context(rep.signature, seed)
+        ctx.rep = rep  # in place of the lazily built one
     return _run(REPR_CHECKS, ctx)
 
 
@@ -685,8 +685,9 @@ def verify_signature(
 ) -> VerificationReport:
     """Run every structural check for one signature; failures become entries."""
     ctx = _Context(sig, seed)
-    checks = CHECKS[:-1] if ctx.cls.simple else CHECKS
-    return VerificationReport(sig, _run(checks, ctx))
+    center = CENTER_CHECKS[:-1] if ctx.cls.simple else CENTER_CHECKS
+    results = _run(CHECKS, ctx) + verify_representation(None, ctx=ctx)
+    return VerificationReport(sig, results + _run(center, ctx))
 
 
 def verify_range(max_n: int, seed: int = DEFAULT_SAMPLE_SEED) -> RangeSummary:

@@ -86,6 +86,11 @@ def reference():
     return json.loads(REFERENCE.read_text())["repr"]
 
 
+@pytest.fixture(scope="module")
+def idempotents_reference():
+    return json.loads(REFERENCE.read_text())["idempotents"]
+
+
 @pytest.mark.parametrize("p, q", _cases())
 def test_repr_json_matches_reference(reference, p, q):
     data = _stdout(["repr", str(p), str(q), "--json"])
@@ -102,8 +107,8 @@ def test_repr_json_matches_reference(reference, p, q):
         for p in range(n + 1)
     ],
 )
-def test_idempotents_json_matches_reference(p, q):
-    entry = json.loads(REFERENCE.read_text())["idempotents"][f"{p},{q}"]
+def test_idempotents_json_matches_reference(idempotents_reference, p, q):
+    entry = idempotents_reference[f"{p},{q}"]
     data = _stdout(["idempotents", str(p), str(q), "--json"])
     assert len(data) == entry["bytes"]
     assert hashlib.sha256(data).hexdigest() == entry["sha256"]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -649,10 +650,6 @@ def test_real_form_holds_on_every_built_component(n):
         assert verify._density_proves_ranks(ctx)
 
 
-# the signatures of perfbench's repr-large workload
-REPR_LARGE_SIGNATURES = ((0, 10), (1, 10), (0, 11), (4, 7), (8, 3), (0, 12), (6, 6))
-
-
 def _unreached(name):
     def fail(*args, **kwargs):
         raise AssertionError(f"{name} was called")
@@ -665,10 +662,12 @@ def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
     the exact fallbacks: K and K-matrix arithmetic, the span solve, the psi
     sampler and the class rows.  Their outputs are the same with those
     raising, so a change that makes a fallback run again shows here."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    repr_large = importlib.import_module("run").REPR_SIGNATURES  # perfbench's workload
     expected = verify_range(6).to_json_dict()
     dumps = [
         representation_to_json_dict(build_representation(Signature(*pq)))
-        for pq in REPR_LARGE_SIGNATURES
+        for pq in repr_large
     ]
     for owner, name in (
         (DivisionRingBasis, "kmul"),
@@ -691,7 +690,7 @@ def test_verify_range_never_builds_the_solved_blade_matrices(monkeypatch):
     summary = verify_range(6)
     assert summary.passed and summary.to_json_dict() == expected
     assert built == []
-    for pq, dump in zip(REPR_LARGE_SIGNATURES, dumps):
+    for pq, dump in zip(repr_large, dumps):
         assert representation_to_json_dict(build_representation(Signature(*pq))) == dump
 
 
