@@ -186,13 +186,15 @@ def _negative_mask(sig: Signature) -> int:
 @lru_cache(maxsize=1)
 def _sign_masks(sig: Signature) -> Sequence[int]:
     """``_sign_mask(b, negative)`` for every blade b of sig, cut to its n
-    low bits, built once per signature: e_a e_b = (-1)**popcount(a &
-    table[b]) e_{a ^ b}.  The masks are 16-bit words (n <= 12), so 2^n of
-    them take 2^(n+1) bytes rather than one int object each."""
+    low bits, once per signature: e_a e_b = (-1)**popcount(a & table[b])
+    e_{a ^ b}, and table[b | 1 << i] = table[b] ^ table[1 << i] (linear in
+    b).  2^n 16-bit words (n <= 12) take 2^(n+1) bytes, not 2^n ints."""
     negative = _negative_mask(sig)
     table = memoryview(bytearray(2 * sig.dim)).cast("H")
-    for b in range(sig.dim):
-        table[b] = _sign_mask(b, negative) & (sig.dim - 1)
+    for i in range(sig.n):
+        row = _sign_mask(1 << i, negative) & (sig.dim - 1)
+        for b in range(1 << i):
+            table[b | 1 << i] = table[b] ^ row
     return table.toreadonly()
 
 

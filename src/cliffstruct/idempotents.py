@@ -255,24 +255,26 @@ def _proves_annihilation(
 def find_frame(sig: Signature) -> MonomialFrame:
     """The lexicographically smallest valid frame, by one ascending scan.
 
-    A blade mask is taken, in ascending order, when it squares to +1,
-    commutes with the monomials taken so far and is GF(2)-independent of
-    them (so all 2^k subset products are distinct blades), until k are
-    taken.  A semisimple algebra needs no test of hat(f) * f == 0 for the
-    all-plus f: that holds exactly when some monomial has odd grade, and an
-    all-even frame would put 2^k orthogonal idempotents into the even
-    subalgebra Mat(2^(k-1), K) (x -> x (1 + pseudoscalar) / 2 is injective
-    on even x).
+    A blade mask is taken, in ascending order, when it squares to +1 and
+    commutes with the monomials taken so far, both read off ``_sign_masks``,
+    and is GF(2)-independent of them (so all 2^k subset products are
+    distinct blades), until k are taken.  A semisimple algebra needs no test
+    of hat(f) * f == 0 for the all-plus f: that holds exactly when some
+    monomial has odd grade, and an all-even frame would put 2^k orthogonal
+    idempotents into the even subalgebra Mat(2^(k-1), K) (x -> x (1 +
+    pseudoscalar) / 2 is injective on even x).
     """
     k = classify(sig).k
+    signs = _sign_masks(sig)
     chosen: list[int] = []
     echelon: dict[int, int] = {}
     for mask in range(1, sig.dim):
         if len(chosen) == k:
             break
+        q = signs[mask]
         if (
-            blade_square_sign(mask, sig) == 1
-            and all(blades_commute(mask, c) for c in chosen)
+            not (mask & q).bit_count() & 1
+            and not any(((mask & signs[c]) ^ (c & q)).bit_count() & 1 for c in chosen)
             and gf2_insert(mask, echelon)
         ):
             chosen.append(mask)

@@ -20,21 +20,18 @@ minimum.  A spinor basis is a basis over K and means nothing without it,
 so a ``SpinorBasis`` stores K's ``DivisionRingBasis`` (which holds f), the
 blades and the signs.
 
-Every coordinate column, of a blade image or of an element of S
-(``spinor_coordinates``), is read off the real basis s_t u_j.  An index maps
-the leading mask of each s_t u_j to it; when psi == s_t u_j * lambda holds
-exactly, lambda at (t, j) is the only nonzero coordinate of psi, because
-vectors with distinct leading masks are independent.  In the monomial basis
-above, e_a s_t = +-e_{a xor B_t} f is one such multiple, so each blade
-column has a single nonzero entry.  One function, ``_blade_matrices``,
-reads those columns off f's numerators for the generators of ``repr``
-(``SpinorBasis.generator_matrices``, read once per basis), for every blade
-that verify checks, and for the blades that ``represent`` sums into the
-matrix of an element.  The lookup only confirms: an exact span solve
-decides every psi it cannot confirm, such as a sum of basis elements or a
-column of a dumped basis whose real basis repeats a leading mask, and it
-alone reports a product outside S.  The generators' signed permutations
-of the real basis s_t u_j follow from the generator matrices and the unit
+By f's stabilizer character (``idempotents.stabilizer_character``), e_h f
+== chi(h) f for each h in a subspace H, and left multiples e_X f in
+distinct cosets of H have disjoint supports.  When each f u_j is +-e_{M_j}
+f, s_t u_j is +-e_Y f for Y = B_t xor M_j, and the coset index
+(``SpinorBasis._coset_index``) keys it by the minimum of Y + H.  So e_a s_t
+= +-e_X f, X = a xor B_t, is +-1 times the one s_t u_j of X + H, and
+``_blade_matrices`` reads each column with no product formed: for the
+generators of ``repr`` (``SpinorBasis.generator_matrices``), for every blade
+that verify checks and for the blades that ``represent`` sums.  An exact
+span solve decides what the index cannot, and all of ``spinor_coordinates``,
+and it alone reports a product outside S.  The generators' signed
+permutations of the s_t u_j follow from the generator matrices and the unit
 table.
 """
 
@@ -78,6 +75,7 @@ from .idempotents import (
     find_frame,
     product_form,
     product_idempotent,
+    stabilizer_character,
 )
 from .linalg import ExactSpan, gf2_insert, gf2_reduce
 
@@ -122,30 +120,39 @@ class SpinorBasis(FrozenRecord):
         return span
 
     @cached_property
-    def _real_basis_index(self) -> dict | None:
-        """The leading (smallest) mask of each real basis element s_t u_j
-        mapped to (t, j, denominator, numerator by mask).
-
-        s_t u_j == blade_signs[t] e_{B_t} (f u_j) exactly, by associativity,
-        so each is read off the terms of one exact product f u_j by
-        ``_blade_times``.  None when some s_t u_j is zero or two share a
-        leading mask.
-        """
+    def _coset_index(self) -> tuple[dict, dict, dict] | None:
+        """(echelon of H, chi, cosets) for f's stabilizer character chi on
+        H: cosets maps the minimum of Y + H to (t, j, Y, sign) with s_t u_j
+        == blade_signs[t] e_{B_t} (f u_j) == sign e_Y f, Y = B_t xor M_j,
+        when each f u_j is +-e_{M_j} f term by term.  Distinct cosets have
+        disjoint supports, so the s_t u_j are independent.  None when f has
+        no character, some f u_j is not +-e_M f, two s_t u_j share a coset
+        or there are none."""
         f = self.idempotent
+        chi = stabilizer_character(f)
+        if chi is None:
+            return None
         signs = _sign_masks(f.signature)
-        products = []
+        units = []
         for unit in self.kbasis.units:
-            den, masks, nums = (f * unit)._integer_terms
-            products.append((den, tuple(zip(masks, nums))))
-        index = {}
-        for t, (mask, sign) in enumerate(zip(self.blades, self.blade_signs)):
-            for j, (den, terms) in enumerate(products):
-                nums = _blade_times(mask, sign < 0, terms, signs)
-                lead = min(nums, default=None)
-                if lead is None or lead in index:
-                    return None
-                index[lead] = (t, j, den, nums)
-        return index
+            got = dict((f * unit).terms)
+            m = min(got, default=0) ^ f.terms[0][0]
+            want = _blade_times(m, False, f.terms, signs)
+            if got not in (want, {b: -c for b, c in want.items()}):
+                return None
+            units.append((m, 1 if got == want else -1))
+        echelon: dict[int, int] = {}
+        for h in chi.values:
+            gf2_insert(h, echelon)
+        cosets = {
+            gf2_reduce(b ^ m, echelon): (
+                t, j, b ^ m, bs * s * (-1) ** (b & signs[m]).bit_count()
+            )
+            for t, (b, bs) in enumerate(zip(self.blades, self.blade_signs))
+            for j, (m, s) in enumerate(units)
+        }
+        complete = 0 < len(cosets) == self.size * len(units)
+        return (echelon, chi.values, cosets) if complete else None
 
     @cached_property
     def generator_matrices(self) -> tuple[KMatrix, ...]:
@@ -164,12 +171,12 @@ class SpinorBasis(FrozenRecord):
         Column t of gamma(e_i) holds one entry lam u_c (lam = +-1) at row r,
         so e_i s_t == lam s_r u_c, and by the unit table e_i (s_t u_j) == lam
         s_r u_c u_j == lam s s_r u_c' for (c', s) = ``_UNIT_PRODUCTS[c][j]``.
-        None unless the real-basis index exists and is not empty (so the x_a
-        are independent), the units follow the table (``unit_defect``) and
-        every column is one +-unit; None too when some e_i s_t leaves S.
+        None unless the coset index exists (so the x_a are independent),
+        the units follow the table (``unit_defect``) and every column is one
+        +-unit; None too when some e_i s_t leaves S.
         """
         kb = self.kbasis
-        if not self._real_basis_index or kb.unit_defect is not None:
+        if self._coset_index is None or kb.unit_defect is not None:
             return None
         try:
             mats = self.generator_matrices
@@ -417,49 +424,11 @@ def _solve(sb: SpinorBasis, psi: Multivector) -> list[tuple[int, KElement]] | No
     return column
 
 
-def _lookup(
-    sb: SpinorBasis, den: int, nums: dict[int, int]
-) -> tuple[int, KElement] | None:
-    """(t, entry) with psi == s_t u_j * lambda exactly, for psi given by its
-    numerators over den, or None when the lookup cannot decide.
-
-    The s_t u_j have pairwise distinct leading masks, so they are linearly
-    independent and the confirmed lambda at (t, j) are the unique
-    coordinates of psi, the ones the span solve would return.  Confirmed on
-    integer numerators: the same masks as s_t u_j, and numerators
-    proportional to the leading pair.
-    """
-    index = sb._real_basis_index
-    if index is None or not nums:
-        return None
-    lead = min(nums)
-    hit = index.get(lead)
-    if hit is None:
-        return None
-    t, j, rden, rnums = hit
-    l0 = nums[lead]
-    r0 = rnums[lead]
-    if len(nums) != len(rnums) or any(
-        c * r0 != rnums.get(b, 0) * l0 for b, c in nums.items()
-    ):
-        return None
-    lam = _kcoordinate(l0 * rden, r0 * den)
-    return t, tuple(lam if jj == j else 0 for jj in range(sb.kbasis.dim))
-
-
-def _column(sb: SpinorBasis, psi: Multivector) -> list[tuple[int, KElement]] | None:
-    """The nonzero K-coordinates of psi as (t, entry) pairs, confirmed by
-    the lookup or else solved; None if psi is not in S."""
-    den, masks, nums = psi._integer_terms
-    hit = _lookup(sb, den, dict(zip(masks, nums)))
-    return [hit] if hit is not None else _solve(sb, psi)
-
-
 def spinor_coordinates(sb: SpinorBasis, psi: Multivector) -> tuple[KElement, ...] | None:
     """K-coordinates of psi over the spinor basis, or None if psi is not in S."""
     if psi.signature != sb.idempotent.signature:
         raise SignatureMismatchError(f"{psi.signature} vs {sb.idempotent.signature}")
-    column = _column(sb, psi)
+    column = _solve(sb, psi)
     if column is None:
         return None
     out = [sb.kbasis.kzero()] * sb.size
@@ -482,17 +451,17 @@ def _matrix_of(u: Multivector, sb: SpinorBasis) -> KMatrix:
 def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
     """gamma(e_a) for each a in masks, column t the coordinates of e_a s_t.
 
-    With s_t = +-e_{B_t} f, e_a s_t == +-e_X f for X = a xor B_t, read off
-    f's integer numerators by ``_blade_times`` with no product formed.  Each
-    (X, sign) is resolved once: confirmed by the lookup, or else solved,
-    raising RepresentationError when it is outside S.  Equal entries are one
-    shared tuple, which the JSON writer renders once.
+    With s_t = +-e_{B_t} f, e_a s_t == +-e_X f for X = a xor B_t, and each
+    (X, sign) is resolved once.  When the coset index holds X + H at (t, j,
+    Y, sign), e_X f == (-1)**popcount(Y & signs[w]) chi(w) e_Y f for w = X
+    xor Y, one +-1 at (t, j) found in O(k) bit operations; otherwise it is
+    solved, raising RepresentationError when it is outside S.  Equal entries
+    are one shared tuple, which the JSON writer renders once.
     """
     kb = sb.kbasis
     f = kb.idempotent
     signs = _sign_masks(f.signature)
-    den, f_masks, nums = f._integer_terms
-    f_terms = tuple(zip(f_masks, nums))
+    echelon, chi, cosets = sb._coset_index or ({}, {}, {})
     spinors = [(b, sign < 0) for b, sign in zip(sb.blades, sb.blade_signs)]
     entries: dict[KElement, KElement] = {}
     resolved: dict[int, tuple] = {}
@@ -501,9 +470,12 @@ def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
         col = resolved.get(code)
         if col is None:
             x, negate = code >> 1, code & 1
-            hit = _lookup(sb, den, _blade_times(x, negate, f_terms, signs))
-            if hit is not None:
-                pairs = [hit]
+            hit = cosets.get(gf2_reduce(x, echelon))
+            if hit:
+                t, j, y, sign = hit
+                w = x ^ y
+                lam = sign * chi[w] * (-1) ** ((y & signs[w]).bit_count() + negate)
+                pairs = [(t, tuple(lam if jj == j else 0 for jj in range(kb.dim)))]
             else:
                 pairs = _solve(sb, f.signature.blade(x, -1 if negate else 1) * f)
                 if pairs is None:

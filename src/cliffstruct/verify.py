@@ -12,11 +12,11 @@ exception fails only the checks that meet it, each under its own id with an
 
 A check may confirm a pass with a cheaper certificate or proof; when it
 cannot decide, the check falls back to exact arithmetic, which alone gives
-verdicts of failure and their witnesses.  The exact blade matrices and
-spinor coordinates of the representation checks come from the function that
-gives ``repr`` its generator matrices (``_blade_matrices``), each blade
-solved once; ``repr.homomorphism`` compares each with a generator matrix
-times an earlier blade's, so no second set of 2^n products is built.
+verdicts of failure and their witnesses.  The exact blade matrices of the
+representation checks come from the function that gives ``repr`` its
+generator matrices (``_blade_matrices``), each blade resolved once;
+``repr.homomorphism`` compares each with a generator matrix times an
+earlier blade's, so no second set of 2^n products is built.
 
 The representation checks rest on one premise (``_left_multiplication``):
 the generators permute the real basis x_{t d + j} = s_t u_j up to sign,
@@ -86,7 +86,7 @@ from .representation import (
     SpinorBasis,
     build_representation,
     _blade_matrices,
-    _column,
+    _solve,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -241,7 +241,19 @@ class _Context(Record):
 
     @cached_property
     def simple_ideals(self) -> list[bool]:
-        return [_simple_ideal(comp.basis) for comp in self.rep.components]
+        """``_simple_ideal`` per component; one whose generator permutations
+        are the first's with every sign negated (a semisimple algebra's
+        second), over a K of equal dimension, has each sigma(a) sigma(b)
+        and so the first verdict."""
+        bases = [comp.basis for comp in self.rep.components]
+        verdicts = [_simple_ideal(sb) for sb in bases[:1]]
+        for sb in bases[1:]:
+            perms = bases[0].generator_permutations
+            same = perms is not None and sb.kbasis.dim == bases[0].kbasis.dim
+            negated = same and [(pi, [-s for s in sigma]) for pi, sigma in perms]
+            same = same and sb.generator_permutations == negated
+            verdicts.append(verdicts[0] if same else _simple_ideal(sb))
+        return verdicts
 
     @cached_property
     def rng(self) -> random.Random:
@@ -473,8 +485,8 @@ def _simple_ideal(sb: SpinorBasis) -> bool:
     or the unit table, and holds when all of these hold; False decides
     nothing.  ``SpinorBasis.generator_permutations`` exists only when 1-3
     hold.
-    1. The real-basis index exists and is not empty: the D = N d elements
-       s_t u_j are nonzero with distinct leading masks, so independent.
+    1. The coset index exists: the D = N d elements s_t u_j are +-e_Y f,
+       one per coset of f's stabilizer H, so they are independent.
     2. Each generator sends each s_t u_j to +-s_r u_c exactly.  So M is a
        left ideal on which e_i acts as a signed permutation.
     3. Each product u_a u_b, solved over the units, is the entry of the
@@ -551,7 +563,7 @@ def _right_module(ctx: _Context) -> dict | None:
         mus = [tuple(int(jj == j) for jj in range(kb.dim)) for j in range(kb.dim)]
         spinors = []
         for s in sb.elements[:3]:
-            col = KMatrix(kb, sb.size, (tuple(_column(sb, s)),))
+            col = KMatrix(kb, sb.size, (tuple(_solve(sb, s)),))
             spinors.append((col, [col.scale_right(mu) for mu in mus]))
         for mask in masks:
             gamma_u = solved[mask]
@@ -560,7 +572,7 @@ def _right_module(ctx: _Context) -> dict | None:
                 for j, mu in enumerate(mus):
                     left = gamma_col.scale_right(mu)
                     right = gamma_u @ scaled[j]
-                    column = _column(sb, sig.blade(mask) * sb.elements[t] * kb.units[j])
+                    column = _solve(sb, sig.blade(mask) * sb.elements[t] * kb.units[j])
                     if (
                         left != right
                         or column is None

@@ -17,6 +17,7 @@ from cliffstruct import (
     multivector_to_json_dict,
     parse_multivector,
 )
+from cliffstruct.core import _negative_mask, _sign_mask, _sign_masks
 
 from blade_oracle import oracle_blade_mul
 
@@ -57,6 +58,18 @@ def test_blade_mul_spec_examples():
     # e12 * e12: one swap, then two contractions
     assert blade_mul(0b11, 0b11, Signature(2, 0)) == (-1, 0)
     assert blade_mul(0b11, 0b11, Signature(1, 1)) == (1, 0)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_sign_masks_hold_the_sign_mask_of_every_blade(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        table = _sign_masks(sig)
+        assert table.readonly and table.format == "H" and len(table) == sig.dim
+        negative = _negative_mask(sig)
+        assert table.tolist() == [
+            _sign_mask(b, negative) & (sig.dim - 1) for b in range(sig.dim)
+        ]
 
 
 def test_blade_mul_range_check():

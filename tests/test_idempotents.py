@@ -125,9 +125,27 @@ def _depth_first_frame(sig):
     return next(m for m in _admissible_frames(sig) if simple or _splits(sig, m))
 
 
+def _ascending_scan_frame(sig):
+    """``find_frame``'s scan with each square sign and commutation decided
+    by ``blade_square_sign`` and ``blades_commute``, as it was before it
+    read them off the sign-mask table."""
+    chosen, echelon = [], {}
+    for mask in range(1, sig.dim):
+        if len(chosen) == classify(sig).k:
+            break
+        if (
+            blade_square_sign(mask, sig) == 1
+            and all(blades_commute(mask, c) for c in chosen)
+            and gf2_insert(mask, echelon)
+        ):
+            chosen.append(mask)
+    return tuple(chosen)
+
+
 def test_ascending_scan_matches_depth_first_search():
     for sig in all_signatures(12):
-        assert find_frame(sig).monomials == _depth_first_frame(sig)
+        monomials = find_frame(sig).monomials
+        assert monomials == _ascending_scan_frame(sig) == _depth_first_frame(sig)
 
 
 def test_every_semisimple_frame_has_an_odd_monomial_and_splits():

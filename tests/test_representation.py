@@ -31,14 +31,13 @@ from cliffstruct import (
     verify_signature,
 )
 from cliffstruct.core import _blade_times, _sign_masks
-from cliffstruct.division import KTYPE_BY_DIM, _UNIT_TABLES
+from cliffstruct.division import KTYPE_BY_DIM, _UNIT_TABLES, _kcoordinate
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
     SpinorBasis,
     _blade_matrices,
     _cosets,
-    _lookup,
     _matrix_of,
     _negated,
 )
@@ -48,9 +47,9 @@ HALF = Fraction(1, 2)
 F0 = Fraction(0)
 F1 = Fraction(1)
 SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
-# The spinor basis, generator matrices and real-basis index run against
-# their oracles to n <= 9 with CLIFFSTRUCT_SLOW=1, and the generator
-# permutations to n <= 12.
+# The spinor basis, generator matrices and coset index run against their
+# oracles to n <= 9 with CLIFFSTRUCT_SLOW=1, and the generator permutations
+# to n <= 12.
 ORACLE_MAX_N = 9 if SLOW else 8
 PERMUTATION_MAX_N = 12 if SLOW else 8
 
@@ -707,15 +706,15 @@ def test_blade_matrices_match_the_span_solve(n, monkeypatch):
     for p in range(n + 1):
         sig = Signature(p, n - p)
         rep = build_representation(sig)
-        # the lookup confirmed every generator column
+        # the coset index gave every generator column
         assert solves == [], sig
         for comp in rep.components:
             sb = comp.basis
-            assert sb._real_basis_index is not None
+            assert sb._coset_index is not None
             coeffs = (1, -1) if n <= 6 else (1,)
             blades = [sig.blade(mask, c) for mask in range(sig.dim) for c in coeffs]
             mats = [_matrix_of(u, sb) for u in blades]
-            # every column was confirmed by the lookup: no solve was needed
+            # the coset index gave every column: no solve was needed
             assert solves == [], sig
             for u, mat in zip(blades, mats):
                 assert mat == _matrix_of_oracle(u, sb)
@@ -740,15 +739,16 @@ def test_represent_of_multi_term_elements_matches_the_span_solve(pq):
 def test_lookup_on_a_non_product_idempotent_matches_the_span_solve():
     # A rational-rotor conjugate of the product idempotent of Cl(1,4), with
     # the search oracle's units and greedy spinor basis (spinor_basis takes
-    # product idempotents only): its real basis shares leading masks, so the
-    # index is None and the solve decides every column.
+    # product idempotents only): f has no stabilizer character, so there is
+    # no coset index and the solve decides every column.
     f = _rotor_conjugate()
     sig = f.signature
     kb = oracle.division_ring_basis(f)
     with pytest.raises(ValueError, match=PRODUCT_FORM_REQUIRED):
         spinor_basis(f, kb)
     sb = oracle.greedy_spinor_basis(f, kb)
-    assert sb._real_basis_index is None
+    assert idempotents.stabilizer_character(f) is None
+    assert sb._coset_index is None
     rng = random.Random(909)
     elements = [sig.blade(mask) for mask in range(sig.dim)]
     elements += [_random_element(sig, rng, 3) for _ in range(8)]
@@ -776,7 +776,7 @@ def test_repeated_spinor_blade_leaves_the_solve_to_decide():
     data = representation_to_json_dict(build_representation(sig))
     data["components"][0]["spinor_blades"] = [0, 0]
     sb = representation_from_json_dict(data).components[0].basis
-    assert sb._real_basis_index is None
+    assert sb._coset_index is None
     assert _matrix_of(sig.scalar(1), sb) == _matrix_of_oracle(sig.scalar(1), sb)
     with pytest.raises(RepresentationError, match="product left the spinor ideal"):
         _matrix_of(sig.e(2), sb)
@@ -794,8 +794,10 @@ def test_solver_is_built_only_for_a_fallback():
 
 
 def _real_basis_index_oracle(sb):
-    """The real-basis index from the exact products s_t u_j, as
-    ``_real_basis_index`` built it before it read each s_t u_j off f u_j."""
+    """The leading mask of each real basis element s_t u_j, an exact
+    product, mapped to (t, j, denominator, numerator by mask), as the
+    real-basis index built it before the coset index; None when some s_t
+    u_j is zero or two share a leading mask."""
     index = {}
     for t, s in enumerate(sb.elements):
         for j, unit in enumerate(sb.kbasis.units):
@@ -806,13 +808,101 @@ def _real_basis_index_oracle(sb):
     return index
 
 
+def _lookup_oracle(sb, index, den, nums):
+    """(t, entry) with psi == s_t u_j * lambda exactly, for psi given by its
+    numerators over den, confirmed against the real-basis index oracle as
+    the lookup did before the coset index: the same masks as s_t u_j and
+    numerators proportional to its leading pair; None when it cannot
+    decide."""
+    hit = index.get(min(nums)) if index and nums else None
+    if hit is None:
+        return None
+    t, j, rden, rnums = hit
+    l0, r0 = nums[min(nums)], rnums[min(nums)]
+    if len(nums) != len(rnums) or any(
+        c * r0 != rnums.get(b, 0) * l0 for b, c in nums.items()
+    ):
+        return None
+    lam = _kcoordinate(l0 * rden, r0 * den)
+    return t, tuple(lam if jj == j else 0 for jj in range(sb.kbasis.dim))
+
+
+def _assert_coset_index_matches_the_exact_products(sb):
+    """The coset index, when there is one, holds every s_t u_j once, as
+    sign e_Y f exactly, under the minimum of Y's coset of H; it exists
+    exactly when the real-basis index oracle does."""
+    index = sb._coset_index
+    assert (index is None) == (_real_basis_index_oracle(sb) is None)
+    if index is None:
+        return
+    _, chi, cosets = index
+    f = sb.idempotent
+    assert chi == idempotents.stabilizer_character(f).values
+    d = sb.kbasis.dim
+    assert sorted((t, j) for t, j, _, _ in cosets.values()) == [
+        (t, j) for t in range(sb.size) for j in range(d)
+    ]
+    for key, (t, j, y, sign) in cosets.items():
+        assert key == min(y ^ h for h in chi)
+        assert sb.elements[t] * sb.kbasis.units[j] == f.signature.blade(y, sign) * f
+
+
 @pytest.mark.parametrize("n", range(ORACLE_MAX_N + 1))
 def test_real_basis_index_matches_the_exact_products(n):
     for p in range(n + 1):
         for comp in build_representation(Signature(p, n - p)).components:
-            index = comp.basis._real_basis_index
-            assert index is not None
-            assert index == _real_basis_index_oracle(comp.basis)
+            assert comp.basis._coset_index is not None
+            _assert_coset_index_matches_the_exact_products(comp.basis)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_coset_index_columns_match_the_lookup(n):
+    """Each generator column that ``_blade_matrices`` reads off the coset
+    index, on every built component, is the one the real-basis lookup
+    confirms on the exact product e_i s_t."""
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        for comp in build_representation(sig).components:
+            sb = comp.basis
+            index = _real_basis_index_oracle(sb)
+            mats = _blade_matrices(sb, [1 << i for i in range(n)])
+            for i, mat in enumerate(mats):
+                for s, column in zip(sb.elements, mat.columns):
+                    den, masks, nums = (sig.e(i + 1) * s)._integer_terms
+                    hit = _lookup_oracle(sb, index, den, dict(zip(masks, nums)))
+                    assert column == (hit,)
+
+
+def _scale_unit(comp):
+    for term in comp["units"][1]["terms"]:
+        term["num"] = str(2 * int(term["num"]))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["rotor-conjugate", "scaled-unit", "repeated-blade"],
+)
+def test_blade_matrices_without_a_coset_index_match_the_span_solve(case):
+    """f with no stabilizer character, a unit f u_1 that is 2 e_M f and not
+    +-e_M f, and two spinor blades in one coset each leave no coset index,
+    and then every column is solved."""
+    if case == "rotor-conjugate":
+        f = _rotor_conjugate()
+        sb = oracle.greedy_spinor_basis(f, oracle.division_ring_basis(f))
+    else:
+        data = representation_to_json_dict(build_representation(Signature(1, 2)))
+        comp = data["components"][0]
+        if case == "scaled-unit":
+            _scale_unit(comp)
+        else:
+            comp["spinor_blades"] = [0, 0]
+        sb = representation_from_json_dict(data).components[0].basis
+    assert sb._coset_index is None
+    sig = sb.idempotent.signature
+    got = _outcome(lambda: _blade_matrices(sb, range(sig.dim)))
+    assert got == _outcome(
+        lambda: [_matrix_of_oracle(sig.blade(m), sb) for m in range(sig.dim)]
+    )
 
 
 def _negate_unit(comp):
@@ -843,17 +933,16 @@ def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, cor
     corrupt(data["components"][0])
     for comp in representation_from_json_dict(data).components:
         sb = comp.basis
-        index = sb._real_basis_index
-        assert index == _real_basis_index_oracle(sb)
-        # a repeated blade repeats every leading mask of its real basis
-        assert (index is None) == (len(set(sb.blades)) < sb.size)
+        _assert_coset_index_matches_the_exact_products(sb)
+        # a repeated blade repeats every coset of its real basis
+        assert (sb._coset_index is None) == (len(set(sb.blades)) < sb.size)
 
 
 def _generator_permutations_oracle(sb):
     """The generator permutations by one lookup per real basis element and
     generator, as ``SpinorBasis.generator_permutations`` read them before it
     derived them from the generator matrices and the unit table."""
-    index = sb._real_basis_index
+    index = _real_basis_index_oracle(sb)
     if not index:
         return None
     sig = sb.idempotent.signature
@@ -863,7 +952,7 @@ def _generator_permutations_oracle(sb):
         pi, sigma = [0] * size, [0] * size
         for t, j, den, nums in index.values():
             image = _blade_times(1 << i, False, nums.items(), signs)
-            hit = _lookup(sb, den, image)
+            hit = _lookup_oracle(sb, index, den, image)
             if hit is None:
                 return None
             r, entry = hit

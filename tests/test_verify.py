@@ -4,6 +4,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import pytest
@@ -383,9 +384,9 @@ def _corrupted(pq, corrupt):
 def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
     sig = Signature(*pq)
     sb = _corrupted(pq, corrupt).components[0].basis
-    # a repeated blade leaves the lookup no index, so the solve decides
-    # every column
-    assert (sb._real_basis_index is None) == (len(set(sb.blades)) < sb.size)
+    # a repeated blade leaves no coset index, so the solve decides every
+    # column
+    assert (sb._coset_index is None) == (len(set(sb.blades)) < sb.size)
     got = _outcome(lambda: _blade_matrices(sb, range(sig.dim)))
     assert got == _outcome(lambda: _oracle_blade_matrices(sig, sb))
     if got is not RepresentationError:
@@ -449,9 +450,9 @@ def test_equal_blade_matrix_entries_are_one_object(n):
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):
     default = verify_range(5).to_json_dict()
-    # no spinor basis gets an index: every column is solved, and the proof
-    # of repr.irreducible declines, so its exact rows decide
-    monkeypatch.setattr(SpinorBasis, "_real_basis_index", property(lambda sb: None))
+    # no spinor basis gets a coset index: every column is solved, and the
+    # proof of repr.irreducible declines, so its exact rows decide
+    monkeypatch.setattr(SpinorBasis, "_coset_index", property(lambda sb: None))
     assert verify_range(5).to_json_dict() == default
 
 
@@ -648,6 +649,36 @@ def test_real_form_holds_on_every_built_component(n):
         ctx = _context(build_representation(Signature(p, n - p)))
         assert all(ctx.left_multiplication) and all(ctx.simple_ideals)
         assert verify._density_proves_ranks(ctx)
+
+
+def test_second_component_takes_the_first_commutant_count(monkeypatch):
+    """A semisimple algebra's second component permutes by the first's
+    permutations with every sign negated, so verify counts one commutant
+    per signature, with the report of a count per component; a dump whose
+    second component differs counts its own."""
+    calls = []
+    _counted(monkeypatch, verify, "_commutant_dim", calls)
+    report = verify_range(6).to_json_dict()
+    assert len(calls) == len(report["reports"]) == 28
+    per_component = cached_property(
+        lambda ctx: [verify._simple_ideal(c.basis) for c in ctx.rep.components]
+    )
+    per_component.__set_name__(verify._Context, "simple_ideals")
+    monkeypatch.setattr(verify._Context, "simple_ideals", per_component)
+    calls.clear()
+    assert verify_range(6).to_json_dict() == report
+    semisimple = sum(
+        not classify(Signature(p, n - p)).simple for n in range(7) for p in range(n + 1)
+    )
+    assert len(calls) == 28 + semisimple
+    monkeypatch.undo()
+    _counted(monkeypatch, verify, "_commutant_dim", calls)
+    for corrupt, counts in ((lambda comp: None, 1), (_set("spinor_blade_signs", 1, 1), 2)):
+        data = representation_to_json_dict(build_representation(Signature(2, 1)))
+        corrupt(data["components"][1])
+        calls.clear()
+        ctx = _context(representation_from_json_dict(data))
+        assert ctx.simple_ideals == [True, True] and len(calls) == counts
 
 
 def _unreached(name):
