@@ -30,9 +30,9 @@ f, s_t u_j is +-e_Y f for Y = B_t xor M_j, and the coset index
 generators of ``repr`` (``SpinorBasis.generator_matrices``), for every blade
 that verify checks and for the blades that ``represent`` sums.  An exact
 span solve decides what the index cannot, and all of ``spinor_coordinates``,
-and it alone reports a product outside S.  The generators' signed
-permutations of the s_t u_j follow from the generator matrices and the unit
-table.
+and it alone reports a product outside S.  When the index holds every coset
+of H, the s_t u_j span all of Cl f and each column is one +-unit, so with
+the unit table each generator acts on the s_t u_j as a signed permutation.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .core import (
     multivector_to_json_dict,
 )
 from .division import (
-    _UNIT_PRODUCTS,
     KTYPE_BY_DIM,
     UNIT_NAMES,
     DivisionRingBasis,
@@ -72,6 +71,7 @@ from .division import (
 from .idempotents import (
     MonomialFrame,
     ProductIdempotent,
+    StabilizerCharacter,
     find_frame,
     product_form,
     product_idempotent,
@@ -120,7 +120,7 @@ class SpinorBasis(FrozenRecord):
         return span
 
     @cached_property
-    def _coset_index(self) -> tuple[dict, dict, dict] | None:
+    def _coset_index(self) -> tuple[dict, StabilizerCharacter, dict] | None:
         """(echelon of H, chi, cosets) for f's stabilizer character chi on
         H: cosets maps the minimum of Y + H to (t, j, Y, sign) with s_t u_j
         == blade_signs[t] e_{B_t} (f u_j) == sign e_Y f, Y = B_t xor M_j,
@@ -152,50 +152,16 @@ class SpinorBasis(FrozenRecord):
             for j, (m, s) in enumerate(units)
         }
         complete = 0 < len(cosets) == self.size * len(units)
-        return (echelon, chi.values, cosets) if complete else None
+        return (echelon, chi, cosets) if complete else None
 
     @cached_property
     def generator_matrices(self) -> tuple[KMatrix, ...]:
         """gamma(e_i) for each generator, read once by ``_blade_matrices``:
-        the gammas of ``build_representation`` and the source of
-        ``generator_permutations``.  Raises RepresentationError when some
+        the gammas of ``build_representation``, and of the left-multiplication
+        premise that ``verify`` proves.  Raises RepresentationError when some
         e_i s_t leaves S."""
         n = self.idempotent.signature.n
         return tuple(_blade_matrices(self, [1 << i for i in range(n)]))
-
-    @cached_property
-    def generator_permutations(self) -> list | None:
-        """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a
-        == sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j.
-
-        Column t of gamma(e_i) holds one entry lam u_c (lam = +-1) at row r,
-        so e_i s_t == lam s_r u_c, and by the unit table e_i (s_t u_j) == lam
-        s_r u_c u_j == lam s s_r u_c' for (c', s) = ``_UNIT_PRODUCTS[c][j]``.
-        None unless the coset index exists (so the x_a are independent),
-        the units follow the table (``unit_defect``) and every column is one
-        +-unit; None too when some e_i s_t leaves S.
-        """
-        kb = self.kbasis
-        if self._coset_index is None or kb.unit_defect is not None:
-            return None
-        try:
-            mats = self.generator_matrices
-        except RepresentationError:
-            return None
-        d = kb.dim
-        perms = []
-        for mat in mats:
-            pi, sigma = [], []
-            for column in mat.columns:
-                units = [(r, c, x) for r, entry in column for c, x in enumerate(entry) if x]
-                if len(units) != 1 or units[0][2] not in (1, -1):
-                    return None
-                ((r, c, lam),) = units
-                for cj, s in _UNIT_PRODUCTS[c][:d]:
-                    pi.append(r * d + cj)
-                    sigma.append(s * int(lam))
-            perms.append((pi, sigma))
-        return perms
 
 
 class KMatrix(FrozenRecord):
@@ -461,7 +427,7 @@ def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
     kb = sb.kbasis
     f = kb.idempotent
     signs = _sign_masks(f.signature)
-    echelon, chi, cosets = sb._coset_index or ({}, {}, {})
+    echelon, chi, cosets = sb._coset_index or ({}, None, {})
     spinors = [(b, sign < 0) for b, sign in zip(sb.blades, sb.blade_signs)]
     entries: dict[KElement, KElement] = {}
     resolved: dict[int, tuple] = {}
@@ -474,7 +440,8 @@ def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
             if hit:
                 t, j, y, sign = hit
                 w = x ^ y
-                lam = sign * chi[w] * (-1) ** ((y & signs[w]).bit_count() + negate)
+                parity = (y & signs[w]).bit_count() + negate
+                lam = sign * chi.values[w] * (-1) ** parity
                 pairs = [(t, tuple(lam if jj == j else 0 for jj in range(kb.dim)))]
             else:
                 pairs = _solve(sb, f.signature.blade(x, -1 if negate else 1) * f)

@@ -19,22 +19,25 @@ generator matrices (``_blade_matrices``), each blade resolved once;
 earlier blade's, so no second set of 2^n products is built.
 
 The representation checks rest on one premise (``_left_multiplication``):
-the generators permute the real basis x_{t d + j} = s_t u_j up to sign,
-u_0 == f, the unit table is that of R, C or H, and each gamma is the
-generator matrix those permutations are read from.  Each gamma is then left
-multiplication by e_i on the free right K-module M = span{s_t u_j}, so
-``repr.generator_relations``, ``repr.homomorphism`` and ``repr.right_module``
-hold with nothing compared.
+the coset index of the spinor basis puts one s_t u_j in every coset of f's
+stabilizer (``_fills_ideal``), so each column of a generator matrix is one
++-unit, the units follow the table of R, C or H, u_0 == f, and each gamma
+is the generator matrix.  The generators then permute the real basis
+x_{t d + j} = s_t u_j up to sign, and each gamma is left multiplication by
+e_i on the free right K-module M = span{s_t u_j}, so
+``repr.generator_relations``, ``repr.homomorphism`` and
+``repr.right_module`` hold with nothing compared.
 
-``repr.irreducible`` rests on Schur's lemma (P. Lounesto, *Clifford
-Algebras and Spinors*, 2nd ed., Ch. 17).  In the real basis s_t u_j each
-generator acts as a signed permutation, from the Salingaros vee group
-{+-e_A}.  So the real matrices commuting with the generators are counted
-over orbits of index pairs, with no linear algebra.  When that commutant is
-the right action of the units, a division algebra D of dimension dim K, the
-span of the s_t u_j is a simple left ideal (``_simple_ideal``) and every
-nonzero sample generates it.  By the Jacobson density theorem (T. Y. Lam,
-*A First Course in Noncommutative Rings*, Sec. 11) Cl(p,q) then maps onto
+``repr.irreducible`` rests on the primitivity of f.  In a semisimple ring
+the left ideal R f of an idempotent f is minimal exactly when f is
+primitive, and then End_R(R f) = (f R f)^op (T. Y. Lam, *A First Course in
+Noncommutative Rings*, 2nd ed., on idempotents and minimal left ideals;
+P. Lounesto, *Clifford Algebras and Spinors*, 2nd ed., Ch. 17).  A filled
+coset index makes M all of Cl(p,q) f, f's character or its exact square
+proves f f == f, and the trace of x -> f x f, equal to dim K, proves f
+primitive (``_simple_ideal``).  So M is simple, every nonzero sample
+generates it, and End_Cl(M) is a division algebra D of dimension dim K.
+By the Jacobson density theorem (Lam, Sec. 11) Cl(p,q) then maps onto
 End_D(M), of dimension N^2 d, and onto the product of those of
 non-isomorphic simple components, which proves ``repr.faithful_rank``
 (``_density_proves_ranks``).
@@ -72,6 +75,8 @@ from .idempotents import (
     IDEMPOTENT_INVARIANTS,
     IdempotentSet,
     StabilizerCharacter,
+    _proves_idempotent,
+    _sandwich_trace,
     center_basis,
     central_idempotents,
     find_frame,
@@ -241,19 +246,7 @@ class _Context(Record):
 
     @cached_property
     def simple_ideals(self) -> list[bool]:
-        """``_simple_ideal`` per component; one whose generator permutations
-        are the first's with every sign negated (a semisimple algebra's
-        second), over a K of equal dimension, has each sigma(a) sigma(b)
-        and so the first verdict."""
-        bases = [comp.basis for comp in self.rep.components]
-        verdicts = [_simple_ideal(sb) for sb in bases[:1]]
-        for sb in bases[1:]:
-            perms = bases[0].generator_permutations
-            same = perms is not None and sb.kbasis.dim == bases[0].kbasis.dim
-            negated = same and [(pi, [-s for s in sigma]) for pi, sigma in perms]
-            same = same and sb.generator_permutations == negated
-            verdicts.append(verdicts[0] if same else _simple_ideal(sb))
-        return verdicts
+        return [_simple_ideal(comp.basis) for comp in self.rep.components]
 
     @cached_property
     def rng(self) -> random.Random:
@@ -332,20 +325,39 @@ def _representation_agrees(ctx: _Context) -> dict | None:
     return {"expected": cls.to_json_dict(), "components": len(rep.components)}
 
 
+def _fills_ideal(sb: SpinorBasis) -> bool:
+    """Whether the coset index puts one s_t u_j in every coset of f's
+    stabilizer H.
+
+    Each s_t u_j in the index is +-e_Y f, in a coset of its own, and Cl f is
+    spanned by one e_X f per coset (e_{X xor h} f == +-chi(h) e_X f), of
+    which there are 2^n / |H|.  So N d |H| == 2^n makes M = span{s_t u_j}
+    all of Cl f, and every e_X f is +-1 times one s_t u_j.
+    """
+    if sb._coset_index is None:
+        return False
+    _, chi, cosets = sb._coset_index
+    return len(cosets) * len(chi.values) == sb.idempotent.signature.dim
+
+
 def _left_multiplication(comp: Component) -> bool:
     """Whether each gamma is proved left multiplication by e_i on the free
     right K-module M = span{s_t u_j}; False decides nothing.
 
-    It holds when the generator permutations exist (so the s_t u_j are
-    independent, M is a left ideal and the units follow the table of R, C
-    or H), u_0 == f (so s_t == s_t u_0), the dumped table, read by K-matrix
-    products, is that table, and the gammas are the generator matrices the
-    permutations are read from (``SpinorBasis.generator_matrices``; the
-    same object for a built representation).  K-matrices then map
-    injectively and multiplicatively to real matrices on M."""
+    It holds when the coset index fills Cl f (``_fills_ideal``: the s_t u_j
+    are independent and M is a left ideal), the units follow the table of
+    R, C or H (``unit_defect``), u_0 == f (so s_t == s_t u_0), the dumped
+    table, read by K-matrix products, is that table, and the gammas are the
+    generator matrices (``SpinorBasis.generator_matrices``; the same object
+    for a built representation).  Each column that ``_blade_matrices``
+    reads off a filled index is one +-u_c, so e_i s_t == +-s_r u_c and, by
+    the table, e_i (s_t u_j) == +-s_r u_c u_j == +-s_r u_c': each generator
+    is a signed permutation of the s_t u_j, and K-matrices map injectively
+    and multiplicatively to real matrices on M."""
     sb, kb = comp.basis, comp.kbasis
     return (
-        sb.generator_permutations is not None
+        _fills_ideal(sb)
+        and kb.unit_defect is None
         and kb.units[0] == kb.idempotent
         and kb.table == _UNIT_TABLES[kb.dim]
         and comp.gammas == sb.generator_matrices
@@ -393,13 +405,15 @@ def _homomorphism(ctx: _Context) -> dict | None:
 def _density_proves_ranks(ctx: _Context) -> bool:
     """Whether density proves the ranks ``repr.faithful_rank`` expects.
 
-    Every component is left multiplication on a simple M of D-dimension N
-    with End_Cl(M) = D of dimension d (``_left_multiplication`` and
-    ``_simple_ideal``), so the image of Cl(p,q) is End_D(M), of dimension
-    N^2 d, which must be 2^n, or 2^(n-1) for each of a semisimple algebra's
-    two.  The central pseudoscalar acts on each M as its value on f
-    (``_pseudoscalar_value``), so opposite values make the two modules
-    non-isomorphic, and the joint image is the product, of dimension 2^n.
+    Every component is left multiplication on M = Cl f for a primitive f
+    (``_left_multiplication`` and ``_simple_ideal``), so M is simple with
+    End_Cl(M) = (f Cl f)^op = D of dimension d, and of D-dimension N.  The
+    image of Cl(p,q) is then End_D(M), of dimension N^2 d, which must be
+    2^n, or 2^(n-1) for each of a semisimple algebra's two.  The central
+    pseudoscalar acts on each M as its value on f (``_pseudoscalar_value``
+    of the character the coset index keeps), so opposite values make the
+    two modules non-isomorphic, and the joint image is the product, of
+    dimension 2^n.
     """
     comps, sig = ctx.rep.components, ctx.sig
     expected = [sig.dim] if ctx.rep.simple else [sig.dim // 2] * 2
@@ -410,8 +424,7 @@ def _density_proves_ranks(ctx: _Context) -> bool:
     ):
         return False
     return ctx.rep.simple or {
-        _pseudoscalar_value(sig, stabilizer_character(c.basis.idempotent))
-        for c in comps
+        _pseudoscalar_value(sig, c.basis._coset_index[1]) for c in comps
     } == {1, -1}
 
 
@@ -444,67 +457,33 @@ def _psi_sampler(sig: Signature, vectors: list[Multivector]):
     return draw
 
 
-def _commutant_dim(perms, size: int) -> int:
-    """dim_R of the real size x size matrices X commuting with every signed
-    permutation (pi, sigma) in ``perms``.
-
-    X commutes with one exactly when X[pi a, pi b] = sigma(a) sigma(b)
-    X[a, b] for every index pair, so X is free on each orbit of pairs whose
-    signs agree around every cycle and zero on the others.  The orbits are
-    searched along each permutation in turn: a permutation of a finite set
-    reaches its own inverse, so the forward steps cover every orbit.
-    """
-    sign = [0] * (size * size)
-    dim = 0
-    for start in range(size * size):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        consistent = True
-        while stack:
-            x = stack.pop()
-            a, b = divmod(x, size)
-            s = sign[x]
-            for pi, sigma in perms:
-                y = pi[a] * size + pi[b]
-                sy = s * sigma[a] * sigma[b]
-                if not sign[y]:
-                    sign[y] = sy
-                    stack.append(y)
-                elif sign[y] != sy:
-                    consistent = False
-        dim += consistent
-    return dim
-
-
 def _simple_ideal(sb: SpinorBasis) -> bool:
-    """Whether M = span{s_t u_j} is proved a simple left ideal of Cl(p,q).
+    """Whether M = span{s_t u_j} is proved the minimal left ideal Cl(p,q) f,
+    with End_Cl(M) of dimension d = dim K.
 
     It reads only f, the units and the spinor blades, never a gamma matrix
     or the unit table, and holds when all of these hold; False decides
-    nothing.  ``SpinorBasis.generator_permutations`` exists only when 1-3
-    hold.
-    1. The coset index exists: the D = N d elements s_t u_j are +-e_Y f,
-       one per coset of f's stabilizer H, so they are independent.
-    2. Each generator sends each s_t u_j to +-s_r u_c exactly.  So M is a
-       left ideal on which e_i acts as a signed permutation.
-    3. Each product u_a u_b, solved over the units, is the entry of the
+    nothing.
+    1. The coset index fills Cl f (``_fills_ideal``), so M == Cl f.
+    2. f f == f, by f's character (``_proves_idempotent``) or exactly.
+    3. The trace of x -> f x f (``_sandwich_trace``), dim_R f Cl f, equals
+       d and dim K of the class, so f is primitive, as in ``is_primitive``
+       (d alone would let a trace of 4 pass for Mat(2, R) where K is R).
+    4. Each product u_a u_b, solved over the units, is the entry of the
        fixed table of R, C or H (``DivisionRingBasis.unit_defect``; a built
-       K keeps the result of ``division_ring_basis``).  So the units are
-       independent, the right multiplications by them map M to M and
-       commute with every e_i, and they span a division algebra of
-       dimension d.
-    4. dim_R End_Cl(M) = d, counted by ``_commutant_dim``.
-    Then End_Cl(M) is that division algebra (Schur's lemma read backwards).
-    M is a real representation of the finite group {+-e_A}, so semisimple
-    by Maschke's theorem, and two or more simple summands would give a
-    projection in End_Cl(M), a zero divisor.  So M is simple, and every
-    nonzero psi in M has Cl psi = M, of dimension D.
+       K keeps the result of ``division_ring_basis``).
+    The left ideal of a primitive idempotent in a semisimple ring is
+    minimal, and End_Cl(Cl f) = (f Cl f)^op.  So M is simple, End_Cl(M) is
+    a division algebra of dimension d, and every nonzero psi in M has
+    Cl psi = M, of dimension D = N d.
     """
-    kb = sb.kbasis
-    perms = sb.generator_permutations
-    return perms is not None and _commutant_dim(perms, sb.size * kb.dim) == kb.dim
+    f, kb = sb.idempotent, sb.kbasis
+    return (
+        _fills_ideal(sb)
+        and (_proves_idempotent(f, sb._coset_index[1]) or f * f == f)
+        and _sandwich_trace(f) == kb.dim == K_DIMENSION[classify(f.signature).ktype]
+        and kb.unit_defect is None
+    )
 
 
 def _irreducible(ctx: _Context) -> dict | None:

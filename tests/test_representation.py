@@ -31,7 +31,7 @@ from cliffstruct import (
     verify_signature,
 )
 from cliffstruct.core import _blade_times, _sign_masks
-from cliffstruct.division import KTYPE_BY_DIM, _UNIT_TABLES, _kcoordinate
+from cliffstruct.division import KTYPE_BY_DIM, _UNIT_PRODUCTS, _UNIT_TABLES, _kcoordinate
 from cliffstruct.idempotents import _half_product_form
 from cliffstruct.linalg import gf2_insert, gf2_reduce
 from cliffstruct.representation import (
@@ -837,13 +837,13 @@ def _assert_coset_index_matches_the_exact_products(sb):
         return
     _, chi, cosets = index
     f = sb.idempotent
-    assert chi == idempotents.stabilizer_character(f).values
+    assert chi == idempotents.stabilizer_character(f)
     d = sb.kbasis.dim
     assert sorted((t, j) for t, j, _, _ in cosets.values()) == [
         (t, j) for t in range(sb.size) for j in range(d)
     ]
     for key, (t, j, y, sign) in cosets.items():
-        assert key == min(y ^ h for h in chi)
+        assert key == min(y ^ h for h in chi.values)
         assert sb.elements[t] * sb.kbasis.units[j] == f.signature.blade(y, sign) * f
 
 
@@ -939,9 +939,10 @@ def test_real_basis_index_of_a_corrupted_dump_matches_the_exact_products(pq, cor
 
 
 def _generator_permutations_oracle(sb):
-    """The generator permutations by one lookup per real basis element and
-    generator, as ``SpinorBasis.generator_permutations`` read them before it
-    derived them from the generator matrices and the unit table."""
+    """Per generator e_i, the signed permutation (pi, sigma) with e_i x_a
+    == sigma[a] x_{pi[a]} exactly on the real basis x_{t d + j} = s_t u_j,
+    by one lookup per real basis element and generator; None when some
+    lookup finds no +-x_b."""
     index = _real_basis_index_oracle(sb)
     if not index:
         return None
@@ -964,13 +965,31 @@ def _generator_permutations_oracle(sb):
     return perms
 
 
+def _assert_generator_matrices_give(sb, perms):
+    """Each column t of gamma(e_i) is one +-u_c at row r, so e_i s_t == lam
+    s_r u_c, and by the unit table e_i (s_t u_j) == lam s s_r u_c' for (c',
+    s) = ``_UNIT_PRODUCTS[c][j]``: the permutations ``perms``."""
+    d = sb.kbasis.dim
+    assert perms is not None and len(perms) == len(sb.generator_matrices)
+    for (pi, sigma), gamma in zip(perms, sb.generator_matrices):
+        for t, column in enumerate(gamma.columns):
+            ((r, entry),) = column
+            ((c, lam),) = [(c, x) for c, x in enumerate(entry) if x]
+            for j, (cj, s) in enumerate(_UNIT_PRODUCTS[c][:d]):
+                assert (pi[t * d + j], sigma[t * d + j]) == (r * d + cj, s * lam)
+
+
 @pytest.mark.parametrize("n", range(PERMUTATION_MAX_N + 1))
 def test_generator_permutations_match_the_lookups(n):
+    """Every built component's coset index fills Cl f, so its generator
+    matrices, with the unit table, are the signed permutations of the real
+    basis that the lookups find."""
     for p in range(n + 1):
         for comp in build_representation(Signature(p, n - p)).components:
-            perms = comp.basis.generator_permutations
-            assert perms is not None
-            assert perms == _generator_permutations_oracle(comp.basis)
+            assert verify._fills_ideal(comp.basis)
+            _assert_generator_matrices_give(
+                comp.basis, _generator_permutations_oracle(comp.basis)
+            )
 
 
 @pytest.mark.parametrize(
@@ -986,13 +1005,15 @@ def test_generator_permutations_match_the_lookups(n):
     ],
 )
 def test_generator_permutations_of_a_corrupted_dump_match_the_lookups(pq, corrupt):
-    """Derived permutations, when a dump has them, are the lookups'."""
+    """Where a dump's coset index fills Cl f and its units follow the table,
+    as ``verify._left_multiplication`` requires, its generator matrices give
+    the lookups' permutations."""
     data = representation_to_json_dict(build_representation(Signature(*pq)))
     corrupt(data["components"][0])
     for comp in representation_from_json_dict(data).components:
-        perms = comp.basis.generator_permutations
-        if perms is not None:
-            assert perms == _generator_permutations_oracle(comp.basis)
+        sb = comp.basis
+        if verify._fills_ideal(sb) and sb.kbasis.unit_defect is None:
+            _assert_generator_matrices_give(sb, _generator_permutations_oracle(sb))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -1013,7 +1034,8 @@ def test_second_component_carries_what_a_dump_computes(n):
         assert (kb2, sb2) == (kb, sb) and "unit_defect" not in vars(kb2)
         assert kb2.unit_defect is None is kb.unit_defect
         assert sb2.generator_matrices == sb.generator_matrices
-        assert sb2.generator_permutations == sb.generator_permutations
+        # the negated matrices give the permutations found on the dumped copy
+        _assert_generator_matrices_give(sb, _generator_permutations_oracle(sb2))
 
 
 # ---------------------------------------------------------------------------

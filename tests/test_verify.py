@@ -4,7 +4,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 import pytest
@@ -39,7 +38,13 @@ from cliffstruct.representation import _blade_matrices
 
 from test_division import _conjugated_cl20_idempotent, _rotor_conjugate
 from test_idempotents import _fixed_non_products, _trace_case
-from test_representation import _counted, _matrix_of_oracle, _outcome, _set
+from test_representation import (
+    _counted,
+    _generator_permutations_oracle,
+    _matrix_of_oracle,
+    _outcome,
+    _set,
+)
 
 try:
     import hypothesis
@@ -49,8 +54,10 @@ except ImportError:  # fixed draws instead
 
 HALF = Fraction(1, 2)
 SLOW = os.environ.get("CLIFFSTRUCT_SLOW") == "1"
-# The ideal-dimension oracle runs to n <= 9 with CLIFFSTRUCT_SLOW=1.
+# The ideal-dimension oracle runs to n <= 9 with CLIFFSTRUCT_SLOW=1, and the
+# commutant orbit count to n <= 12.
 ORACLE_MAX_N = 9 if SLOW else 7
+COMMUTANT_MAX_N = 12 if SLOW else 10
 
 
 def test_brute_force_ideal_dims():
@@ -529,14 +536,106 @@ def _commutant_oracle(perms, size):
     return size * size - span_of(equations).rank
 
 
-@pytest.mark.parametrize("pq", [(1, 1), (2, 0)])
+def _commutant_orbit_oracle(perms, size):
+    """dim_R of the real size x size matrices X commuting with every signed
+    permutation (pi, sigma) in ``perms``, with no linear algebra.
+
+    X commutes with one exactly when X[pi a, pi b] = sigma(a) sigma(b)
+    X[a, b] for every index pair, so X is free on each orbit of pairs whose
+    signs agree around every cycle and zero on the others.  The orbits are
+    searched along each permutation in turn: a permutation of a finite set
+    reaches its own inverse, so the forward steps cover every orbit.
+    """
+    sign = [0] * (size * size)
+    dim = 0
+    for start in range(size * size):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        consistent = True
+        while stack:
+            x = stack.pop()
+            a, b = divmod(x, size)
+            s = sign[x]
+            for pi, sigma in perms:
+                y = pi[a] * size + pi[b]
+                sy = s * sigma[a] * sigma[b]
+                if not sign[y]:
+                    sign[y] = sy
+                    stack.append(y)
+                elif sign[y] != sy:
+                    consistent = False
+        dim += consistent
+    return dim
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 0), (0, 2)])
 def test_simple_ideal_proof_declines_the_left_regular_module(pq):
-    sb = _left_regular(Signature(*pq))
-    perms = sb.generator_permutations
-    # steps 1-3 hold, and End_Cl(Cl) = Cl^op has dimension 4, not 1
-    assert perms is not None and sb.kbasis.unit_defect is None
-    assert verify._commutant_dim(perms, 4) == _commutant_oracle(perms, 4) == 4
+    sig = Signature(*pq)
+    sb = _left_regular(sig)
+    # the index fills Cl 1 = Cl and the units follow the table, but the
+    # trace of x -> 1 x 1 is 2^n, not d = 1: End_Cl(Cl) = Cl^op, which has
+    # dimension 4 also where Cl(0,2) = H is simple
+    assert verify._fills_ideal(sb) and sb.kbasis.unit_defect is None
+    assert idempotents._sandwich_trace(sb.idempotent) == sig.dim == 4
+    perms = _generator_permutations_oracle(sb)
+    assert _commutant_orbit_oracle(perms, 4) == _commutant_oracle(perms, 4) == 4
     assert not verify._simple_ideal(sb)
+
+
+def _negate_idempotent(comp):
+    for term in comp["idempotent"]["terms"]:
+        num = term["num"]
+        term["num"] = num[1:] if num.startswith("-") else "-" + num
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (0, 2), (3, 1), (1, 3), (3, 3)])
+def test_simple_ideal_proof_declines_minus_f(monkeypatch, pq):
+    """-f has f's character and trace, and the index still fills Cl f, but
+    (-f)(-f) == f: the exact sample ranks decide instead."""
+    rep = _corrupted(pq, _negate_idempotent)
+    sb = rep.components[0].basis
+    f = sb.idempotent
+    assert f == -build_representation(Signature(*pq)).components[0].basis.idempotent
+    chi = idempotents.stabilizer_character(f)
+    assert chi == idempotents.stabilizer_character(-f) and verify._fills_ideal(sb)
+    assert idempotents._sandwich_trace(f) == sb.kbasis.dim
+    assert not idempotents._proves_idempotent(f, chi) and f * f != f
+    assert not verify._simple_ideal(sb)
+    report = verify_representation(rep)
+    monkeypatch.setattr(verify, "_simple_ideal", lambda sb: False)
+    assert verify_representation(_corrupted(pq, _negate_idempotent)) == report
+
+
+def _drop_last_spinor_blade(comp):
+    comp["spinor_blades"].pop()
+    comp["spinor_blade_signs"].pop()
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (3, 1), (1, 3)])
+def test_simple_ideal_proof_declines_a_dropped_spinor_blade(pq):
+    """The index of the remaining s_t u_j exists but misses a coset of H,
+    so neither M = Cl f nor left multiplication on M is proved."""
+    comp = _corrupted(pq, _drop_last_spinor_blade).components[0]
+    sb = comp.basis
+    _, chi, cosets = sb._coset_index
+    assert len(cosets) == sb.size * sb.kbasis.dim
+    assert len(cosets) * len(chi.values) < sb.idempotent.signature.dim
+    assert not verify._fills_ideal(sb) and not verify._simple_ideal(sb)
+    assert not verify._left_multiplication(comp)
+
+
+@pytest.mark.parametrize("n", range(COMMUTANT_MAX_N + 1))
+def test_simple_ideal_proof_matches_the_commutant_orbit_count(n):
+    """End_Cl(M) of every built component has dimension d = dim K, counted
+    over orbits of index pairs, where the primitivity of f proves it."""
+    for p in range(n + 1):
+        for comp in build_representation(Signature(p, n - p)).components:
+            sb, kb = comp.basis, comp.kbasis
+            perms = _generator_permutations_oracle(sb)
+            assert verify._simple_ideal(sb)
+            assert _commutant_orbit_oracle(perms, sb.size * kb.dim) == kb.dim
 
 
 def _negate_unit(j):
@@ -586,11 +685,11 @@ def test_commutant_of_a_doubled_module_is_four_times_k(n):
         for comp in build_representation(Signature(p, n - p)).components:
             kb, sb = comp.kbasis, comp.basis
             size = sb.size * kb.dim
-            perms = sb.generator_permutations
-            assert verify._commutant_dim(perms, size) == kb.dim
+            perms = _generator_permutations_oracle(sb)
+            assert _commutant_orbit_oracle(perms, size) == kb.dim
             # S + S, the same signed permutations on two blocks
             doubled = [(pi + [size + b for b in pi], sigma * 2) for pi, sigma in perms]
-            assert verify._commutant_dim(doubled, 2 * size) == 4 * kb.dim
+            assert _commutant_orbit_oracle(doubled, 2 * size) == 4 * kb.dim
             if n <= 3:
                 assert _commutant_oracle(perms, size) == kb.dim
                 assert _commutant_oracle(doubled, 2 * size) == 4 * kb.dim
@@ -649,36 +748,6 @@ def test_real_form_holds_on_every_built_component(n):
         ctx = _context(build_representation(Signature(p, n - p)))
         assert all(ctx.left_multiplication) and all(ctx.simple_ideals)
         assert verify._density_proves_ranks(ctx)
-
-
-def test_second_component_takes_the_first_commutant_count(monkeypatch):
-    """A semisimple algebra's second component permutes by the first's
-    permutations with every sign negated, so verify counts one commutant
-    per signature, with the report of a count per component; a dump whose
-    second component differs counts its own."""
-    calls = []
-    _counted(monkeypatch, verify, "_commutant_dim", calls)
-    report = verify_range(6).to_json_dict()
-    assert len(calls) == len(report["reports"]) == 28
-    per_component = cached_property(
-        lambda ctx: [verify._simple_ideal(c.basis) for c in ctx.rep.components]
-    )
-    per_component.__set_name__(verify._Context, "simple_ideals")
-    monkeypatch.setattr(verify._Context, "simple_ideals", per_component)
-    calls.clear()
-    assert verify_range(6).to_json_dict() == report
-    semisimple = sum(
-        not classify(Signature(p, n - p)).simple for n in range(7) for p in range(n + 1)
-    )
-    assert len(calls) == 28 + semisimple
-    monkeypatch.undo()
-    _counted(monkeypatch, verify, "_commutant_dim", calls)
-    for corrupt, counts in ((lambda comp: None, 1), (_set("spinor_blade_signs", 1, 1), 2)):
-        data = representation_to_json_dict(build_representation(Signature(2, 1)))
-        corrupt(data["components"][1])
-        calls.clear()
-        ctx = _context(representation_from_json_dict(data))
-        assert ctx.simple_ideals == [True, True] and len(calls) == counts
 
 
 def _unreached(name):
@@ -743,9 +812,10 @@ def test_real_form_declines_a_unit_other_than_f(monkeypatch):
     one = sig.scalar(1)
     kb = DivisionRingBasis(one, ((one + sig.e(1)) * HALF,), "R", (((1,),),))
     sb = SpinorBasis(kb, (0,), (1,))
-    # e1 s_0 = e1 is outside the span of x_0, so the generator matrices
-    # cannot be read and no permutations are derived
-    assert sb.generator_permutations is None and kb.unit_defect is None
+    # e1 fixes x_0, but f u_0 = u_0 is not +-f, so there is no coset index,
+    # and e1 s_0 = e1 is outside the span of x_0
+    assert _generator_permutations_oracle(sb) == [([0], [1])]
+    assert sb._coset_index is None and kb.unit_defect is None
     comp = Component(sb, (KMatrix(kb, 1, (((0, (1,)),),)),))
     assert not verify._left_multiplication(comp)
     rep = Representation(sig, classify(sig), find_frame(sig), (comp,))
@@ -772,7 +842,7 @@ def test_density_certificate_matches_the_exact_ranks(n):
         # each generator permutation is its gamma read on the real basis
         for comp in rep.components:
             d = comp.kbasis.dim
-            perms = comp.basis.generator_permutations
+            perms = _generator_permutations_oracle(comp.basis)
             for (pi, sigma), gamma in zip(perms, comp.gammas):
                 for t, ((r, entry),) in enumerate(gamma.columns):
                     c = pi[t * d] % d
