@@ -30,13 +30,13 @@ def _write_json(obj, write) -> None:
     With ``indent`` set, ``json`` encodes in pure Python; here each scalar
     goes through ``json.dumps`` on its C path.  The memory rule: the only
     texts kept are those of lists of scalars, once per (object, depth).
-    ``representation_to_json_dict`` shares one list per equal K-entry, so
-    that is the distinct K-entries, a few KB.  A list of such lists (a
-    matrix row) or an object of scalars is joined into one piece and not
-    kept; every larger list or object, whole matrices above all, is written
-    item by item.  Keeping the text of rows or of anything larger would
-    hold the output a second time wherever it seldom repeats.  Object keys
-    must be strings.
+    ``representation_to_json_dict`` gives one list per distinct K-entry
+    value, so that is the distinct K-entries, a few KB.  A list of such
+    lists (a matrix row) or an object of scalars is joined into one piece
+    and not kept; every larger list or object, whole matrices above all,
+    is written item by item.  Keeping the text of rows or of anything
+    larger would hold the output a second time wherever it seldom repeats.
+    Object keys must be strings.
     """
     lists: dict[int, dict[int, str]] = {}  # depth -> id -> text
 

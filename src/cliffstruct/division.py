@@ -95,12 +95,7 @@ class DivisionRingBasis(FrozenRecord):
         return len(self.units)
 
     def kzero(self) -> KElement:
-        """The zero of K, one tuple per basis: the zeros of
-        ``KMatrix.entries`` all share it."""
-        return self._zero
-
-    @cached_property
-    def _zero(self) -> KElement:
+        """The zero of K, the coordinate tuple of d zeros."""
         return (0,) * self.dim
 
     def kadd(self, x: KElement, y: KElement) -> KElement:

@@ -5,10 +5,11 @@ over K = f Cl f, and the action u s_t = sum_i s_i lambda_it defines the
 matrix of u with entries lambda_it in K.  Keeping the K-scalars on the right
 of the basis spinors is what makes u -> gamma(u) a homomorphism when K is
 noncommutative.  Semisimple algebras get a pair of matrices, one for S and
-one for its grade-involution image hat(S).  The involution is an algebra
-automorphism sending each generator e_i to -e_i, so on the image basis
-hat(s_t) over the image units the generator matrices of hat(S) are exactly
-the negated matrices of S.
+one for its grade-involution image hat(S) = Cl hat(f), each read off its
+own spinor basis.  The involution is an algebra automorphism sending each
+generator e_i to -e_i, and on the image basis hat(s_t) over the image units
+the generator matrices of hat(S) are the negated matrices of S, entry by
+entry, as the tests check.
 
 The spinor basis is built for a product idempotent
 f = prod (1 + s_i e_{g_i}) / 2 over commuting square-one monomials (a
@@ -184,8 +185,8 @@ class KMatrix(FrozenRecord):
 
     @property
     def entries(self) -> tuple[tuple[KElement, ...], ...]:
-        """The dense rows, built on each access; every zero is the basis's
-        one ``kzero()`` tuple."""
+        """The dense rows, built on each access; every zero is
+        ``basis.kzero()``."""
         zero = self.basis.kzero()
         dense = [[zero] * self.cols for _ in range(self.rows)]
         for t, column in enumerate(self.columns):
@@ -275,27 +276,6 @@ class KMatrix(FrozenRecord):
                 for column in self.columns
             ),
         )
-
-
-def _negated(kb: DivisionRingBasis, mats) -> tuple[KMatrix, ...]:
-    """-m over kb for each matrix m; each distinct entry is negated once, so
-    equal entries stay one shared tuple across all the matrices."""
-    negated: dict[KElement, KElement] = {}
-    for mat in mats:
-        for column in mat.columns:
-            for _, e in column:
-                if e not in negated:
-                    negated[e] = kb.kneg(e)
-    return tuple(
-        KMatrix(
-            kb,
-            mat.rows,
-            tuple(
-                tuple((i, negated[e]) for i, e in column) for column in mat.columns
-            ),
-        )
-        for mat in mats
-    )
 
 
 def _nonzero(acc: dict[int, KElement]) -> tuple[tuple[int, KElement], ...]:
@@ -421,15 +401,13 @@ def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
     (X, sign) is resolved once.  When the coset index holds X + H at (t, j,
     Y, sign), e_X f == (-1)**popcount(Y & signs[w]) chi(w) e_Y f for w = X
     xor Y, one +-1 at (t, j) found in O(k) bit operations; otherwise it is
-    solved, raising RepresentationError when it is outside S.  Equal entries
-    are one shared tuple, which the JSON writer renders once.
+    solved, raising RepresentationError when it is outside S.
     """
     kb = sb.kbasis
     f = kb.idempotent
     signs = _sign_masks(f.signature)
     echelon, chi, cosets = sb._coset_index or ({}, None, {})
     spinors = [(b, sign < 0) for b, sign in zip(sb.blades, sb.blade_signs)]
-    entries: dict[KElement, KElement] = {}
     resolved: dict[int, tuple] = {}
 
     def column(code: int) -> tuple:
@@ -447,9 +425,7 @@ def _blade_matrices(sb: SpinorBasis, masks) -> list[KMatrix]:
                 pairs = _solve(sb, f.signature.blade(x, -1 if negate else 1) * f)
                 if pairs is None:
                     raise RepresentationError("product left the spinor ideal")
-            col = resolved[code] = tuple(
-                (t, entries.setdefault(e, e)) for t, e in pairs
-            )
+            col = resolved[code] = tuple(pairs)
         return col
 
     return [
@@ -494,15 +470,15 @@ def build_representation(source: Signature | MonomialFrame) -> Representation:
     product = product_idempotent(frame, (1,) * frame.k)
     kb = division_ring_basis(product)
     sb = spinor_basis(product, kb)
-    gammas = sb.generator_matrices
-    components = [Component(sb, gammas)]
+    components = [Component(sb, sb.generator_matrices)]
     if not cls.simple:
         # The second half-spinor space is the grade-involution image of the
-        # first, over the images of f, the units and the spinors.  The
-        # involution is an automorphism sending e_i to -e_i, so each exact
-        # e_i s_t == s_s u_j * lam maps to e_i hat(s_t) == hat(s_s) hat(u_j)
-        # * (-lam): the second gammas are the negated first ones, exactly,
-        # and the image units keep the first units' relations.
+        # first, over the images of f, the units and the spinors, and its
+        # gammas are read off its own coset index.  The involution is an
+        # automorphism sending e_i to -e_i, so the image units keep the
+        # first units' relations, and those gammas are the negated first
+        # ones (each e_i s_t == s_s u_j * lam maps to e_i hat(s_t) ==
+        # hat(s_s) hat(u_j) * (-lam)), as the tests check.
         fh = product.f.involute()
         kb2 = DivisionRingBasis(
             fh,
@@ -512,7 +488,7 @@ def build_representation(source: Signature | MonomialFrame) -> Representation:
         )._with_cached(unit_defect=kb.unit_defect)
         sb2 = SpinorBasis(
             kb2, sb.blades, tuple(-1 if grade(m) & 1 else 1 for m in sb.blades)
-        )._with_cached(generator_matrices=_negated(kb2, gammas))
+        )
         components.append(Component(sb2, sb2.generator_matrices))
     if (
         len(components) != cls.components
@@ -572,14 +548,15 @@ def _kentries_from_json(
 
 
 def representation_to_json_dict(rep: Representation) -> dict:
-    # One list per K-entry object: the generator matrices repeat a few shared
-    # entry tuples (zero above all), which the JSON writer then renders once.
-    kelements: dict[int, list[str]] = {}
+    # One list per distinct K-entry value: the generator matrices repeat a
+    # few entries (zero above all), and the JSON writer keeps the text of
+    # each list object, so each value is rendered once.
+    kelements: dict[KElement, list[str]] = {}
 
     def kelement(x: KElement) -> list[str]:
-        out = kelements.get(id(x))
+        out = kelements.get(x)
         if out is None:
-            out = kelements[id(x)] = [str(c) for c in x]
+            out = kelements[x] = [str(c) for c in x]
         return out
 
     return {

@@ -39,7 +39,6 @@ from cliffstruct.representation import (
     _blade_matrices,
     _cosets,
     _matrix_of,
-    _negated,
 )
 from test_division import PRODUCT_FORM_REQUIRED, _kone, _rotor_conjugate
 
@@ -318,13 +317,11 @@ def test_kmatrix_arithmetic_matches_the_dense_loops():
         assert total == _kadd_oracle(b, b2)
         assert a @ total == _kmatmul_oracle(a, _kadd_oracle(b, b2))
         # every entry sums to zero
-        neg_a, neg_b = _negated(kb, (a, b))
+        neg_b = _kneg_oracle(b)
         cancel = ab + a @ neg_b
         assert cancel == _kadd_oracle(ab, _kmatmul_oracle(a, neg_b))
         assert cancel.columns == ((),) * cancel.cols
-        # negation, the right action (mu may be zero) and the zero matrix
-        assert _negated(kb, (a,))[0] == _kneg_oracle(a)
-        assert neg_a == _kneg_oracle(a) and neg_a.entries == _kneg_oracle(a).entries
+        # the right action (mu may be zero) and the zero matrix
         scaled = b.scale_right(mu)
         assert scaled == _scale_right_oracle(b, mu)
         assert scaled.entries == _scale_right_oracle(b, mu).entries
@@ -1019,8 +1016,9 @@ def test_generator_permutations_of_a_corrupted_dump_match_the_lookups(pq, corrup
 @pytest.mark.parametrize("n", range(9))
 def test_second_component_carries_what_a_dump_computes(n):
     """The gammas are the spinor basis's generator matrices, and the second
-    component of a semisimple algebra gets its unit relations and generator
-    matrices from the first, as a dumped copy computes them."""
+    component of a semisimple algebra gets its unit relations from the first
+    and reads its generator matrices off its own basis, as a dumped copy
+    computes them."""
     for p in range(n + 1):
         rep = build_representation(Signature(p, n - p))
         for comp in rep.components:
@@ -1034,8 +1032,33 @@ def test_second_component_carries_what_a_dump_computes(n):
         assert (kb2, sb2) == (kb, sb) and "unit_defect" not in vars(kb2)
         assert kb2.unit_defect is None is kb.unit_defect
         assert sb2.generator_matrices == sb.generator_matrices
-        # the negated matrices give the permutations found on the dumped copy
+        # the built matrices give the permutations found on the dumped copy
         _assert_generator_matrices_give(sb, _generator_permutations_oracle(sb2))
+
+
+def _unreached(*args):
+    raise AssertionError("an exact span solve was reached")
+
+
+def test_second_gammas_are_the_first_negated(monkeypatch):
+    """On every semisimple algebra with n <= 12, the second component's own
+    coset index fills its ideal, so no column is solved, and each of its
+    gammas is the first with every entry negated, column by column: the
+    grade involution sends e_i to -e_i."""
+    monkeypatch.setattr(representation, "_solve", _unreached)
+    semisimple = [
+        sig for sig in all_signatures(12) if not classify(sig).simple
+    ]
+    assert len(semisimple) == 21
+    for sig in semisimple:
+        first, second = build_representation(sig).components
+        assert verify._fills_ideal(second.basis)
+        kneg = first.kbasis.kneg
+        for g, g2 in zip(first.gammas, second.gammas, strict=True):
+            assert g2.rows == g.rows
+            assert g2.columns == tuple(
+                tuple((i, kneg(e)) for i, e in column) for column in g.columns
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -355,15 +355,6 @@ def test_table_blade_matrices_match_the_span_solve(pq):
         assert mats == _oracle_blade_matrices(sig, comp.basis)
 
 
-def _assert_entries_shared(mats):
-    """Each distinct entry value of the matrices is one object."""
-    objects = {}
-    for mat in mats:
-        for column in mat.columns:
-            for _, e in column:
-                assert objects.setdefault(e, e) is e
-
-
 def _append_repeated_blade(comp):
     comp["spinor_blades"].append(comp["spinor_blades"][-1])
     comp["spinor_blade_signs"].append(1)
@@ -396,8 +387,6 @@ def test_blade_matrices_of_a_corrupted_dump_match_the_span_solve(pq, corrupt):
     assert (sb._coset_index is None) == (len(set(sb.blades)) < sb.size)
     got = _outcome(lambda: _blade_matrices(sb, range(sig.dim)))
     assert got == _outcome(lambda: _oracle_blade_matrices(sig, sb))
-    if got is not RepresentationError:
-        _assert_entries_shared(got)
 
 
 def _ordered_products(comp, sig):
@@ -445,14 +434,30 @@ def test_homomorphism_of_a_corrupted_dump_matches_the_ordered_products(pq, corru
     _homomorphism_matches_the_ordered_products(_corrupted(pq, corrupt))
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_equal_blade_matrix_entries_are_one_object(n):
-    # the JSON writer keeps the text of each K-entry object it meets
-    for p in range(n + 1):
-        rep = build_representation(Signature(p, n - p))
-        for comp, solved in zip(rep.components, _context(rep).solved):
-            _assert_entries_shared(comp.gammas)
-            _assert_entries_shared(solved)
+@pytest.mark.parametrize("n", [*range(9), "repr-large"])
+def test_json_dump_has_one_list_per_entry_value(n, monkeypatch):
+    """Each distinct K-entry value of a dump's unit tables and gammas is one
+    list object, equal Python objects or not: the JSON writer keeps the text
+    of each list object it meets, so each value is rendered once."""
+    if n == "repr-large":
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), "..", "perfbench")
+        )
+        signatures = importlib.import_module("run").REPR_SIGNATURES
+    else:
+        signatures = [(p, n - p) for p in range(n + 1)]
+    for pq in signatures:
+        rep = build_representation(Signature(*pq))
+        data = representation_to_json_dict(rep)
+        lists = {}
+        for comp, out in zip(rep.components, data["components"], strict=True):
+            matrices = [(comp.kbasis.table, out["unit_table"])]
+            matrices += zip((g.entries for g in comp.gammas), out["gammas"])
+            for rows, out_rows in matrices:
+                for row, out_row in zip(rows, out_rows, strict=True):
+                    for entry, text in zip(row, out_row, strict=True):
+                        assert text == [str(c) for c in entry]
+                        assert lists.setdefault(entry, text) is text
 
 
 def test_lookup_falls_back_to_the_span_solve(monkeypatch):
